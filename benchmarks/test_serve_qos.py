@@ -17,9 +17,7 @@ import time
 from conftest import emit_bench, run_once
 
 from repro.config import ServeConfig, assasin_sb_config
-from repro.kernels import get_kernel
 from repro.serve import TenantSpec, simulate_serve
-from repro.ssd.device import ComputationalSSD
 
 DURATION_NS = 1_500_000.0
 SEED = 7
@@ -40,10 +38,8 @@ def _tenants():
 
 
 def _run_policies():
-    # One core-phase sampling pass shared by every policy run, so the
-    # comparison differs only in arbitration.
-    sample = ComputationalSSD(assasin_sb_config()).sample_kernel(get_kernel("stat"))
-    samples = {"stat": sample}
+    # The pricing memo shares one core-phase sampling pass across every
+    # policy run, so the comparison differs only in arbitration.
     return {
         policy: simulate_serve(
             assasin_sb_config(),
@@ -51,7 +47,6 @@ def _run_policies():
             ServeConfig(arbitration=policy),
             duration_ns=DURATION_NS,
             seed=SEED,
-            samples=samples,
         )
         for policy in ("rr", "wrr", "drr")
     }
@@ -93,7 +88,6 @@ def test_weighted_arbitration_shifts_p99(benchmark):
         ServeConfig(arbitration="rr"),
         duration_ns=DURATION_NS,
         seed=SEED,
-        samples={"stat": ComputationalSSD(assasin_sb_config()).sample_kernel(get_kernel("stat"))},
     )
     assert again.fingerprint() == rr.fingerprint()
 

@@ -1,25 +1,30 @@
-"""Simulator-core speed bench: calendar-queue fast loop vs heapq reference.
+"""Simulator-core speed bench: the calendar-queue loop vs the heapq oracle.
 
-The workload is the event-loop-bound regime the fast engine exists for:
+The workload is the event-loop-bound regime the calendar queue exists for:
 hundreds of generator processes each yielding a fixed resume period, so
 nearly every simulated instant dispatches a batch of homogeneous events
-and the wall clock measures pure engine overhead (no flash timelines, no
-kernel pricing). Both engines run the *same* schedule; the dispatch count
-and final clock must agree exactly (the differential and property suites
-prove the stronger bit-identical claim on the real campaigns).
+and the wall clock measures pure loop overhead (no flash timelines, no
+kernel pricing). ``fast`` is :class:`repro.sim.Simulator`; ``reference`` is
+the single-heapq oracle kept in ``tests/sim_oracle.py``. Both run the
+*same* schedule; the dispatch count and final clock must agree exactly
+(the differential and property suites prove the stronger bit-identical
+claim on the real campaigns).
 
-Emits ``BENCH_sim.json`` with the measured events/sec of both engines and
-gates the headline ratio: the fast engine must clear ``MIN_SPEEDUP``x the
-reference on the same machine, plus a conservative absolute floor so a
-fast-but-broken-build (e.g. silently falling back to reference) fails in
-CI rather than shipping.
+Emits ``BENCH_sim.json`` with the measured events/sec of both loops and
+gates the headline ratio: the simulator must clear ``MIN_SPEEDUP``x the
+oracle on the same machine, plus a conservative absolute floor so a
+broken build fails in CI rather than shipping.
 """
 
 import time
 
 from conftest import emit_bench, run_once
 
-from repro.sim import Simulator, use_engine
+from repro.sim import Simulator
+
+from tests.sim_oracle import HeapSimulator
+
+LOOPS = {"reference": HeapSimulator, "fast": Simulator}
 
 #: Generator processes resuming on short fixed periods (7 distinct phases,
 #: so instants carry batches of same-time events without being degenerate).
@@ -32,9 +37,9 @@ MAX_EVENTS = 300_000
 #: Best-of-N walls per engine — absorbs CI scheduler noise.
 REPEATS = 5
 
-#: The tentpole gate: fast engine events/sec over reference events/sec.
+#: The headline gate: simulator events/sec over oracle events/sec.
 MIN_SPEEDUP = 3.0
-#: Absolute floor for the fast engine (observed ~3.9M/s locally; CI boxes
+#: Absolute floor for the simulator (observed ~3.9M/s locally; CI boxes
 #: are slower and shared, so the floor only catches a collapse).
 MIN_FAST_EVENTS_PER_SEC = 300_000.0
 
@@ -49,21 +54,20 @@ def _procs():
 
 def _run_one(engine):
     """One timed run; returns (processed, now, wall seconds)."""
-    with use_engine(engine):
-        sim = Simulator()
-        for i, proc in enumerate(_procs()):
-            sim.spawn(proc, label=f"p{i}")
-        start = time.perf_counter()
-        sim.run(max_events=MAX_EVENTS)
-        wall = time.perf_counter() - start
+    sim = LOOPS[engine]()
+    for i, proc in enumerate(_procs()):
+        sim.spawn(proc, label=f"p{i}")
+    start = time.perf_counter()
+    sim.run(max_events=MAX_EVENTS)
+    wall = time.perf_counter() - start
     return sim.processed, sim.now, wall
 
 
 def _measure():
-    """Best-of-REPEATS for both engines, interleaved.
+    """Best-of-REPEATS for both loops, interleaved.
 
     Shared CI boxes throttle unpredictably mid-test; alternating the two
-    engines inside each repeat keeps a slow window from landing entirely
+    loops inside each repeat keeps a slow window from landing entirely
     on one side of the ratio.
     """
     outcomes = {}
@@ -71,7 +75,7 @@ def _measure():
     for _ in range(REPEATS):
         for engine in ("reference", "fast"):
             processed, now, wall = _run_one(engine)
-            # Every run, either engine, replays the identical schedule.
+            # Every run, either loop, replays the identical schedule.
             assert outcomes.setdefault(engine, (processed, now)) == (processed, now)
             walls[engine] = min(walls[engine], wall)
     return outcomes, walls

@@ -95,13 +95,6 @@ def _add_workload_args(
     placement for the SQL commands; ``policy_choices`` selects which.
     """
     parser.add_argument("--config", default="AssasinSb")
-    parser.add_argument(
-        "--sim-engine",
-        default=None,
-        choices=["reference", "fast"],
-        help="event-loop engine: 'fast' is the calendar-queue loop with "
-        "batched same-instant dispatch, bit-identical to 'reference'",
-    )
     if policy is not None:
         parser.add_argument("--policy", default=policy, choices=list(policy_choices))
     if tenants_help is not None:
@@ -204,22 +197,12 @@ def _cmd_fleet(args) -> int:
         kill_device=args.kill_device,
         kill_at_ns=args.kill_at_us * 1e3,
     )
-    sim = None
-    if args.shard_workers > 0:
-        from repro.config import SimConfig
-
-        sim = SimConfig(
-            engine=args.sim_engine or "reference",
-            shard_workers=args.shard_workers,
-            shard_window_ns=args.shard_window_us * 1e3,
-        )
     report = simulate_fleet(
         named_config(args.config),
         fleet_config,
         tenants=tenants,
         duration_ns=args.duration_us * 1e3,
         seed=args.seed,
-        sim=sim,
     )
     print(report.render())
     healthy = report.integrity_pages_bad == 0 and report.corruption_events == 0
@@ -505,20 +488,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fleet.add_argument("--max-inflight", type=int, default=8)
     fleet.add_argument(
-        "--shard-workers",
-        type=int,
-        default=0,
-        help="run independent devices in this many worker processes "
-        "(0 = shared event loop; needs --placement hash, --no-hedge, "
-        "and no fault/kill flags)",
-    )
-    fleet.add_argument(
-        "--shard-window-us",
-        type=float,
-        default=200.0,
-        help="conservative synchronisation window for sharded execution",
-    )
-    fleet.add_argument(
         "--no-hedge", action="store_true", help="disable hedged (duplicate) requests"
     )
     fleet.add_argument(
@@ -546,12 +515,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     zns.add_argument("--duration-us", type=float, default=4_000.0)
     zns.add_argument("--seed", type=int, default=7)
-    zns.add_argument(
-        "--sim-engine",
-        default=None,
-        choices=["reference", "fast"],
-        help="event-loop engine (bit-identical results either way)",
-    )
     zns.add_argument(
         "--policy",
         default="auto",
@@ -705,10 +668,6 @@ def _cmd_reproduce(args) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "sim_engine", None):
-        from repro.sim import set_default_engine
-
-        set_default_engine(args.sim_engine)
     return args.fn(args)
 
 

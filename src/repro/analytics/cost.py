@@ -141,14 +141,13 @@ class StaticCostSource(CostSource):
     ) -> "StaticCostSource":
         """Sample each kernel's core phase on ``device`` and build a source.
 
-        The sampling goes through ``device.sample_kernel``, so with the
-        process-wide pricing memo enabled
-        (:data:`repro.kernels.pricing.PRICING_CACHE`, via
-        ``SimConfig(memoize_pricing=True)``) repeated calibrations of
-        same-config devices — every device of a fleet, every policy arm
-        of a comparison — price from one sampled run per kernel.  Rates
-        are byte-identical either way; a changed device config re-samples
-        because the memo key embeds the config digest.
+        The sampling goes through ``device.sample_kernel`` and so through
+        the process-wide pricing memo
+        (:data:`repro.kernels.pricing.PRICING_CACHE`): repeated
+        calibrations of same-config devices — every device of a fleet,
+        every policy arm of a comparison, the serving layer behind a SQL
+        session — price from one sampled run per kernel.  A changed device
+        config re-samples because the memo key embeds the config digest.
         """
         from repro.kernels import get_kernel
 

@@ -432,75 +432,6 @@ class ServeConfig:
             raise ConfigError("serve weights must be positive")
 
 
-#: Dispatch engines of the discrete-event kernel (``repro.sim.kernel``).
-#: Mirrored here (rather than imported) to keep config import-light.
-SIM_ENGINES: Tuple[str, ...] = ("reference", "fast")
-
-
-@dataclass(frozen=True)
-class SimConfig:
-    """Execution strategy of the simulator itself (``repro.sim`` & friends).
-
-    Nothing here changes an observable result — every knob selects a
-    faster implementation of the same deterministic semantics, and the
-    differential suite (``tests/test_sim_differential.py``) pins
-    byte-identical fingerprints across all of them:
-
-    * ``engine`` — dispatch loop of :class:`repro.sim.Simulator`:
-      ``"reference"`` (single heapq) or ``"fast"`` (calendar queue with
-      batched same-instant dispatch and allocation-free process resumes).
-    * ``memoize_pricing`` — share one sampled kernel run per
-      (device config, kernel, sample size) process-wide
-      (:data:`repro.kernels.pricing.PRICING_CACHE`); invalidated by
-      construction when the config changes.
-    * ``shard_workers`` — run the fleet layer's independent devices in
-      this many OS worker processes (0 = the shared in-process loop)
-      under conservative time-window synchronisation at the router
-      boundary; see ``repro.fleet.sharded`` for the eligibility rules.
-    * ``shard_window_ns`` — the conservative synchronisation window the
-      sharded workers advance in lockstep.
-    """
-
-    engine: str = "reference"
-    memoize_pricing: bool = False
-    shard_workers: int = 0
-    shard_window_ns: float = 200_000.0
-
-    def __post_init__(self) -> None:
-        if self.engine not in SIM_ENGINES:
-            raise ConfigError(
-                f"unknown sim engine {self.engine!r}; known: {SIM_ENGINES}"
-            )
-        if self.shard_workers < 0:
-            raise ConfigError("shard_workers cannot be negative")
-        if self.shard_window_ns <= 0:
-            raise ConfigError("shard_window_ns must be positive")
-
-    def activated(self):
-        """Context manager applying the engine + pricing knobs process-wide.
-
-        The previous defaults are restored on exit, so tests and CLI
-        runs can scope a strategy to one campaign.
-        """
-        import contextlib
-
-        from repro.kernels.pricing import PRICING_CACHE
-        from repro.sim.kernel import set_default_engine
-
-        @contextlib.contextmanager
-        def _scope():
-            previous_engine = set_default_engine(self.engine)
-            previous_pricing = PRICING_CACHE.enabled
-            PRICING_CACHE.enabled = self.memoize_pricing
-            try:
-                yield self
-            finally:
-                set_default_engine(previous_engine)
-                PRICING_CACHE.enabled = previous_pricing
-
-        return _scope()
-
-
 @dataclass(frozen=True)
 class SSDConfig:
     """A complete computational SSD (Table IV row + shared substrate)."""

@@ -36,11 +36,6 @@ from repro.fleet.metrics import DeviceStats, FleetReport
 from repro.fleet.placement import HashRing, Placement, ring_hash
 from repro.fleet.replication import CrossDeviceRaidMap, xor_pages
 from repro.fleet.router import FleetRouter
-from repro.fleet.sharded import (
-    assert_shardable,
-    shardable_reasons,
-    simulate_fleet_sharded,
-)
 
 __all__ = [
     "FleetConfig",
@@ -57,7 +52,4 @@ __all__ = [
     "ShardedWorkloadGenerator",
     "default_fleet_tenants",
     "simulate_fleet",
-    "simulate_fleet_sharded",
-    "shardable_reasons",
-    "assert_shardable",
 ]

@@ -4,9 +4,10 @@ A :class:`FleetCampaign` is the rack-scale analogue of
 :class:`~repro.faults.campaign.FaultCampaign`:
 
 1. **Build** — N :class:`~repro.ssd.device.ComputationalSSD` peers of one
-   Table IV configuration; scomp kernels are core-phase sampled **once**
-   (the devices are identical) and the sample shared across every
-   per-device :class:`~repro.serve.service.DeviceService`.
+   Table IV configuration, each behind a
+   :class:`~repro.serve.service.DeviceService`; the peers are identical, so
+   the process-wide pricing memo samples each scomp kernel's core phase
+   **once** and every device shares that sample.
 2. **Shard** — each tenant's fleet-LPA region splits into
    ``shard_pages``-page shards placed on the consistent-hash ring; every
    fleet page gets a device-local LPA from its home device's allocator.
@@ -36,7 +37,6 @@ from repro.fleet.metrics import FleetReport
 from repro.fleet.placement import HashRing
 from repro.fleet.replication import CrossDeviceRaidMap, PageAddr, xor_pages
 from repro.fleet.router import FleetRouter
-from repro.kernels import get_kernel
 from repro.serve.service import DeviceService
 from repro.serve.workload import TenantSpec, WorkloadGenerator
 
@@ -92,23 +92,6 @@ class ShardedWorkloadGenerator(WorkloadGenerator):
         return list(range(start, start + self.spec.pages_per_command))
 
 
-class DeviceStub:
-    """Config-only placeholder for a device another shard worker owns.
-
-    A restricted campaign (``device_subset``) still runs the *whole*
-    placement/preload bookkeeping — page map, local-LPA allocators, RAID
-    grouping — so every worker agrees on it bit-exactly, but only
-    instantiates (and programs) the devices it owns.  The rest are stubs:
-    anything beyond ``.config`` raising loudly is the guard that a
-    non-owned device is never actually served.
-    """
-
-    __slots__ = ("config",)
-
-    def __init__(self, config: SSDConfig) -> None:
-        self.config = config
-
-
 class FleetCampaign:
     """One seeded multi-device run against one device configuration."""
 
@@ -120,7 +103,6 @@ class FleetCampaign:
         duration_ns: float = 400_000.0,
         seed: int = 0,
         verify_integrity: bool = True,
-        device_subset: Optional[Sequence[int]] = None,
     ) -> None:
         if duration_ns <= 0:
             raise FleetError("fleet campaign duration must be positive")
@@ -130,14 +112,6 @@ class FleetCampaign:
         self.duration_ns = duration_ns
         self.seed = seed
         self.verify_integrity = verify_integrity
-        if device_subset is not None:
-            bad = [d for d in device_subset if not 0 <= d < self.fleet.num_devices]
-            if bad:
-                raise FleetError(f"device_subset {bad} outside 0..{self.fleet.num_devices - 1}")
-        self.device_subset = (
-            None if device_subset is None else sorted(set(device_subset))
-        )
-        self._owned: set = set()
         # Populated by run(), kept for white-box inspection in tests.
         self.devices: List = []
         self.services: List[DeviceService] = []
@@ -154,36 +128,10 @@ class FleetCampaign:
         from repro.ssd.device import ComputationalSSD
 
         cfg = self.fleet
-        self._owned = (
-            set(range(cfg.num_devices))
-            if self.device_subset is None
-            else set(self.device_subset)
-        )
-        self.devices = [
-            ComputationalSSD(self.config) if index in self._owned
-            else DeviceStub(self.config)
-            for index in range(cfg.num_devices)
-        ]
-
-        # Sample each scomp kernel's core phase once; the peers are
-        # identical hardware, so the (deterministic) sample is shared.
-        # Any owned device works — the sample depends only on the config
-        # (and the engine holds no telemetry handle, so sampling leaves no
-        # trace in the device counters).
-        samples: Dict[str, object] = {}
-        if self._owned:
-            sampler = self.devices[min(self._owned)]
-            for spec in self.tenants:
-                if spec.kind == "scomp" and spec.kernel not in samples:
-                    samples[spec.kernel] = sampler.sample_kernel(
-                        get_kernel(spec.kernel)
-                    )
+        self.devices = [ComputationalSSD(self.config) for _ in range(cfg.num_devices)]
+        scomp_kernels = [spec.kernel for spec in self.tenants if spec.kind == "scomp"]
         self.services = [
-            DeviceService(
-                device, samples=samples, cores_name=f"fleet.d{index}.cores"
-            )
-            if index in self._owned
-            else None
+            DeviceService(device, kernels=scomp_kernels, cores_name=f"fleet.d{index}.cores")
             for index, device in enumerate(self.devices)
         ]
 
@@ -227,19 +175,15 @@ class FleetCampaign:
                     per_device_locals[home].append(local)
                     fleet_order.append(fleet_lpa)
 
-        for index, (device, locals_) in enumerate(zip(self.devices, per_device_locals)):
-            if index in self._owned:
-                device.ftl.populate(locals_)
+        for device, locals_ in zip(self.devices, per_device_locals):
+            device.ftl.populate(locals_)
 
-        # Golden bytes are computed for *every* page (parity needs the
-        # whole stripe) but only programmed onto owned devices.
         self.golden = {}
         for fleet_lpa in fleet_order:
             addr = self.page_map[fleet_lpa]
             data = golden_page(self.seed, fleet_lpa, page_bytes)
             self.golden[addr] = data
-            if addr[0] in self._owned:
-                self._program(addr, data)
+            self._program(addr, data)
 
         # Cross-device stripes: one parity page per group, on a device
         # disjoint from every member, allocated from that device's
@@ -255,15 +199,13 @@ class FleetCampaign:
             parity_addr = self.raid_map.parity(group)
             parity = xor_pages([self.golden[m] for m in members])
             self.golden[parity_addr] = parity
-            if parity_addr[0] in self._owned:
-                self.devices[parity_addr[0]].ftl.write(parity_addr[1])
-                self._program(parity_addr, parity)
+            self.devices[parity_addr[0]].ftl.write(parity_addr[1])
+            self._program(parity_addr, parity)
 
         # Manufacturing-state preload: the programs above must not occupy
         # the plane or bus timelines the campaign is about to contend on.
-        for index, device in enumerate(self.devices):
-            if index in self._owned:
-                device.array.reset_timelines()
+        for device in self.devices:
+            device.array.reset_timelines()
 
     def _program(self, addr: PageAddr, data: bytes) -> None:
         device = self.devices[addr[0]]
@@ -288,8 +230,6 @@ class FleetCampaign:
         cfg = self.fleet
         recoveries: Dict[int, object] = {}
         for index, device in enumerate(self.devices):
-            if index not in self._owned:
-                continue
             fault = cfg.fault
             if index == cfg.slow_device and cfg.slow_read_rate > 0.0:
                 fault = replace(
@@ -321,20 +261,14 @@ class FleetCampaign:
     def prepare(self) -> Dict[int, object]:
         """Build + preload + fault wiring; returns the recovery map.
 
-        Split out of :meth:`run` so the sharded executor
-        (:mod:`repro.fleet.sharded`) can construct a restricted campaign in
-        each worker and then drive its own router over the prepared state.
+        :meth:`run` calls it first; it is public so a caller can do (and
+        time) this set-up on its own — the preload dominates a short run.
         """
         self._build()
         self._preload()
         return self._attach_recoveries()
 
     def run(self) -> FleetReport:
-        if self.device_subset is not None:
-            raise FleetError(
-                "a device_subset campaign cannot run() the shared loop; "
-                "it exists only for the sharded executor (repro.fleet.sharded)"
-            )
         recoveries = self.prepare()
         self.router = FleetRouter(
             self.fleet,
@@ -400,40 +334,13 @@ def simulate_fleet(
     duration_ns: float = 400_000.0,
     seed: int = 0,
     verify_integrity: bool = True,
-    sim=None,
 ) -> FleetReport:
-    """One-call entry point: build, run, and report a fleet campaign.
-
-    ``sim`` (a :class:`repro.config.SimConfig`) selects the execution
-    mode: the fast event loop and/or kernel-pricing memo are applied for
-    the duration of the call, and ``shard_workers > 0`` dispatches to the
-    sharded executor (:func:`repro.fleet.sharded.simulate_fleet_sharded`),
-    which produces a byte-identical :class:`FleetReport` for shardable
-    campaigns. ``sim=None`` (the default) keeps today's behaviour.
-    """
-
-    def _run() -> FleetReport:
-        if sim is not None and sim.shard_workers > 0:
-            from repro.fleet.sharded import simulate_fleet_sharded
-
-            return simulate_fleet_sharded(
-                config,
-                fleet_config=fleet_config,
-                tenants=tenants,
-                duration_ns=duration_ns,
-                seed=seed,
-                sim=sim,
-            )
-        return FleetCampaign(
-            config,
-            fleet_config=fleet_config,
-            tenants=tenants,
-            duration_ns=duration_ns,
-            seed=seed,
-            verify_integrity=verify_integrity,
-        ).run()
-
-    if sim is None:
-        return _run()
-    with sim.activated():
-        return _run()
+    """One-call entry point: build, run, and report a fleet campaign."""
+    return FleetCampaign(
+        config,
+        fleet_config=fleet_config,
+        tenants=tenants,
+        duration_ns=duration_ns,
+        seed=seed,
+        verify_integrity=verify_integrity,
+    ).run()

@@ -87,10 +87,8 @@ class FleetReport:
     integrity_pages_bad: int = 0
     sim_events: int = 0
     #: Per-device telemetry counter snapshots (device index -> counter dict),
-    #: merged deterministically from the shard workers in sharded mode and
-    #: taken directly off the devices in shared-loop mode.  Deliberately not
-    #: part of :meth:`fingerprint` (the fingerprint predates it); the sim
-    #: differential suite compares it across modes explicitly.
+    #: taken off the devices after the run.  Deliberately not part of
+    #: :meth:`fingerprint` (the fingerprint predates it).
     device_counters: Dict[int, Dict] = field(default_factory=dict)
 
     # -- fleet-wide latency ----------------------------------------------------

@@ -161,14 +161,8 @@ class FleetRouter:
 
     # -- run loop --------------------------------------------------------------
 
-    def begin(self, duration_ns: float) -> None:
-        """Schedule the admission horizon; the caller then drives ``self.sim``.
-
-        Split out of :meth:`run` so the sharded executor
-        (``repro.fleet.sharded``) can advance the same router in
-        conservative synchronisation windows instead of one blocking
-        drain.
-        """
+    def run(self, duration_ns: float) -> FleetReport:
+        """Admit traffic for ``duration_ns``, drain the fleet, and report."""
         if duration_ns <= 0:
             raise FleetError("fleet run duration must be positive")
         self._duration_ns = duration_ns
@@ -186,10 +180,6 @@ class FleetRouter:
                     )
         if self.cfg.kill_device >= 0:
             self.sim.schedule_at(self.cfg.kill_at_ns, self._kill, label="kill-device")
-
-    def run(self, duration_ns: float) -> FleetReport:
-        """Admit traffic for ``duration_ns``, drain the fleet, and report."""
-        self.begin(duration_ns)
         self.sim.run()
         return self._report()
 

@@ -12,7 +12,7 @@ Every kernel provides three synchronised implementations:
 """
 
 from repro.kernels.api import Kernel, STATE_SIZE_LIMIT
-from repro.kernels.pricing import KernelPricingCache, PRICING_CACHE, use_pricing_cache
+from repro.kernels.pricing import KernelPricingCache, PRICING_CACHE
 from repro.kernels.registry import KERNEL_NAMES, get_kernel
 
 __all__ = [
@@ -22,5 +22,4 @@ __all__ = [
     "STATE_SIZE_LIMIT",
     "KERNEL_NAMES",
     "get_kernel",
-    "use_pricing_cache",
 ]

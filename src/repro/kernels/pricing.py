@@ -5,56 +5,51 @@ ASSASIN's streaming kernels are size-linear by construction (DESIGN.md
 representative window and extrapolating ``cycles_per_byte``.  That sampled
 run is a full functional ISA simulation — by far the most expensive single
 step of every campaign — and it is **deterministic** per
-``(device config, kernel, sample size)``: same config, same generated
-inputs, same cycle count.  So one sampled run can price every same-shape
-scomp in the process.
+``(device config, kernel, sample size)``: same config, same kernel
+parameters, same generated inputs, same cycle count.  So one sampled run
+prices every same-shape scomp in the process.
 
-:class:`KernelPricingCache` memoizes exactly that triple.  The key embeds
-a digest of the *full device config repr*, so any config change (a
-different core, cache geometry, flash timing…) misses the cache by
-construction — there is no stale-entry hazard to invalidate around, and
-:meth:`KernelPricingCache.clear` exists mainly for tests and long-lived
-sessions.  The cache is **off by default**; campaigns opt in through
-``SimConfig(memoize_pricing=True)`` (or :func:`use_pricing_cache`), and
-the differential suite proves cached and uncached campaigns byte-identical.
+:class:`KernelPricingCache` memoizes exactly that triple, and
+:data:`PRICING_CACHE` is consulted by every
+``ComputationalSSD.sample_kernel`` call.  Every part of the key is
+value-derived: a digest of the *full device config repr* (plus the
+engine's pipeline parameters), and a digest of the kernel's class and
+public constructor state, so ``psf`` with a different filter range or
+``raid4`` with a different stripe count is a different entry.  Any change
+misses the cache by construction — there is no stale-entry hazard to
+invalidate around, and :meth:`KernelPricingCache.clear` exists mainly for
+tests and long-lived sessions.
 """
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
-from typing import Dict, Optional, Tuple
+import weakref
+from typing import Dict, Tuple
 
 
 class KernelPricingCache:
-    """Process-wide memo of sampled kernel runs, keyed by config digest.
+    """Process-wide memo of sampled kernel runs.
 
-    Entries map ``(config_digest, kernel_name, sample_bytes)`` to the
+    Entries map ``(config_digest, kernel_key, sample_bytes)`` to the
     :class:`~repro.core.core.CoreRunResult` of the sampled run.  Cached
-    samples are shared objects and must be treated as immutable — the
-    same convention the fleet layer already uses when it samples once on
-    device 0 and shares the result across all devices.
+    samples are shared objects and must be treated as immutable.
     """
 
     def __init__(self) -> None:
         self._entries: Dict[Tuple[str, str, int], object] = {}
         self._digests: Dict[Tuple[object, object], str] = {}
-        self.enabled = False
+        self._kernel_keys: "weakref.WeakKeyDictionary[object, str]" = (
+            weakref.WeakKeyDictionary()
+        )
         self.hits = 0
         self.misses = 0
 
-    # -- lifecycle ------------------------------------------------------------
-
-    def enable(self) -> None:
-        self.enabled = True
-
-    def disable(self) -> None:
-        self.enabled = False
-
     def clear(self) -> None:
-        """Drop all entries and counters (the enabled flag is untouched)."""
+        """Drop all entries and counters."""
         self._entries.clear()
         self._digests.clear()
+        self._kernel_keys.clear()
         self.hits = 0
         self.misses = 0
 
@@ -85,46 +80,51 @@ class KernelPricingCache:
             self._digests[key] = digest
         return digest
 
+    def kernel_key(self, kernel) -> str:
+        """Digest of the kernel's class and public constructor state.
+
+        The registry name alone aliases parameterised kernels (``psf``
+        with another filter range, ``raid4`` with another ``k``) to one
+        sample.  The public attributes a constructor sets are exactly the
+        parameters that shape the program and its generated inputs, so
+        their repr — like :meth:`config_digest` — keys by value.  It is
+        computed once per kernel object (weakly held, so a dead kernel's
+        recycled ``id`` can never alias a new one).
+        """
+        key = self._kernel_keys.get(kernel)
+        if key is None:
+            cls = type(kernel)
+            state = sorted(
+                (name, value) for name, value in vars(kernel).items()
+                if not name.startswith("_")
+            )
+            key = hashlib.sha256(
+                f"{cls.__module__}.{cls.__qualname__}|{state!r}".encode()
+            ).hexdigest()
+            self._kernel_keys[kernel] = key
+        return key
+
     # -- the memo -------------------------------------------------------------
 
-    def get(self, config, kernel_name: str, sample_bytes: int, pipeline_params=None):
-        """The cached sample, or None on miss / when disabled."""
-        if not self.enabled:
-            return None
-        key = (self.config_digest(config, pipeline_params), kernel_name, sample_bytes)
-        sample = self._entries.get(key)
+    def _key(self, config, kernel, sample_bytes: int, pipeline_params):
+        return (
+            self.config_digest(config, pipeline_params),
+            self.kernel_key(kernel),
+            sample_bytes,
+        )
+
+    def get(self, config, kernel, sample_bytes: int, pipeline_params=None):
+        """The cached sample, or None on a miss."""
+        sample = self._entries.get(self._key(config, kernel, sample_bytes, pipeline_params))
         if sample is None:
             self.misses += 1
             return None
         self.hits += 1
         return sample
 
-    def put(
-        self, config, kernel_name: str, sample_bytes: int, sample, pipeline_params=None
-    ) -> None:
-        if not self.enabled:
-            return
-        key = (self.config_digest(config, pipeline_params), kernel_name, sample_bytes)
-        self._entries[key] = sample
+    def put(self, config, kernel, sample_bytes: int, sample, pipeline_params=None) -> None:
+        self._entries[self._key(config, kernel, sample_bytes, pipeline_params)] = sample
 
 
 #: The process-wide cache consulted by ``ComputationalSSD.sample_kernel``.
 PRICING_CACHE = KernelPricingCache()
-
-
-@contextlib.contextmanager
-def use_pricing_cache(clear: bool = True):
-    """Context manager: enable the pricing memo for a block.
-
-    Restores the previous enabled state on exit; with ``clear`` (the
-    default) the entries are dropped too, so tests never leak samples
-    across blocks.
-    """
-    previous = PRICING_CACHE.enabled
-    PRICING_CACHE.enable()
-    try:
-        yield PRICING_CACHE
-    finally:
-        PRICING_CACHE.enabled = previous
-        if clear:
-            PRICING_CACHE.clear()

@@ -13,7 +13,7 @@ on an existing device.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.config import ServeConfig, SSDConfig
 from repro.serve.arbiter import (
@@ -58,14 +58,11 @@ def simulate_serve(
     duration_ns: float = 2_000_000.0,
     seed: int = 0,
     layout_skew: float = 0.0,
-    samples: Optional[Dict[str, object]] = None,
     telemetry=None,
 ) -> ServeReport:
     """Serve a multi-tenant workload on a fresh device (one-call entry point).
 
-    ``samples`` optionally supplies precomputed core-phase
-    :class:`~repro.core.core.CoreRunResult` objects keyed by kernel name, so
-    policy comparisons can reuse one sampling pass. ``telemetry`` (a
+    ``telemetry`` (a
     :class:`~repro.telemetry.Telemetry`) attaches a tracer/registry to the
     fresh device — pass ``Telemetry.tracing()`` to record a Chrome trace.
     """
@@ -77,5 +74,4 @@ def simulate_serve(
         serve_config=serve_config,
         duration_ns=duration_ns,
         seed=seed,
-        samples=samples,
     )

@@ -53,7 +53,6 @@ class ServingLayer:
         tenants: Sequence[TenantSpec],
         config: Optional[ServeConfig] = None,
         seed: int = 0,
-        samples: Optional[Dict[str, object]] = None,
         recovery=None,
     ) -> None:
         if not tenants:
@@ -101,7 +100,6 @@ class ServingLayer:
         #: instead of silently serving corrupt data.
         self.service = DeviceService(
             device,
-            samples=samples,
             kernels=[s.kernel for s in self.specs if s.kind == "scomp"],
             recovery=recovery,
         )

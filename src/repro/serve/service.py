@@ -23,7 +23,7 @@ The service models are exactly the ones documented on the serving layer:
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterable, Optional
+from typing import Dict, Iterable
 
 from repro.errors import ServeError
 from repro.kernels import get_kernel
@@ -42,7 +42,6 @@ class DeviceService:
     def __init__(
         self,
         device,
-        samples: Optional[Dict[str, object]] = None,
         kernels: Iterable[str] = (),
         recovery=None,
         cores_name: str = "serve.cores",
@@ -55,23 +54,14 @@ class DeviceService:
         self.recovery = recovery
         self._tracer = device.telemetry.tracer
 
-        # Core-phase samples per scomp kernel (cycles/byte, output ratio).
-        self.samples: Dict[str, object] = dict(samples or {})
+        # Core-phase price per scomp kernel (compute ns per page, output
+        # ratio); identical devices share one sampled run through the
+        # process-wide pricing memo.
+        self.page_bytes = device.config.flash.page_bytes
+        self._cpp_page_ns: Dict[str, float] = {}
+        self._out_ratio: Dict[str, float] = {}
         for kernel_name in kernels:
-            if kernel_name not in self.samples:
-                self.samples[kernel_name] = device.sample_kernel(get_kernel(kernel_name))
-
-        page = device.config.flash.page_bytes
-        period_ns = device.config.core.clock_period_ns
-        self.page_bytes = page
-        self._cpp_page_ns = {
-            name: s.cycles_per_byte * page * period_ns
-            for name, s in self.samples.items()
-        }
-        self._out_ratio = {
-            name: (s.bytes_out / s.bytes_in if s.bytes_in else 0.0)
-            for name, s in self.samples.items()
-        }
+            self.ensure_sample(kernel_name)
 
         #: The stream-core pool as unit timelines on the simulation kernel;
         #: scomp service claims the least-loaded lane.
@@ -82,19 +72,14 @@ class DeviceService:
 
     def ensure_sample(self, kernel_name: str) -> None:
         """Sample ``kernel_name``'s core phase if not already cached."""
-        if kernel_name not in self.samples:
-            self.samples[kernel_name] = self.device.sample_kernel(
-                get_kernel(kernel_name)
-            )
-            sample = self.samples[kernel_name]
-            page = self.page_bytes
-            period_ns = self.device.config.core.clock_period_ns
-            self._cpp_page_ns[kernel_name] = (
-                sample.cycles_per_byte * page * period_ns
-            )
-            self._out_ratio[kernel_name] = (
-                sample.bytes_out / sample.bytes_in if sample.bytes_in else 0.0
-            )
+        if kernel_name in self._cpp_page_ns:
+            return
+        sample = self.device.sample_kernel(get_kernel(kernel_name))
+        period_ns = self.device.config.core.clock_period_ns
+        self._cpp_page_ns[kernel_name] = sample.cycles_per_byte * self.page_bytes * period_ns
+        self._out_ratio[kernel_name] = (
+            sample.bytes_out / sample.bytes_in if sample.bytes_in else 0.0
+        )
 
     def compute_ns_per_page(self, kernel_name: str) -> float:
         """Sampled core time to stream one flash page through ``kernel_name``."""

@@ -27,21 +27,16 @@ paper's evaluation).
 """
 
 from repro.sim.kernel import (
-    ENGINES,
     Event,
     Process,
     SimProcessError,
     SimTimeError,
     Simulator,
     as_ns,
-    default_engine,
-    set_default_engine,
-    use_engine,
 )
 from repro.sim.resources import FifoResource, Grant, PooledResource
 
 __all__ = [
-    "ENGINES",
     "Event",
     "FifoResource",
     "Grant",
@@ -51,7 +46,4 @@ __all__ = [
     "SimTimeError",
     "Simulator",
     "as_ns",
-    "default_engine",
-    "set_default_engine",
-    "use_engine",
 ]

@@ -1,4 +1,4 @@
-"""The discrete-event kernel: integer-nanosecond clock, deterministic heap.
+"""The discrete-event kernel: integer-nanosecond clock, deterministic order.
 
 Determinism rules (relied on by the same-seed trace-diff tests):
 
@@ -10,36 +10,30 @@ Determinism rules (relied on by the same-seed trace-diff tests):
    values first, ties broken by global insertion order.  Two runs issuing
    the same schedule calls therefore dispatch in the same order.
 3. Scheduling a non-finite instant (NaN/inf) raises immediately instead of
-   silently corrupting the heap order.
+   silently corrupting the event order.
 
-Two interchangeable engines implement that contract:
+The loop is a calendar queue: a dict of per-instant *buckets* plus a
+small heap of distinct pending times.  A bucket is a plain list of
+payloads (an :class:`Event`, or the :class:`Process` handle itself for
+resumes — no per-entry tuple, seq draw, or closure is allocated on the hot
+path).  All events of one instant dispatch as a batch by plain iteration
+with **zero** comparisons or heap traffic.  Appends occur in global
+insertion order, so a bucket is already in ``(priority, seq)`` order
+unless an append carried a lower priority than its tail, in which case one
+lazy *stable* sort by priority restores it (stability supplies the seq
+tie-break).
 
-* ``"reference"`` — the original single ``heapq`` ordered by
-  ``(time_ns, priority, seq)``.  Simple, obviously correct, and the
-  baseline every optimisation is differentially tested against.
-* ``"fast"`` — a calendar queue: a dict of per-instant *buckets* plus a
-  small heap of distinct pending times.  A bucket is a plain list of
-  payloads (an :class:`Event`, or the :class:`Process` handle itself for
-  resumes — no per-entry tuple, seq draw, or closure is allocated on the
-  hot path).  All events of one instant dispatch as a batch by plain
-  iteration with **zero** comparisons or heap traffic.  Dispatch order is
-  bit-identical to the reference: appends occur in global insertion
-  order, so a bucket is already in ``(priority, seq)`` order unless an
-  append carried a lower priority than its tail, in which case one lazy
-  *stable* sort by priority restores it (stability supplies the seq
-  tie-break).
+Cancellation (:meth:`Event.cancel`) is lazy deletion: a cancelled event
+stays queued until its instant but is skipped without being counted,
+traced, or dispatched.
 
-Engine choice is per-:class:`Simulator` (the ``engine=`` argument) with a
-module-level default so campaign code that constructs simulators
-internally inherits it — see :func:`set_default_engine` /
-:func:`use_engine`.  Cancellation (:meth:`Event.cancel`) is honoured by
-both engines via lazy deletion: a cancelled event stays queued until its
-instant but is skipped without being counted, traced, or dispatched.
+The test suite keeps a single-``heapq`` implementation of the same
+contract as an oracle; the property and differential suites compare this
+loop against it.
 """
 
 from __future__ import annotations
 
-import contextlib
 import heapq
 import itertools
 import math
@@ -47,40 +41,6 @@ import operator
 from typing import Callable, Generator, List, Optional, Set, Tuple, Union
 
 from repro.errors import ReproError
-
-ENGINES = ("reference", "fast")
-
-_default_engine = "reference"
-
-
-def default_engine() -> str:
-    """The engine newly constructed :class:`Simulator` instances use."""
-    return _default_engine
-
-
-def set_default_engine(name: str) -> str:
-    """Set the module-wide default engine; returns the previous default.
-
-    Campaign layers (serve, faults, fleet, zns, firmware) construct their
-    own ``Simulator()`` internally; this is how a CLI flag or test reaches
-    them without threading an argument through every layer.
-    """
-    global _default_engine
-    if name not in ENGINES:
-        raise ValueError(f"unknown sim engine {name!r}; expected one of {ENGINES}")
-    previous = _default_engine
-    _default_engine = name
-    return previous
-
-
-@contextlib.contextmanager
-def use_engine(name: str):
-    """Context manager: run a block under a different default engine."""
-    previous = set_default_engine(name)
-    try:
-        yield
-    finally:
-        set_default_engine(previous)
 
 
 class SimTimeError(ReproError, ValueError):
@@ -156,8 +116,8 @@ class Process:
     __slots__ = ("label", "alive", "_gen")
 
     #: Process resumes always dispatch at the default priority; exposing it
-    #: as a class attribute lets the fast engine sort mixed Event/Process
-    #: buckets with one shared ``attrgetter("priority")`` key.
+    #: as a class attribute lets the loop sort mixed Event/Process buckets
+    #: with one shared ``attrgetter("priority")`` key.
     priority = 0
 
     def __init__(self, gen: Generator, label: str) -> None:
@@ -186,39 +146,26 @@ class Simulator:
     gets one instant event per dispatched callback on the ``scheduler``
     track, named by the event's label — telemetry only observes, it never
     changes ordering or timing.
-
-    ``engine`` selects the dispatch implementation (``"reference"`` or
-    ``"fast"``); both produce bit-identical dispatch order, clock values
-    and ``processed`` counts.  ``None`` uses the module default
-    (:func:`set_default_engine`).
     """
 
-    def __init__(self, tracer=None, engine: Optional[str] = None) -> None:
+    def __init__(self, tracer=None) -> None:
         from repro.telemetry.tracer import NULL_TRACER
 
         if tracer is None:
             tracer = NULL_TRACER
-        if engine is None:
-            engine = _default_engine
-        if engine not in ENGINES:
-            raise ValueError(f"unknown sim engine {engine!r}; expected one of {ENGINES}")
-        self.engine = engine
-        self._fast = engine == "fast"
-        # Reference state: one heap of (time, priority, seq, Event).
-        self._heap: List[Tuple[int, int, int, Event]] = []
-        # Fast state: calendar buckets keyed by instant.  Each bucket is a
-        # plain list of payloads — an Event or, for process resumes, the
-        # Process handle itself; no per-entry tuple or seq is allocated.
-        # Appends happen in global insertion (seq) order, so list order is
-        # (priority, seq) order until an append carries a *lower* priority
-        # than the tail; ``_unsorted`` marks such buckets for one lazy
-        # stable sort by priority (stability restores the seq tie-break).
-        # ``_times`` is a heap of the distinct instants owning a bucket.
+        # Calendar buckets keyed by instant.  Each bucket is a plain list of
+        # payloads — an Event or, for process resumes, the Process handle
+        # itself; no per-entry tuple or seq is allocated.  Appends happen in
+        # global insertion (seq) order, so list order is (priority, seq)
+        # order until an append carries a *lower* priority than the tail;
+        # ``_unsorted`` marks such buckets for one lazy stable sort by
+        # priority (stability restores the seq tie-break).  ``_times`` is a
+        # heap of the distinct instants owning a bucket.
         self._buckets: dict = {}
         self._times: List[int] = []
         self._unsorted: Set[int] = set()
         self._size = 0
-        # While the fast loop dispatches the bucket at ``_active_time``,
+        # While the loop dispatches the bucket at ``_active_time``,
         # same-instant insertions append straight to ``_active_bucket``;
         # ``_active_dirty`` triggers a re-sort of the not-yet-dispatched
         # tail if such an append broke (priority, seq) order.
@@ -258,16 +205,12 @@ class Simulator:
         when = as_ns(time_ns)
         if when < self.now:
             raise ValueError(f"cannot schedule at {time_ns} before now={self.now}")
-        seq = next(self._counter)
-        event = Event(when, seq, action, label, priority)
-        if self._fast:
-            self._push_fast(when, priority, event)
-        else:
-            heapq.heappush(self._heap, (when, priority, seq, event))
+        event = Event(when, next(self._counter), action, label, priority)
+        self._push(when, priority, event)
         return event
 
-    def _push_fast(self, when: int, priority: int, payload) -> None:
-        """Insert a payload into the calendar queue (fast engine only)."""
+    def _push(self, when: int, priority: int, payload) -> None:
+        """Insert a payload into the calendar queue."""
         if when == self._active_time:
             bucket = self._active_bucket
             if bucket and priority < bucket[-1].priority:
@@ -302,13 +245,8 @@ class Simulator:
     def spawn(self, gen: Generator, label: str = "process") -> Process:
         """Run ``gen`` as a process, starting at the current instant."""
         process = Process(gen, label)
-        if self._fast:
-            # No seq is drawn: bucket append order carries the tie-break,
-            # and pushes happen in the same program order as the reference
-            # engine's counter draws.
-            self._push_fast(self.now, 0, process)
-        else:
-            self.schedule(0, lambda: self._resume(process), label=label)
+        # No seq is drawn: bucket append order carries the tie-break.
+        self._push(self.now, 0, process)
         return process
 
     def _resume(self, process: Process) -> None:
@@ -318,60 +256,30 @@ class Simulator:
             process.alive = False
             return
         except Exception as err:
-            # A crashed process must not look schedulable, and the traceback
-            # must say *which* process died and when.
-            process.alive = False
-            raise SimProcessError(
-                f"process {process.label!r} raised at t={self.now}ns: {err!r}"
-            ) from err
-        if isinstance(request, tuple) and len(request) == 2 and request[0] in (
-            _WAIT_DELAY,
-            _WAIT_UNTIL,
-        ):
-            kind, value = request
-        else:
-            kind, value = _WAIT_DELAY, request
-        if kind == _WAIT_DELAY:
-            when = self.now + as_ns(value)
-        else:
-            when = max(self.now, as_ns(value))
-        if self._fast:
-            if when < self.now:
-                raise ValueError(f"cannot schedule at {when} before now={self.now}")
-            self._push_fast(when, 0, process)
-        else:
-            self.schedule_at(when, lambda: self._resume(process), label=process.label)
+            self._process_error(process, err)
+        self._push(self._wake_time(request, self.now), 0, process)
 
     # -- the loop -------------------------------------------------------------
 
     def peek_time(self) -> Optional[int]:
         """Time of the next pending live event, or None if the queue is empty."""
-        if self._fast:
-            times, buckets = self._times, self._buckets
-            while times:
-                when = times[0]
-                bucket = buckets.get(when)
-                live = [
-                    payload
-                    for payload in bucket
-                    if payload.__class__ is Process or not payload.cancelled
-                ] if bucket else []
-                if live:
-                    if len(live) != len(bucket):
-                        self._size -= len(bucket) - len(live)
-                        buckets[when] = live
-                    return when
-                self._size -= len(bucket) if bucket else 0
-                heapq.heappop(times)
-                buckets.pop(when, None)
-            return None
-        heap = self._heap
-        while heap:
-            event = heap[0][3]
-            if event.cancelled:
-                heapq.heappop(heap)
-                continue
-            return heap[0][0]
+        times, buckets = self._times, self._buckets
+        while times:
+            when = times[0]
+            bucket = buckets.get(when)
+            live = [
+                payload
+                for payload in bucket
+                if payload.__class__ is Process or not payload.cancelled
+            ] if bucket else []
+            if live:
+                if len(live) != len(bucket):
+                    self._size -= len(bucket) - len(live)
+                    buckets[when] = live
+                return when
+            self._size -= len(bucket) if bucket else 0
+            heapq.heappop(times)
+            buckets.pop(when, None)
         return None
 
     def step(self) -> bool:
@@ -380,21 +288,6 @@ class Simulator:
         Cancelled entries encountered on the way are discarded without
         advancing the clock or counting toward ``processed``.
         """
-        if self._fast:
-            return self._step_fast()
-        while self._heap:
-            _, _, _, event = heapq.heappop(self._heap)
-            if event.cancelled:
-                continue
-            event.fired = True
-            self.now = event.time_ns
-            self.processed += 1
-            self._tracer.instant("scheduler", event.label or "event", event.time_ns)
-            event.action()
-            return True
-        return False
-
-    def _step_fast(self) -> bool:
         times, buckets = self._times, self._buckets
         while times:
             when = times[0]
@@ -427,33 +320,6 @@ class Simulator:
             return True
         return False
 
-    def run(
-        self,
-        until_ns: Optional[Union[int, float]] = None,
-        max_events: Optional[int] = None,
-    ) -> None:
-        """Drain the queue, optionally stopping at a time or event budget."""
-        bound = None if until_ns is None else as_ns(until_ns)
-        if self._fast:
-            self._run_fast(bound, max_events)
-            return
-        executed = 0
-        heap = self._heap
-        while heap:
-            top = heap[0]
-            if top[3].cancelled:
-                heapq.heappop(heap)
-                continue
-            if bound is not None and top[0] > bound:
-                self.now = bound
-                return
-            if max_events is not None and executed >= max_events:
-                return
-            self.step()
-            executed += 1
-        if bound is not None and bound > self.now:
-            self.now = bound
-
     def _process_error(self, process: Process, err: BaseException) -> None:
         """Cold path: a process body raised — mark it dead, add context."""
         process.alive = False
@@ -478,8 +344,12 @@ class Simulator:
             raise ValueError(f"cannot schedule at {when} before now={now}")
         return when
 
-    def _run_fast(self, bound: Optional[int], max_events: Optional[int]) -> None:
-        """Batched calendar-queue dispatch (bit-identical to the reference).
+    def run(
+        self,
+        until_ns: Optional[Union[int, float]] = None,
+        max_events: Optional[int] = None,
+    ) -> None:
+        """Drain the queue, optionally stopping at a time or event budget.
 
         Pops one *instant* at a time and dispatches its whole bucket by
         index iteration; same-instant insertions made by the callbacks
@@ -489,6 +359,7 @@ class Simulator:
         inlined: no per-wait ``Event``/closure allocation, no method-call
         round trip — the dominant cost left is the process body itself.
         """
+        bound = None if until_ns is None else as_ns(until_ns)
         times = self._times
         buckets = self._buckets
         buckets_get = buckets.get
@@ -572,8 +443,8 @@ class Simulator:
                 self._active_time = -1
                 self._active_bucket = None
                 if processed == before:
-                    # Every entry at this instant was cancelled: the
-                    # reference discards them without advancing the clock.
+                    # Every entry at this instant was cancelled: discard
+                    # them without advancing the clock.
                     self.now = previous_now
             self.processed = processed
             if not unbounded and bound > self.now:
@@ -676,7 +547,7 @@ class Simulator:
     def __len__(self) -> int:
         """Pending entries, *including* not-yet-reaped cancelled ones
         (cancellation is lazy; see :meth:`Event.cancel`)."""
-        return self._size if self._fast else len(self._heap)
+        return self._size
 
     def __bool__(self) -> bool:
-        return self.__len__() > 0
+        return self._size > 0

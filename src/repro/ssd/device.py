@@ -141,19 +141,19 @@ class ComputationalSSD:
     def sample_kernel(self, kernel, sample_bytes: Optional[int] = None) -> CoreRunResult:
         """Core phase: run the kernel on a representative window.
 
-        The sampled run is deterministic per (config, kernel, size), so
-        when the process-wide :data:`~repro.kernels.pricing.PRICING_CACHE`
-        is enabled (``SimConfig(memoize_pricing=True)``) one run prices
-        every same-shape scomp; a config change misses by construction.
+        The sampled run is deterministic per (config, kernel parameters,
+        size), so the process-wide
+        :data:`~repro.kernels.pricing.PRICING_CACHE` lets one run price
+        every same-shape scomp; a config or kernel-parameter change misses
+        by construction.
         """
         size = sample_bytes or _SAMPLE_BYTES_BY_KERNEL.get(kernel.name, DEFAULT_SAMPLE_BYTES)
         params = getattr(self.engine, "pipeline_params", None)
-        cached = PRICING_CACHE.get(self.config, kernel.name, size, pipeline_params=params)
+        cached = PRICING_CACHE.get(self.config, kernel, size, pipeline_params=params)
         if cached is not None:
             return cached
-        inputs = kernel.make_inputs(size)
-        sample = self.engine.run(kernel, inputs)
-        PRICING_CACHE.put(self.config, kernel.name, size, sample, pipeline_params=params)
+        sample = self.engine.run(kernel, kernel.make_inputs(size))
+        PRICING_CACHE.put(self.config, kernel, size, sample, pipeline_params=params)
         return sample
 
     def offload(
@@ -244,7 +244,6 @@ class ComputationalSSD:
         serve_config=None,
         duration_ns: float = 2_000_000.0,
         seed: int = 0,
-        samples=None,
         recovery=None,
     ):
         """Serve a multi-tenant mixed scomp/read/write workload (QoS path).
@@ -260,9 +259,7 @@ class ComputationalSSD:
         """
         from repro.serve.scheduler import ServingLayer
 
-        layer = ServingLayer(
-            self, tenants, config=serve_config, seed=seed, samples=samples, recovery=recovery
-        )
+        layer = ServingLayer(self, tenants, config=serve_config, seed=seed, recovery=recovery)
         return layer.run(duration_ns)
 
     def offload_functional(self, kernel, data: bytes):

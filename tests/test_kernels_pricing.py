@@ -2,76 +2,85 @@
 
 The campaign-level proof that memoized pricing changes nothing observable
 lives in test_sim_differential.py; these tests pin the cache mechanics —
-off by default, hit/miss accounting, config-digest invalidation, and the
-scoping context managers.
+hit/miss accounting, config-digest invalidation, and the kernel key that
+keeps parameterised kernels apart.
 """
 
 import dataclasses
 
 import pytest
 
-from repro.config import SimConfig, assasin_sb_config
+from repro.config import assasin_sb_config
 from repro.kernels import get_kernel
-from repro.kernels.pricing import (
-    PRICING_CACHE,
-    KernelPricingCache,
-    use_pricing_cache,
-)
+from repro.kernels.pricing import PRICING_CACHE, KernelPricingCache
 from repro.ssd.device import ComputationalSSD
 
 
 @pytest.fixture(autouse=True)
 def _pristine_cache():
-    """Tests must never leak enabled state or entries into the suite."""
-    PRICING_CACHE.disable()
+    """Each test starts from (and leaves) an empty process-wide memo."""
     PRICING_CACHE.clear()
     yield
-    PRICING_CACHE.disable()
     PRICING_CACHE.clear()
-
-
-def test_cache_is_off_by_default():
-    cache = KernelPricingCache()
-    assert not cache.enabled
-    config = assasin_sb_config()
-    cache.put(config, "stat", 4096, object())
-    assert len(cache) == 0
-    assert cache.get(config, "stat", 4096) is None
-    assert cache.hits == 0 and cache.misses == 0
 
 
 def test_sample_kernel_hits_after_one_miss():
     config = assasin_sb_config()
-    with use_pricing_cache() as cache:
-        first = ComputationalSSD(config).sample_kernel(get_kernel("stat"))
-        assert cache.misses == 1 and cache.hits == 0 and len(cache) == 1
-        second = ComputationalSSD(config).sample_kernel(get_kernel("stat"))
-        assert cache.misses == 1 and cache.hits == 1
-        # The memo shares the sampled run object itself.
-        assert second is first
+    first = ComputationalSSD(config).sample_kernel(get_kernel("stat"))
+    assert PRICING_CACHE.misses == 1 and PRICING_CACHE.hits == 0 and len(PRICING_CACHE) == 1
+    second = ComputationalSSD(config).sample_kernel(get_kernel("stat"))
+    assert PRICING_CACHE.misses == 1 and PRICING_CACHE.hits == 1
+    # The memo shares the sampled run object itself.
+    assert second is first
 
 
 def test_distinct_kernels_and_sizes_are_distinct_entries():
-    config = assasin_sb_config()
-    with use_pricing_cache() as cache:
-        device = ComputationalSSD(config)
-        device.sample_kernel(get_kernel("stat"))
-        device.sample_kernel(get_kernel("scan"))
-        device.sample_kernel(get_kernel("stat"), sample_bytes=8192)
-        assert cache.misses == 3 and cache.hits == 0 and len(cache) == 3
+    device = ComputationalSSD(assasin_sb_config())
+    device.sample_kernel(get_kernel("stat"))
+    device.sample_kernel(get_kernel("scan"))
+    device.sample_kernel(get_kernel("stat"), sample_bytes=8192)
+    assert PRICING_CACHE.misses == 3 and PRICING_CACHE.hits == 0 and len(PRICING_CACHE) == 3
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    [("psf", {"filter_hi": 3_000_000}), ("raid4", {"k": 6})],
+)
+def test_kernel_parameters_are_part_of_the_key(name, params):
+    """Regression: the key was once the registry name, so a parameterised
+    kernel got the default kernel's sample (psf with a wider filter came
+    back with the default's 696 output bytes instead of 1104; raid4 with
+    k=6 came back with the k=4 sample)."""
+    device = ComputationalSSD(assasin_sb_config())
+    default = device.sample_kernel(get_kernel(name))
+    custom = device.sample_kernel(get_kernel(name, **params))
+    assert PRICING_CACHE.misses == 2 and len(PRICING_CACHE) == 2
+    PRICING_CACHE.clear()
+    unmemoized = ComputationalSSD(assasin_sb_config()).sample_kernel(get_kernel(name, **params))
+    assert custom is not default
+    assert (custom.bytes_out, custom.cycles) == (unmemoized.bytes_out, unmemoized.cycles)
+    assert (custom.bytes_out, custom.cycles) != (default.bytes_out, default.cycles)
+
+
+def test_kernel_key_is_value_keyed():
+    cache = KernelPricingCache()
+    assert cache.kernel_key(get_kernel("psf")) == cache.kernel_key(get_kernel("psf"))
+    assert cache.kernel_key(get_kernel("raid4", k=4)) == cache.kernel_key(get_kernel("raid4"))
+    assert cache.kernel_key(get_kernel("raid4", k=6)) != cache.kernel_key(get_kernel("raid4"))
+    assert cache.kernel_key(get_kernel("raid4")) != cache.kernel_key(get_kernel("raid6"))
 
 
 def test_config_change_invalidates_by_construction():
     base = assasin_sb_config()
     changed = dataclasses.replace(base, name=base.name + "-variant")
+    stat = get_kernel("stat")
     cache = KernelPricingCache()
-    cache.enable()
     assert cache.config_digest(base) != cache.config_digest(changed)
     # Equal-valued configs share a digest even as distinct objects.
     assert cache.config_digest(base) == cache.config_digest(assasin_sb_config())
-    cache.put(base, "stat", 4096, "sample-a")
-    assert cache.get(changed, "stat", 4096) is None
-    assert cache.get(base, "stat", 4096) == "sample-a"
+    cache.put(base, stat, 4096, "sample-a")
+    assert cache.get(changed, stat, 4096) is None
+    assert cache.get(base, stat, 4096) == "sample-a"
 
 
 def test_pipeline_model_and_params_change_the_digest():
@@ -81,8 +90,8 @@ def test_pipeline_model_and_params_change_the_digest():
 
     base = assasin_sb_config()
     predictive = base.with_pipeline_model("predictive")
+    stat = get_kernel("stat")
     cache = KernelPricingCache()
-    cache.enable()
     assert cache.config_digest(base) != cache.config_digest(predictive)
     default = PipelineParams()
     tweaked = PipelineParams(mispredict_penalty=5)
@@ -90,10 +99,10 @@ def test_pipeline_model_and_params_change_the_digest():
             != cache.config_digest(base, tweaked))
     assert (cache.config_digest(base, default)
             == cache.config_digest(base, PipelineParams()))
-    cache.put(base, "stat", 4096, "static-sample", pipeline_params=default)
-    assert cache.get(predictive, "stat", 4096, pipeline_params=default) is None
-    assert cache.get(base, "stat", 4096, pipeline_params=tweaked) is None
-    assert cache.get(base, "stat", 4096, pipeline_params=default) == "static-sample"
+    cache.put(base, stat, 4096, "static-sample", pipeline_params=default)
+    assert cache.get(predictive, stat, 4096, pipeline_params=default) is None
+    assert cache.get(base, stat, 4096, pipeline_params=tweaked) is None
+    assert cache.get(base, stat, 4096, pipeline_params=default) == "static-sample"
 
 
 def test_digest_memo_is_value_keyed_not_id_keyed():
@@ -102,7 +111,6 @@ def test_digest_memo_is_value_keyed_not_id_keyed():
     digest.  Value-keying makes equal configs share and unequal configs
     miss, regardless of object identity or lifetime."""
     cache = KernelPricingCache()
-    cache.enable()
     digests = set()
     for i in range(50):
         # Fresh throwaway objects each round: with id-keying these recycle
@@ -115,22 +123,3 @@ def test_digest_memo_is_value_keyed_not_id_keyed():
     a, b = assasin_sb_config(), assasin_sb_config()
     assert a is not b
     assert cache.config_digest(a) == cache.config_digest(b)
-
-
-def test_use_pricing_cache_restores_and_clears():
-    assert not PRICING_CACHE.enabled
-    with use_pricing_cache():
-        assert PRICING_CACHE.enabled
-        PRICING_CACHE.put(assasin_sb_config(), "stat", 4096, "sample")
-        assert len(PRICING_CACHE) == 1
-    assert not PRICING_CACHE.enabled
-    assert len(PRICING_CACHE) == 0
-
-
-def test_sim_config_activated_scopes_the_cache():
-    with SimConfig(memoize_pricing=True).activated():
-        assert PRICING_CACHE.enabled
-    assert not PRICING_CACHE.enabled
-    # And the flag itself defaults to off.
-    with SimConfig().activated():
-        assert not PRICING_CACHE.enabled

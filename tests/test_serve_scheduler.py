@@ -4,15 +4,8 @@ import pytest
 
 from repro.config import ServeConfig, assasin_sb_config
 from repro.errors import ConfigError, ServeError
-from repro.kernels import get_kernel
 from repro.serve import ServingLayer, TenantSpec, simulate_serve
 from repro.ssd.device import ComputationalSSD
-
-
-@pytest.fixture(scope="module")
-def stat_sample():
-    device = ComputationalSSD(assasin_sb_config())
-    return {"stat": device.sample_kernel(get_kernel("stat"))}
 
 
 def _trio(interarrival_ns=9_000.0, heavy_weight=4.0):
@@ -51,13 +44,12 @@ def test_serve_requires_tenants():
         ServingLayer(device, [])
 
 
-def test_same_seed_identical_metrics(stat_sample):
+def test_same_seed_identical_metrics():
     tenants = _trio()
     kwargs = dict(
         serve_config=ServeConfig(arbitration="wrr"),
         duration_ns=400_000.0,
         seed=21,
-        samples=stat_sample,
     )
     a = simulate_serve(assasin_sb_config(), tenants, **kwargs)
     b = simulate_serve(assasin_sb_config(), tenants, **kwargs)
@@ -65,18 +57,14 @@ def test_same_seed_identical_metrics(stat_sample):
     assert a.total_completed > 0
 
 
-def test_different_seed_different_schedule(stat_sample):
+def test_different_seed_different_schedule():
     tenants = _trio()
-    a = simulate_serve(
-        assasin_sb_config(), tenants, duration_ns=400_000.0, seed=1, samples=stat_sample
-    )
-    b = simulate_serve(
-        assasin_sb_config(), tenants, duration_ns=400_000.0, seed=2, samples=stat_sample
-    )
+    a = simulate_serve(assasin_sb_config(), tenants, duration_ns=400_000.0, seed=1)
+    b = simulate_serve(assasin_sb_config(), tenants, duration_ns=400_000.0, seed=2)
     assert a.fingerprint() != b.fingerprint()
 
 
-def test_mixed_scomp_read_write_completes(stat_sample):
+def test_mixed_scomp_read_write_completes():
     tenants = [
         TenantSpec(name="compute", weight=2.0, kind="scomp", kernel="stat",
                    pages_per_command=4, interarrival_ns=15_000.0),
@@ -85,9 +73,7 @@ def test_mixed_scomp_read_write_completes(stat_sample):
         TenantSpec(name="writer", weight=1.0, kind="write",
                    pages_per_command=4, interarrival_ns=15_000.0),
     ]
-    report = simulate_serve(
-        assasin_sb_config(), tenants, duration_ns=400_000.0, seed=5, samples=stat_sample
-    )
+    report = simulate_serve(assasin_sb_config(), tenants, duration_ns=400_000.0, seed=5)
     for name in ("compute", "reader", "writer"):
         t = report.tenants[name]
         assert t.completed > 0
@@ -101,14 +87,13 @@ def test_mixed_scomp_read_write_completes(stat_sample):
     assert any(u > 0 for u in report.channel_utilisation)
 
 
-def test_completions_posted_to_host_and_cq(stat_sample):
+def test_completions_posted_to_host_and_cq():
     device = ComputationalSSD(assasin_sb_config())
     layer = ServingLayer(
         device,
         _trio(interarrival_ns=20_000.0),
         ServeConfig(arbitration="drr"),
         seed=3,
-        samples=stat_sample,
     )
     report = layer.run(duration_ns=200_000.0)
     assert len(device.host.completions) == report.total_completed
@@ -118,14 +103,12 @@ def test_completions_posted_to_host_and_cq(stat_sample):
     assert len(device.host.submissions) == accepted
 
 
-def test_closed_loop_bounds_outstanding(stat_sample):
+def test_closed_loop_bounds_outstanding():
     tenants = [
         TenantSpec(name="batch", kind="scomp", kernel="stat", pages_per_command=4,
                    closed_loop=True, outstanding=3, think_ns=1_000.0),
     ]
-    report = simulate_serve(
-        assasin_sb_config(), tenants, duration_ns=300_000.0, seed=9, samples=stat_sample
-    )
+    report = simulate_serve(assasin_sb_config(), tenants, duration_ns=300_000.0, seed=9)
     t = report.tenants["batch"]
     assert t.completed > 10
     assert t.dropped == 0
@@ -133,7 +116,7 @@ def test_closed_loop_bounds_outstanding(stat_sample):
     assert t.max_queue_depth <= 3
 
 
-def test_open_loop_overload_drops_commands(stat_sample):
+def test_open_loop_overload_drops_commands():
     tenants = [
         TenantSpec(name="flood", kind="scomp", kernel="stat", pages_per_command=8,
                    interarrival_ns=500.0),
@@ -144,7 +127,6 @@ def test_open_loop_overload_drops_commands(stat_sample):
         ServeConfig(queue_depth=8),
         duration_ns=300_000.0,
         seed=4,
-        samples=stat_sample,
     )
     t = report.tenants["flood"]
     assert t.dropped > 0
@@ -152,11 +134,11 @@ def test_open_loop_overload_drops_commands(stat_sample):
     assert t.max_queue_depth <= 8
 
 
-def test_weighted_arbitration_shifts_p99(stat_sample):
+def test_weighted_arbitration_shifts_p99():
     """The acceptance property: under identical offered load, WRR gives the
     heavy tenant strictly lower p99 than equal-share round-robin."""
     tenants = _trio(interarrival_ns=9_000.0, heavy_weight=4.0)
-    common = dict(duration_ns=800_000.0, seed=7, samples=stat_sample)
+    common = dict(duration_ns=800_000.0, seed=7)
     rr = simulate_serve(
         assasin_sb_config(), tenants, ServeConfig(arbitration="rr"), **common
     )
@@ -168,7 +150,7 @@ def test_weighted_arbitration_shifts_p99(stat_sample):
     assert wrr.tenants["gold"].p99_latency_ns * 2 < rr.tenants["gold"].p99_latency_ns
 
 
-def test_weight_overrides_apply(stat_sample):
+def test_weight_overrides_apply():
     tenants = _trio()
     report = simulate_serve(
         assasin_sb_config(),
@@ -176,7 +158,6 @@ def test_weight_overrides_apply(stat_sample):
         ServeConfig(arbitration="wrr", weights=(1.0, 8.0, 1.0)),
         duration_ns=300_000.0,
         seed=13,
-        samples=stat_sample,
     )
     assert report.tenants["silver"].weight == 8.0
     assert report.tenants["gold"].weight == 1.0
@@ -202,20 +183,19 @@ def test_scomp_without_sample_errors():
         layer._service(rogue, 0.0)
 
 
-def test_serve_duration_must_be_positive(stat_sample):
+def test_serve_duration_must_be_positive():
     device = ComputationalSSD(assasin_sb_config())
-    layer = ServingLayer(device, _trio(), samples=stat_sample)
+    layer = ServingLayer(device, _trio())
     with pytest.raises(ServeError):
         layer.run(duration_ns=0.0)
 
 
-def test_device_serve_entry_point(stat_sample):
+def test_device_serve_entry_point():
     device = ComputationalSSD(assasin_sb_config())
     report = device.serve(
         _trio(interarrival_ns=20_000.0),
         duration_ns=200_000.0,
         seed=2,
-        samples=stat_sample,
     )
     assert report.config_name == "AssasinSb"
     assert report.total_completed > 0

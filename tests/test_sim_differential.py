@@ -1,34 +1,45 @@
-"""The sim differential suite: every fast path is bit-identical to reference.
+"""The sim differential suite: the production loop matches the heapq oracle.
 
-This is the tentpole proof for the fast simulator core.  Each test runs
-the *same* seeded campaign twice — once under the reference heapq engine
-and once under an optimisation (``fast`` calendar-queue engine, memoized
-kernel pricing, sharded fleet workers) — and asserts the campaign
-fingerprint is byte-identical.  The fingerprints hash the full observable
-surface (per-command latencies, per-tenant stats, recovery counters,
-integrity results), so any divergence in dispatch order, clock values, or
-service outcomes fails loudly.
+Each campaign below was run once under the single-``heapq`` event loop
+(now kept as the oracle in ``tests/sim_oracle.py``) with the
+kernel-pricing memo off, and its fingerprint pinned in the
+``differential`` key of ``tests/golden/sim_fingerprints.json``.  The tests
+assert that today's calendar-queue loop with the always-on pricing memo
+reproduces those fingerprints byte for byte.  The fingerprints hash the
+full observable surface (per-command latencies, per-tenant stats, recovery
+counters, integrity results), so any divergence in dispatch order, clock
+values, or service outcomes fails loudly.
 
 Horizons are short smoke versions of the four campaign families; the
 benchmarks run the long ones.
 """
 
+import json
+from pathlib import Path
+
 import pytest
 
-from repro.config import (
-    FaultConfig,
-    ServeConfig,
-    SimConfig,
-    assasin_sb_config,
-)
+from repro.config import FaultConfig, ServeConfig, assasin_sb_config
 from repro.faults import run_campaign
 from repro.fleet import FleetConfig, simulate_fleet
-from repro.kernels.pricing import PRICING_CACHE, use_pricing_cache
+from repro.kernels.pricing import PRICING_CACHE
 from repro.serve import default_tenants, simulate_serve
-from repro.sim import use_engine
 from repro.zns import ZnsConfig, run_zns
 
+from tests.test_sim_goldens import _jsonable
+
 SEED = 7
+GOLDEN = json.loads(
+    (Path(__file__).parent / "golden" / "sim_fingerprints.json").read_text()
+)["differential"]
+
+
+@pytest.fixture(autouse=True)
+def _fresh_memo():
+    """Each campaign starts from an empty pricing memo."""
+    PRICING_CACHE.clear()
+    yield
+    PRICING_CACHE.clear()
 
 
 def _serve_fingerprint():
@@ -68,58 +79,15 @@ CAMPAIGNS = {
 
 @pytest.mark.parametrize("campaign", sorted(CAMPAIGNS))
 def test_fast_engine_campaigns_are_byte_identical(campaign):
-    run = CAMPAIGNS[campaign]
-    with use_engine("reference"):
-        reference = run()
-    with use_engine("fast"):
-        fast = run()
-    assert fast == reference
+    assert _jsonable(CAMPAIGNS[campaign]()) == GOLDEN[campaign]
 
 
 def test_memoized_pricing_is_byte_identical_and_actually_hits():
-    with use_engine("fast"):
-        baseline = _serve_fingerprint()
-    with use_pricing_cache() as cache, use_engine("fast"):
-        first = _serve_fingerprint()
-        hits_after_first = cache.hits
-        second = _serve_fingerprint()
-        # The second campaign priced its kernels entirely from the memo
-        # (counters are read inside the block: exit clears the cache).
-        assert cache.misses >= 1
-        assert cache.hits > hits_after_first
-    assert first == baseline
-    assert second == baseline
-
-
-def test_sim_config_activated_composes_engine_and_pricing():
-    baseline = _serve_fingerprint()
-    sim = SimConfig(engine="fast", memoize_pricing=True)
-    with sim.activated():
-        assert PRICING_CACHE.enabled
-        combined = _serve_fingerprint()
-    assert not PRICING_CACHE.enabled
-    PRICING_CACHE.clear()
-    assert combined == baseline
-
-
-def test_sharded_fleet_is_byte_identical(monkeypatch):
-    # In-process lanes: same sharded code path minus the fork, so this
-    # differential runs (and is coverage-instrumented) on any host.
-    monkeypatch.setenv("REPRO_SHARD_INPROCESS", "1")
-    fleet_config = FleetConfig(num_devices=4, hedging=False)
-    reference = simulate_fleet(
-        assasin_sb_config(), fleet_config, duration_ns=150_000.0, seed=SEED,
-    )
-    sharded = simulate_fleet(
-        assasin_sb_config(), fleet_config, duration_ns=150_000.0, seed=SEED,
-        sim=SimConfig(engine="fast", shard_workers=2),
-    )
-    assert sharded.fingerprint_hex() == reference.fingerprint_hex()
-    # The playback skeleton replays the *full* event structure, so even the
-    # event count matches the shared-loop run.
-    assert sharded.sim_events == reference.sim_events
-    # Per-worker counter snapshots merge into the same per-device telemetry
-    # the shared loop records.
-    assert set(sharded.device_counters) == {0, 1, 2, 3}
-    for index, counters in sharded.device_counters.items():
-        assert counters == reference.device_counters[index], index
+    first = _serve_fingerprint()
+    hits_after_first = PRICING_CACHE.hits
+    second = _serve_fingerprint()
+    # The second campaign priced its kernels entirely from the memo.
+    assert PRICING_CACHE.misses >= 1
+    assert PRICING_CACHE.hits > hits_after_first
+    assert _jsonable(first) == GOLDEN["serve"]
+    assert second == first

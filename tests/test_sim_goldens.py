@@ -127,11 +127,8 @@ def _serve_tenants():
 
 def _serve_goldens():
     from repro.config import ServeConfig, assasin_sb_config
-    from repro.kernels import get_kernel
     from repro.serve import simulate_serve
-    from repro.ssd.device import ComputationalSSD
 
-    sample = ComputationalSSD(assasin_sb_config()).sample_kernel(get_kernel("stat"))
     out = {}
     for policy in ("rr", "wrr", "drr"):
         report = simulate_serve(
@@ -140,7 +137,6 @@ def _serve_goldens():
             ServeConfig(arbitration=policy),
             duration_ns=600_000.0,
             seed=7,
-            samples={"stat": sample},
         )
         out[policy] = _jsonable(report.fingerprint())
     return out
@@ -241,7 +237,10 @@ def assert_close(golden, actual, path=""):
 @pytest.fixture(scope="module")
 def goldens():
     if os.environ.get("REGEN_GOLDEN"):
-        data = compute_goldens()
+        # Keys computed elsewhere (test_sim_differential's oracle-recorded
+        # campaign fingerprints) are carried over untouched.
+        kept = json.loads(GOLDEN_PATH.read_text()) if GOLDEN_PATH.exists() else {}
+        data = {**kept, **compute_goldens()}
         GOLDEN_PATH.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
         pytest.skip("goldens regenerated")
     if not GOLDEN_PATH.exists():

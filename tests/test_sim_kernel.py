@@ -12,6 +12,7 @@ from repro.sim import (
     as_ns,
 )
 
+from tests.sim_oracle import HeapSimulator
 
 # -- integer-ns time --------------------------------------------------------
 
@@ -299,14 +300,17 @@ def test_gc_process_contends_with_offload_on_shared_kernel():
     assert shared.flash_stall_ns >= solo.flash_stall_ns
 
 
-# -- engine parity: crashes and cancellation --------------------------------
+# -- oracle parity: crashes and cancellation --------------------------------
 #
-# Both engines must agree on the cold paths too: a crashed process is marked
-# dead and re-raised with its label and instant, and lazily-cancelled events
-# are skipped without being dispatched, counted, or allowed to move the
-# clock.  (The hypothesis suite in test_sim_property.py sweeps the hot
-# paths; test_sim_differential.py pins the campaign-level equivalence.)
+# The calendar-queue loop (``fast``) and the heapq oracle (``reference``,
+# tests/sim_oracle.py) must agree on the cold paths too: a crashed process
+# is marked dead and re-raised with its label and instant, and
+# lazily-cancelled events are skipped without being dispatched, counted, or
+# allowed to move the clock.  (The hypothesis suite in test_sim_property.py
+# sweeps the hot paths; test_sim_differential.py pins the campaign-level
+# equivalence.)
 
+ENGINES = {"reference": HeapSimulator, "fast": Simulator}
 ENGINE_CASES = pytest.mark.parametrize("engine", ["reference", "fast"])
 
 
@@ -314,7 +318,7 @@ ENGINE_CASES = pytest.mark.parametrize("engine", ["reference", "fast"])
 def test_crashed_process_is_marked_dead_and_chained(engine):
     from repro.sim import SimProcessError
 
-    sim = Simulator(engine=engine)
+    sim = ENGINES[engine]()
 
     def body():
         yield 25
@@ -335,11 +339,11 @@ def test_crashed_process_is_marked_dead_and_chained(engine):
 
 @ENGINE_CASES
 def test_crashed_process_chains_under_event_budget(engine):
-    """The budgeted loop (distinct code path in the fast engine) applies
-    the same crash protocol."""
+    """The budgeted loop (a distinct code path in the calendar queue)
+    applies the same crash protocol."""
     from repro.sim import SimProcessError
 
-    sim = Simulator(engine=engine)
+    sim = ENGINES[engine]()
 
     def body():
         raise RuntimeError("dead on arrival")
@@ -354,7 +358,7 @@ def test_crashed_process_chains_under_event_budget(engine):
 
 @ENGINE_CASES
 def test_cancelled_event_is_skipped_not_dispatched(engine):
-    sim = Simulator(engine=engine)
+    sim = ENGINES[engine]()
     fired = []
     keep = sim.schedule(10, lambda: fired.append("keep"))
     drop = sim.schedule(10, lambda: fired.append("drop"))
@@ -368,7 +372,7 @@ def test_cancelled_event_is_skipped_not_dispatched(engine):
 
 @ENGINE_CASES
 def test_cancel_after_firing_returns_false(engine):
-    sim = Simulator(engine=engine)
+    sim = ENGINES[engine]()
     event = sim.schedule(5, lambda: None)
     sim.run()
     assert event.fired
@@ -378,8 +382,8 @@ def test_cancel_after_firing_returns_false(engine):
 @ENGINE_CASES
 def test_cancel_at_the_same_instant_is_honoured(engine):
     """An action cancelling a later event scheduled for the *same* instant:
-    the fast engine has already batched both into the live bucket."""
-    sim = Simulator(engine=engine)
+    the calendar queue has already batched both into the live bucket."""
+    sim = ENGINES[engine]()
     fired = []
     victim = sim.schedule(10, lambda: fired.append("victim"))
     sim.schedule(10, lambda: victim.cancel(), priority=-1)  # runs first
@@ -390,7 +394,7 @@ def test_cancel_at_the_same_instant_is_honoured(engine):
 
 @ENGINE_CASES
 def test_fully_cancelled_instant_does_not_advance_the_clock(engine):
-    sim = Simulator(engine=engine)
+    sim = ENGINES[engine]()
     sim.schedule(10, lambda: None).cancel()
     sim.run()
     assert sim.now == 0
@@ -400,7 +404,7 @@ def test_fully_cancelled_instant_does_not_advance_the_clock(engine):
 
 @ENGINE_CASES
 def test_len_counts_unreaped_cancelled_entries(engine):
-    sim = Simulator(engine=engine)
+    sim = ENGINES[engine]()
     live = sim.schedule(10, lambda: None)
     dead = sim.schedule(20, lambda: None)
     dead.cancel()
@@ -414,8 +418,8 @@ def test_len_counts_unreaped_cancelled_entries(engine):
 @ENGINE_CASES
 def test_single_stepping_matches_run_semantics(engine):
     """`step()` (the SQL session's incremental drain) dispatches exactly
-    one live event per call, skipping cancelled entries, on both engines."""
-    sim = Simulator(engine=engine)
+    one live event per call, skipping cancelled entries, on both loops."""
+    sim = ENGINES[engine]()
     order = []
     sim.schedule(10, lambda: order.append("a"))
     sim.schedule(10, lambda: order.append("b"), priority=-1)
@@ -440,7 +444,7 @@ def test_single_stepping_matches_run_semantics(engine):
 
 @ENGINE_CASES
 def test_peek_time_skips_cancelled_entries(engine):
-    sim = Simulator(engine=engine)
+    sim = ENGINES[engine]()
     first = sim.schedule(10, lambda: None)
     sim.schedule(10, lambda: None).cancel()
     later = sim.schedule(20, lambda: None)
@@ -456,7 +460,7 @@ def test_peek_time_skips_cancelled_entries(engine):
 
 @ENGINE_CASES
 def test_peek_time_sees_process_resumes(engine):
-    sim = Simulator(engine=engine)
+    sim = ENGINES[engine]()
 
     def body():
         yield 40

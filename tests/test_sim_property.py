@@ -1,5 +1,6 @@
-"""Property tests: the fast engine equals the heapq reference on *random*
-schedules, not just the ones the campaigns happen to issue.
+"""Property tests: the calendar-queue :class:`repro.sim.Simulator` equals the
+heapq oracle (tests/sim_oracle.py) on *random* schedules, not just the ones
+the campaigns happen to issue.
 
 Hypothesis generates adversarial mixes of the whole scheduling surface —
 callback events at mixed priorities (including negative), events whose
@@ -18,7 +19,9 @@ hypothesis = pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from repro.sim import Simulator, use_engine  # noqa: E402
+from repro.sim import Simulator  # noqa: E402
+
+from tests.sim_oracle import HeapSimulator  # noqa: E402
 
 #: One wait a process generator yields: a delay (int, or a float that
 #: exercises as_ns rounding) or an absolute wait_until instant (which may
@@ -103,20 +106,20 @@ def _build(sim, plan, log):
     return handles
 
 
-def _run_plan(engine, plan, run):
-    with use_engine(engine):
-        sim = Simulator()
-        log = []
-        _build(sim, plan, log)
-        run(sim)
-        return log, sim.now, sim.processed
+def _run_plan(make_sim, plan, run):
+    """Dispatch log, ``run``'s own result, and the final (now, processed)."""
+    sim = make_sim()
+    log = []
+    _build(sim, plan, log)
+    result = run(sim)
+    return log, result, sim.now, sim.processed
 
 
 @settings(max_examples=80, deadline=None)
 @given(plan=_plans)
 def test_random_schedules_dispatch_identically(plan):
-    reference = _run_plan("reference", plan, lambda sim: sim.run())
-    fast = _run_plan("fast", plan, lambda sim: sim.run())
+    reference = _run_plan(HeapSimulator, plan, lambda sim: sim.run())
+    fast = _run_plan(Simulator, plan, lambda sim: sim.run())
     assert fast == reference
 
 
@@ -128,7 +131,7 @@ def test_budgeted_slices_dispatch_identically(plan, budget):
 
     def run_sliced(sim):
         # Drain on peek_time(), not len(): cancellation is lazy, and the
-        # engines are free to *reap* cancelled entries at different times
+        # loops are free to *reap* cancelled entries at different times
         # (len counts unreaped ones) — but both must always agree on
         # whether anything live remains and on every dispatch they make.
         checkpoints = []
@@ -139,26 +142,14 @@ def test_budgeted_slices_dispatch_identically(plan, budget):
                 raise AssertionError("schedule did not drain")
         return checkpoints
 
-    with use_engine("reference"):
-        sim = Simulator()
-        ref_log = []
-        _build(sim, plan, ref_log)
-        ref_checkpoints = run_sliced(sim)
-        ref_state = (sim.now, sim.processed)
-    with use_engine("fast"):
-        sim = Simulator()
-        fast_log = []
-        _build(sim, plan, fast_log)
-        fast_checkpoints = run_sliced(sim)
-        fast_state = (sim.now, sim.processed)
-    assert fast_log == ref_log
-    assert fast_checkpoints == ref_checkpoints
-    assert fast_state == ref_state
+    reference = _run_plan(HeapSimulator, plan, run_sliced)
+    fast = _run_plan(Simulator, plan, run_sliced)
+    assert fast == reference
 
 
 @settings(max_examples=60, deadline=None)
 @given(plan=_plans, bound=st.integers(min_value=0, max_value=90))
 def test_time_bounded_runs_dispatch_identically(plan, bound):
-    reference = _run_plan("reference", plan, lambda sim: sim.run(until_ns=bound))
-    fast = _run_plan("fast", plan, lambda sim: sim.run(until_ns=bound))
+    reference = _run_plan(HeapSimulator, plan, lambda sim: sim.run(until_ns=bound))
+    fast = _run_plan(Simulator, plan, lambda sim: sim.run(until_ns=bound))
     assert fast == reference
