@@ -1,11 +1,13 @@
-"""Fast-path engine throughput: steps/sec for both engines, whole registry.
+"""Fast-path engine throughput: steps/sec vs the per-step oracle, whole registry.
 
 The fast engine exists so the reproduction "runs as fast as the hardware
-allows" (ROADMAP): every figure funnels through the ISA execution loop. This
-harness records functional steps/sec for the reference interpreter and the
-predecoded fast path on every registered kernel, asserts the fast path is
->=3x on the fig13/fig14 kernels, and — the part that actually matters —
-that both engines produce identical architectural results while doing so.
+allows": every figure funnels through the ISA execution loop. This harness
+records timed steps/sec for the per-step timing oracle
+(``tests/core_oracle.py``: the reference interpreter stepped one
+instruction at a time) and for the core model's predecoded fast engine on
+every registered kernel, asserts the fast engine is >=3x on the fig13/fig14
+kernels, and — the part that actually matters — that both produce
+identical architectural results while doing so.
 """
 
 import time
@@ -16,6 +18,8 @@ from repro.config import named_config
 from repro.core.core import CoreModel
 from repro.kernels.registry import KERNEL_NAMES, get_kernel
 
+from tests.core_oracle import OracleCoreModel
+
 FIG13_KERNELS = ("stat", "raid4", "raid6", "aes")
 FIG14_KERNEL = "psf"  # the fig14 pipeline is built from PSF stages
 TARGET_KERNELS = FIG13_KERNELS + (FIG14_KERNEL,)
@@ -25,11 +29,11 @@ TARGET_BYTES = 128 * 1024  # long runs: stable wall-clock for the 3x gate
 SWEEP_BYTES = 32 * 1024  # the rest of the registry is recorded, not gated
 
 
-def _measure(kernel_name: str, engine: str, data_bytes: int):
-    cfg = named_config("AssasinSb").with_exec_engine(engine)
+def _measure(kernel_name: str, model, data_bytes: int):
+    cfg = named_config("AssasinSb")
     kernel = get_kernel(kernel_name)
     inputs = kernel.make_inputs(data_bytes, seed=3)
-    core = CoreModel(cfg.core)
+    core = model(cfg.core)
     start = time.perf_counter()
     result = core.run(kernel, inputs)
     elapsed = time.perf_counter() - start
@@ -40,8 +44,8 @@ def _sweep():
     rows = []
     for name in KERNEL_NAMES:
         data_bytes = TARGET_BYTES if name in TARGET_KERNELS else SWEEP_BYTES
-        fast_sps, fast_result = _measure(name, "fast", data_bytes)
-        ref_sps, ref_result = _measure(name, "reference", data_bytes)
+        fast_sps, fast_result = _measure(name, CoreModel, data_bytes)
+        ref_sps, ref_result = _measure(name, OracleCoreModel, data_bytes)
         # Speed means nothing unless the architectural results are unchanged.
         assert fast_result.cycles == ref_result.cycles, name
         assert fast_result.instructions == ref_result.instructions, name
@@ -63,5 +67,5 @@ def test_fastpath_speed(benchmark):
     speedups = {name: speedup for name, _, _, speedup in rows}
     for name in TARGET_KERNELS:
         assert speedups[name] >= TARGET_SPEEDUP, (
-            f"{name}: fast path only {speedups[name]:.2f}x over reference"
+            f"{name}: fast path only {speedups[name]:.2f}x over the oracle"
         )

@@ -37,7 +37,7 @@ def _cmd_offload(args) -> int:
     from repro.kernels import get_kernel
     from repro.ssd import simulate_offload
 
-    config = named_config(args.config).with_exec_engine(args.engine)
+    config = named_config(args.config)
     kernel = get_kernel(args.kernel)
     result = simulate_offload(
         config, kernel, data_bytes=args.data_mib << 20, layout_skew=args.skew
@@ -417,13 +417,6 @@ def build_parser() -> argparse.ArgumentParser:
     offload.add_argument("--config", default="AssasinSb")
     offload.add_argument("--data-mib", type=int, default=32)
     offload.add_argument("--skew", type=float, default=0.0)
-    offload.add_argument(
-        "--engine",
-        choices=("fast", "reference"),
-        default="fast",
-        help="functional execution engine (architecturally identical; "
-        "'reference' is the slower per-instruction ground truth)",
-    )
     offload.set_defaults(fn=_cmd_offload)
 
     serve = sub.add_parser("serve", help="multi-tenant QoS serving simulation")

@@ -52,13 +52,6 @@ class EngineKind(enum.Enum):
     UDP = "udp"
 
 
-#: Execution engines for the functional ISA simulation. ``"reference"`` is
-#: the per-instruction interpreter loop (``repro.isa.interpreter``);
-#: ``"fast"`` is the predecoding superblock engine (``repro.isa.fastpath``),
-#: bit-exact with the reference and the default since the differential
-#: conformance suite locked the two together.
-EXEC_ENGINES: Tuple[str, ...] = ("reference", "fast")
-
 #: Cycle-costing timing models for the core pipeline (``repro.core.coster``).
 #: ``"static"`` is the historical fixed-latency model and the default;
 #: ``"predictive"`` adds BTB + tournament branch prediction, load-use hazard
@@ -148,10 +141,6 @@ class CoreConfig:
     pingpong: Optional[ScratchpadConfig] = None
     streambuffer: Optional[StreamBufferConfig] = None
     stream_isa: bool = False
-    #: Functional execution engine: "fast" (predecoded superblocks) or
-    #: "reference" (per-instruction interpreter). Architecturally identical;
-    #: see docs/ARCHITECTURE.md "Execution engines".
-    exec_engine: str = "fast"
     #: Cycle-costing timing model: "static" (fixed latencies) or
     #: "predictive" (branch predictor + hazards + operand-dependent mul/div).
     #: See docs/ARCHITECTURE.md "Core timing models".
@@ -160,10 +149,6 @@ class CoreConfig:
     def __post_init__(self) -> None:
         if self.frequency_ghz <= 0:
             raise ConfigError("core frequency must be positive")
-        if self.exec_engine not in EXEC_ENGINES:
-            raise ConfigError(
-                f"unknown exec engine {self.exec_engine!r}; known: {EXEC_ENGINES}"
-            )
         if self.pipeline_model not in PIPELINE_MODELS:
             raise ConfigError(
                 f"unknown pipeline model {self.pipeline_model!r}; known: {PIPELINE_MODELS}"
@@ -459,10 +444,6 @@ class SSDConfig:
     def with_cores(self, num_cores: int) -> "SSDConfig":
         """A copy with a different engine count (used by the scaling study)."""
         return replace(self, num_cores=num_cores)
-
-    def with_exec_engine(self, exec_engine: str) -> "SSDConfig":
-        """A copy whose cores use the given functional execution engine."""
-        return replace(self, core=replace(self.core, exec_engine=exec_engine))
 
     def with_pipeline_model(self, pipeline_model: str) -> "SSDConfig":
         """A copy whose cores use the given cycle-costing timing model."""

@@ -41,8 +41,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.config import CoreConfig, DataSource, DRAMConfig
 from repro.errors import ExecutionError, KernelError
-from repro.isa.fastpath import FastEngine, FastpathUnsupported
-from repro.isa.interpreter import Interpreter, StepKind
+from repro.isa.fastpath import FastEngine
+from repro.isa.interpreter import Interpreter
 from repro.isa.program import Program
 from repro.mem.dram import DRAMModel, DRAMTraffic
 from repro.mem.hierarchy import (
@@ -128,10 +128,9 @@ class CoreModel:
         self.hierarchy = MemoryHierarchy(core, self.dram)
         self.pipeline_params = pipeline_params
         #: Optional :class:`repro.telemetry.profiler.IsaProfiler`. When set,
-        #: every executed step's ``(StepInfo, cost)`` is forwarded, giving
-        #: per-PC cycle attribution whose total matches the run exactly.
-        #: Profiled runs always use the reference engine: the fast path has
-        #: no per-step StepInfo to forward (see docs/ARCHITECTURE.md).
+        #: the fast engine adds each run's per-PC ``(count, cycles)`` to it,
+        #: giving per-PC cycle attribution whose total matches the run
+        #: exactly.
         self.profiler = None
         # Decoded-program cache for the fast engine, keyed by id() while we
         # hold the Program itself (keeps ids stable; Program is unhashable).
@@ -374,51 +373,20 @@ class CoreModel:
         return engine
 
     def _execute(self, interp, pipeline, clock, input_region: Optional[range] = None):
-        """Drive the interpreter to completion, charging cycles.
+        """Drive the interpreter to completion on the fast engine, charging cycles.
 
         Returns first-touch cycles per page-aligned address when
         ``input_region`` is given (DRAM-staged runs).
-
-        Engine selection: ``CoreConfig.exec_engine == "fast"`` uses the
-        predecoded superblock engine unless a profiler needs per-step
-        ``StepInfo`` hooks or the pipeline parameters cannot be compiled
-        (:class:`FastpathUnsupported`) — both fall back to this reference
-        loop, which stays the semantic ground truth.
         """
-        if self.profiler is None and self.core.exec_engine == "fast":
-            try:
-                engine = self._fast_engine(interp.program)
-            except FastpathUnsupported:
-                pass
-            else:
-                return engine.run(
-                    interp,
-                    pipeline=pipeline,
-                    clock=clock,
-                    input_region=input_region,
-                    strict_stalls=True,
-                )
-        first_touch: Dict[int, float] = {}
-        region = input_region
-        profiler = self.profiler
-        while not interp.finished:
-            info = interp.step()
-            if info.step is StepKind.STREAM_STALL:
-                raise ExecutionError(
-                    f"unresolved stream stall at pc={info.pc}: firmware hooks missing"
-                )
-            if info.step is StepKind.STREAM_EOS:
-                break
-            cost = pipeline.cost(info, clock.cycle)
-            clock.cycle += cost
-            if profiler is not None:
-                profiler.record(info, cost)
-            if region is not None and info.mem_addr is not None and not info.mem_is_write:
-                if region.start <= info.mem_addr < region.stop:
-                    page_addr = info.mem_addr - (info.mem_addr - region.start) % PAGE_BYTES
-                    if page_addr not in first_touch:
-                        first_touch[page_addr] = clock.cycle
-        return first_touch
+        return self._fast_engine(interp.program).run(
+            interp,
+            pipeline=pipeline,
+            clock=clock,
+            input_region=input_region,
+            strict_stalls=True,
+            profiler=self.profiler,
+        )
+
 
 class _Clock:
     """Mutable cycle counter shared between the run loop and hooks."""

@@ -1,9 +1,9 @@
 """Pluggable cycle-costing models: the ``CycleCoster`` protocol.
 
-Every cycle charged to an executed instruction — by the reference
-:class:`~repro.core.pipeline.PipelineModel`, by the fast engine's static
-superblock batching, or by its dynamic-op closures — is priced by exactly
-one coster object selected through ``CoreConfig.pipeline_model``:
+Every cycle charged to an executed instruction — by the fast engine's
+static superblock batching or by its dynamic-op closures (and, in the test
+suite, by the per-step timing oracle) — is priced by exactly one coster
+object selected through ``CoreConfig.pipeline_model``:
 
 * ``"static"`` (:class:`StaticCoster`) — the historical fixed-latency
   model: per-kind integer extras, a flat taken-branch redirect penalty,
@@ -17,13 +17,14 @@ one coster object selected through ``CoreConfig.pipeline_model``:
   follows a load (full forwarding otherwise), the multiplier is a
   pipelined Wallace tree, and the divider is a radix-16 iterative unit
   with operand-dependent early exit. Costs depend on run-time state, so
-  both engines call the *same* coster object once per retired instruction
-  in program order — bit-identity between engines holds by construction.
+  the fast engine and the oracle call the *same* coster object once per
+  retired instruction in program order — bit-identity holds by
+  construction.
 
 The coster is per-run state (it lives on the ``PipelineModel``); decoded
 programs stay stateless and shareable. Costers are never consulted for
-aborted steps (stream stalls, EOS, traps): neither engine retires those,
-so predictor/hazard state cannot diverge across engines.
+aborted steps (stream stalls, EOS, traps): nothing retires those, so
+predictor/hazard state cannot diverge from the oracle's.
 
 All returned latencies are small integers; summed with the base cycle
 they stay exactly representable, so batched float accumulation remains
@@ -35,12 +36,9 @@ from __future__ import annotations
 
 from typing import Tuple
 
+from repro.config import PIPELINE_MODELS
 from repro.errors import ConfigError
 from repro.isa.instructions import instr_reads  # noqa: F401  (re-export)
-
-#: Timing models understood by ``make_coster`` (mirrored by
-#: ``repro.config.PIPELINE_MODELS``; a unit test pins the two together).
-COSTER_MODELS: Tuple[str, ...] = ("static", "predictive")
 
 #: Branch-direction predictors of the predictive model. ``"none"`` keeps
 #: the static flat taken-branch penalty (hazards and mul/div timing still
@@ -77,10 +75,10 @@ def div_latency(a: int, b: int, signed: bool, params) -> int:
 class StaticCoster:
     """Fixed per-kind latencies (the historical timing model).
 
-    Carries the parameter values the static costing paths read; the
-    arithmetic itself stays in the callers (``PipelineModel._cost_static``
-    and the fast engine's compile-time cost tables), byte-for-byte the
-    code that the golden fingerprints were recorded against.
+    Carries the parameter values the static costing reads; the arithmetic
+    itself lives in the fast engine's compile-time cost tables
+    (``FastEngine._cost``, folded into the stats by ``FastEngine._sync``),
+    which reproduce the golden fingerprints' cycles exactly.
     """
 
     is_static = True
@@ -102,17 +100,6 @@ class PredictiveCoster:
 
     def __init__(self, params) -> None:
         self.params = params
-        if params.branch_predictor not in BRANCH_PREDICTORS:
-            raise ConfigError(
-                f"unknown branch predictor {params.branch_predictor!r}; "
-                f"known: {BRANCH_PREDICTORS}"
-            )
-        for knob in ("btb_entries", "bimodal_entries", "gshare_entries",
-                     "chooser_entries", "div_bits_per_cycle"):
-            if getattr(params, knob) <= 0:
-                raise ConfigError(f"pipeline parameter {knob} must be positive")
-        if params.history_bits < 0:
-            raise ConfigError("history_bits cannot be negative")
         self._predict = params.branch_predictor == "tournament"
         self._hazards = params.hazard_detection
         self._bubble = params.load_use_bubble
@@ -241,4 +228,4 @@ def make_coster(model: str, params):
         return StaticCoster(params)
     if model == "predictive":
         return PredictiveCoster(params)
-    raise ConfigError(f"unknown pipeline model {model!r}; known: {COSTER_MODELS}")
+    raise ConfigError(f"unknown pipeline model {model!r}; known: {PIPELINE_MODELS}")

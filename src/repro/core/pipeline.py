@@ -13,19 +13,30 @@ Every instruction costs one base cycle; extras come from the pluggable
   branch prediction, load-use hazard bubbles with forwarding, and
   operand-dependent multi-cycle mul/div (see ``coster.PredictiveCoster``).
 
+The fast engine (:mod:`repro.isa.fastpath`) does the charging against a
+:class:`PipelineModel`; this module holds the knobs and the per-run state.
 The model is deliberately scalar and in-order: that is the compute-engine
 class every configuration in Table IV uses (8x in-order RISC-V @ 1 GHz).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict
 
-from repro.core.coster import instr_reads, make_coster
+from repro.core.coster import BRANCH_PREDICTORS, make_coster
+from repro.errors import ConfigError
 from repro.isa.instructions import InstrKind
-from repro.isa.interpreter import StepInfo
-from repro.mem.hierarchy import AccessType, MemoryHierarchy
+from repro.mem.hierarchy import MemoryHierarchy
+
+#: Table sizes and the divider's radix: zero would divide by zero.
+_POSITIVE_KNOBS = (
+    "btb_entries",
+    "bimodal_entries",
+    "gshare_entries",
+    "chooser_entries",
+    "div_bits_per_cycle",
+)
 
 
 @dataclass(frozen=True)
@@ -59,6 +70,27 @@ class PipelineParams:
     div_bits_per_cycle: int = 4  # radix-16 iterative quotient retirement
     div_early_exit: bool = True  # operand-dependent early termination
 
+    def __post_init__(self) -> None:
+        # Integer cycles keep the fast engine's batched sums exact, and a
+        # negative latency would silently run kernels faster.
+        for f in fields(self):
+            if f.type not in ("int", int):
+                continue
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(
+                    f"pipeline parameter {f.name} must be an integer, got {value!r}"
+                )
+            if f.name in _POSITIVE_KNOBS and value <= 0:
+                raise ConfigError(f"pipeline parameter {f.name} must be positive")
+            if value < 0:
+                raise ConfigError(f"pipeline parameter {f.name} cannot be negative")
+        if self.branch_predictor not in BRANCH_PREDICTORS:
+            raise ConfigError(
+                f"unknown branch predictor {self.branch_predictor!r}; "
+                f"known: {BRANCH_PREDICTORS}"
+            )
+
 
 @dataclass
 class PipelineStats:
@@ -70,17 +102,14 @@ class PipelineStats:
     hazard_stall_cycles: float = 0.0
     branch_mispredicts: int = 0
 
-    def add(self, kind: InstrKind, cycles: float) -> None:
-        self.cycles_by_kind[kind] = self.cycles_by_kind.get(kind, 0.0) + cycles
-
 
 class PipelineModel:
-    """Charges cycles for interpreter steps through a memory hierarchy.
+    """Per-run timing state the fast engine charges cycles against.
 
-    ``cost`` dispatches to the costing path of the selected timing model;
-    the coster object carries any per-run microarchitectural state
-    (predictor tables, hazard latch) and lives exactly as long as the
-    stats, so retimed chunked runs keep warm predictor state.
+    Holds the memory hierarchy, the coster of the selected timing model and
+    the stats. The coster carries any per-run microarchitectural state
+    (predictor tables, hazard latch) and lives exactly as long as the stats,
+    so retimed chunked runs keep warm predictor state.
     """
 
     def __init__(
@@ -94,99 +123,3 @@ class PipelineModel:
         self.model = model
         self.coster = make_coster(model, params)
         self.stats = PipelineStats()
-        self.cost = self._cost_static if self.coster.is_static else self._cost_predictive
-
-    def _cost_static(self, info: StepInfo, cycle: float) -> float:
-        """Cycles consumed by this step (>= 1 for executed instructions)."""
-        p = self.params
-        cycles = 1.0
-        kind = info.kind
-        if kind is InstrKind.MUL:
-            cycles += p.mul_extra_cycles
-            self.stats.muldiv_extra_cycles += p.mul_extra_cycles
-        elif kind is InstrKind.DIV:
-            cycles += p.div_extra_cycles
-            self.stats.muldiv_extra_cycles += p.div_extra_cycles
-        elif kind is InstrKind.BRANCH:
-            if info.branch_taken:
-                cycles += p.taken_branch_penalty
-                self.stats.branch_penalty_cycles += p.taken_branch_penalty
-        elif kind is InstrKind.JUMP:
-            cycles += p.jump_penalty
-            self.stats.branch_penalty_cycles += p.jump_penalty
-        elif kind in (InstrKind.LOAD, InstrKind.STORE) and info.mem_addr is not None:
-            access = AccessType.STORE if info.mem_is_write else AccessType.LOAD
-            result = self.hierarchy.access(
-                pc=info.pc, addr=info.mem_addr, size=info.mem_size, access=access, cycle=cycle
-            )
-            cycles += result.stall_cycles
-        elif kind in (InstrKind.STREAM_LOAD, InstrKind.STREAM_STORE):
-            cycles += p.stream_head_extra
-        # The base cycle is 'compute'; extra stall cycles were already booked
-        # into the hierarchy's buckets for memory ops. Book the compute cycle:
-        self.hierarchy.add_compute_cycles(1.0)
-        non_mem_extra = cycles - 1.0
-        if kind in (InstrKind.MUL, InstrKind.DIV, InstrKind.BRANCH, InstrKind.JUMP):
-            # Occupancy/redirect bubbles are compute-side cycles, not memory.
-            self.hierarchy.add_compute_cycles(non_mem_extra)
-        self.stats.add(kind, cycles)
-        return cycles
-
-    def _cost_predictive(self, info: StepInfo, cycle: float) -> float:
-        """Predictive-model costing: same protocol, stateful coster."""
-        c = self.coster
-        stats = self.stats
-        kind = info.kind
-        instr = info.instr
-        reads = instr_reads(instr)
-        cycles = 1.0
-        mem_stall = 0.0
-        stream_extra = 0.0
-        if kind is InstrKind.MUL:
-            extra, hz = c.mul(reads)
-            cycles += extra + hz
-            stats.muldiv_extra_cycles += extra
-        elif kind is InstrKind.DIV:
-            a, b = info.operands
-            extra, hz = c.div(reads, a, b, instr.op in ("div", "rem"))
-            cycles += extra + hz
-            stats.muldiv_extra_cycles += extra
-        elif kind is InstrKind.BRANCH:
-            penalty, hz, mispredicted = c.branch(
-                info.pc, reads, info.branch_taken, instr.imm
-            )
-            cycles += penalty + hz
-            stats.branch_penalty_cycles += penalty
-            if mispredicted:
-                stats.branch_mispredicts += 1
-        elif kind is InstrKind.JUMP:
-            penalty, hz = c.jump(info.pc, reads, info.branch_target)
-            cycles += penalty + hz
-            stats.branch_penalty_cycles += penalty
-        elif kind in (InstrKind.LOAD, InstrKind.STORE) and info.mem_addr is not None:
-            hz = c.mem(reads, 0 if info.mem_is_write else instr.rd)
-            access = AccessType.STORE if info.mem_is_write else AccessType.LOAD
-            result = self.hierarchy.access(
-                pc=info.pc, addr=info.mem_addr, size=info.mem_size, access=access, cycle=cycle
-            )
-            mem_stall = result.stall_cycles
-            cycles += hz + mem_stall
-        elif kind is InstrKind.STREAM_LOAD:
-            hz = c.stream_load(reads, instr.rd if instr.op == "sload" else 0)
-            stream_extra = self.params.stream_head_extra
-            cycles += hz + stream_extra
-        elif kind is InstrKind.STREAM_STORE:
-            hz = c.simple(reads)
-            stream_extra = self.params.stream_head_extra
-            cycles += hz + stream_extra
-        else:  # ALU / UPPER / STREAM_CTRL / SYSTEM
-            hz = c.simple(reads)
-            cycles += hz
-        if hz:
-            stats.hazard_stall_cycles += hz
-        # Hazard bubbles, unit occupancy and redirect penalties are
-        # compute-side; memory stalls were booked by the hierarchy and the
-        # stream-head extra stays a memory-structure cost, as in static mode.
-        self.hierarchy.add_compute_cycles(cycles - mem_stall - stream_extra)
-        stats.add(kind, cycles)
-        return cycles

@@ -11,7 +11,7 @@ from repro.isa.registers import ABI_NAMES, REG_NUMBERS, RegisterFile, reg_num
 from repro.isa.program import Asm, Program
 from repro.isa.assembler import assemble
 from repro.isa.interpreter import Interpreter, StepInfo, StepKind
-from repro.isa.fastpath import FastEngine, FastpathUnsupported
+from repro.isa.fastpath import FastEngine
 from repro.isa.stream_ext import (
     STREAM_OPCODE,
     decode_stream_instr,
@@ -34,7 +34,6 @@ __all__ = [
     "StepInfo",
     "StepKind",
     "FastEngine",
-    "FastpathUnsupported",
     "STREAM_OPCODE",
     "encode_stream_instr",
     "decode_stream_instr",

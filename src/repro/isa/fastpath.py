@@ -1,11 +1,12 @@
 """Predecoding fast-path execution engine for the stream ISA.
 
-The reference :class:`~repro.isa.interpreter.Interpreter` pays a fixed toll
-per instruction: a ``StepInfo`` allocation, a dict dispatch, a ``kind_of``
-lookup, a ``Counter`` update and a multi-branch ``PipelineModel.cost`` call.
-Every experiment, kernel, fault campaign and serve workload funnels through
-that loop, so its dispatch cost bounds the whole reproduction — exactly the
-instruction-per-byte sensitivity the paper's evaluation (§VI) is about.
+The reference :class:`~repro.isa.interpreter.Interpreter` (the ISA's
+functional spec) pays a fixed toll per instruction: a ``StepInfo``
+allocation, a dict dispatch, a ``kind_of`` lookup, a ``Counter`` update,
+and then a multi-branch per-step cost function. Every experiment, kernel,
+fault campaign and serve workload runs kernels, so that toll would bound
+the whole reproduction — exactly the instruction-per-byte sensitivity the
+paper's evaluation (§VI) is about.
 
 :class:`FastEngine` removes the toll the way mature ISA simulators do
 (Gem5's decode cache, MQSim's precomputed transaction paths):
@@ -23,9 +24,10 @@ instruction-per-byte sensitivity the paper's evaluation (§VI) is about.
   loop) become one straight-line dash per iteration.
 * **Exact accounting** — retirement counts are tracked per *entry* PC and
   folded back into per-instruction counts with a flow recurrence at sync
-  time; the batched cycle sums are integers by construction (asserted at
-  compile time), so the floating-point cycle totals, stall buckets and
-  per-kind stats are **bit-identical** to the reference interpreter, not
+  time; the batched cycle sums are integers by construction
+  (``PipelineParams`` rejects non-integer latencies), so the floating-point
+  cycle totals, stall buckets and per-kind stats are **bit-identical** to
+  a per-step interpreter loop (the timing oracle in the test suite), not
   just close.
 
 Semantics that cannot be batched are not batched: loads/stores call the
@@ -33,18 +35,20 @@ memory hierarchy with the exact intermediate cycle (cache fill times and
 prefetcher timestamps depend on it), and stream ops keep the shared clock
 current so firmware refill hooks record the same page-needed cycles.
 
-Fallback rules (see docs/ARCHITECTURE.md): the core model uses the
-reference interpreter whenever a profiler wants per-step ``StepInfo``
-hooks, and whenever :class:`FastpathUnsupported` is raised at compile time
-(non-integer pipeline latency parameters). Traps (out-of-range PC, memory
-faults, unresolvable stream stalls) raise the same exception types with
-architectural state synced, so error paths are differential-testable too.
+This is the only engine the core model runs. An attached
+:class:`~repro.telemetry.profiler.IsaProfiler` is fed per PC at sync time
+from the same flow-recurrence counts, the compile-time costs, and one
+per-PC accumulator of the costs only known at run time. Traps
+(out-of-range PC, memory faults, unresolvable stream stalls) raise the
+interpreter's exception types with architectural state synced, so error
+paths are differential-testable too.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.config import PIPELINE_MODELS
 from repro.errors import ExecutionError, StreamError
 from repro.isa.instructions import InstrKind, instr_reads, kind_of
 from repro.isa.interpreter import Interpreter
@@ -68,10 +72,6 @@ _STORE_SIZES = {"sb": 1, "sh": 2, "sw": 4}
 #: Instruction kinds whose cost is a compile-time constant: these form the
 #: superblock bodies. Everything else is a block-terminating dynamic op.
 _STATIC_KINDS = (InstrKind.ALU, InstrKind.MUL, InstrKind.DIV)
-
-
-class FastpathUnsupported(ExecutionError):
-    """The program/params cannot be compiled; use the reference engine."""
 
 
 class _NullClock:
@@ -99,20 +99,12 @@ class _Ctx:
         "first_touch",
         "taken",
         "aborted",
+        "pc_cycles",
     )
 
 
 def _signed(value: int) -> int:
     return value - 0x100000000 if value & 0x80000000 else value
-
-
-def _require_int(name: str, value) -> int:
-    """Static pipeline latencies must be integer cycles for exact batching."""
-    if isinstance(value, bool) or not float(value) == int(value):
-        raise FastpathUnsupported(
-            f"fastpath needs integer pipeline parameter {name}, got {value!r}"
-        )
-    return int(value)
 
 
 class FastEngine:
@@ -129,7 +121,7 @@ class FastEngine:
         self.program = program
         self.params = params
         self.model = model
-        if model not in ("static", "predictive"):
+        if model not in PIPELINE_MODELS:
             raise ExecutionError(f"unknown pipeline model {model!r}")
         # Predictive timing depends on run-time predictor/hazard state, so
         # every op prices itself live through the run's coster instead of
@@ -138,24 +130,30 @@ class FastEngine:
         n = len(program.instrs)
         self.n = n
         if params is not None and not self._dyncost:
-            self._mul_extra = _require_int("mul_extra_cycles", params.mul_extra_cycles)
-            self._div_extra = _require_int("div_extra_cycles", params.div_extra_cycles)
-            self._taken_pen = _require_int(
-                "taken_branch_penalty", params.taken_branch_penalty
-            )
-            self._jump_pen = _require_int("jump_penalty", params.jump_penalty)
-            self._stream_extra = _require_int(
-                "stream_head_extra", params.stream_head_extra
-            )
+            # Integers by PipelineParams validation: batched sums stay exact.
+            self._mul_extra = params.mul_extra_cycles
+            self._div_extra = params.div_extra_cycles
+            self._taken_pen = params.taken_branch_penalty
+            self._jump_pen = params.jump_penalty
+            self._stream_extra = params.stream_head_extra
         else:
             self._mul_extra = self._div_extra = 0
             self._taken_pen = self._jump_pen = self._stream_extra = 0
         self.kinds: List[InstrKind] = [kind_of(i.op) for i in program.instrs]
         self.static: List[bool] = [k in _STATIC_KINDS for k in self.kinds]
-        self._static_cost: List[int] = [
-            1
-            + (self._mul_extra if k is InstrKind.MUL else 0)
-            + (self._div_extra if k is InstrKind.DIV else 0)
+        # Compile-time cycles of one retirement (a taken branch adds its
+        # penalty on top). ``_live`` marks the PCs whose cost is only known
+        # at run time: loads/stores, and every op under predictive timing.
+        fixed = {
+            InstrKind.MUL: self._mul_extra,
+            InstrKind.DIV: self._div_extra,
+            InstrKind.JUMP: self._jump_pen,
+            InstrKind.STREAM_LOAD: self._stream_extra,
+            InstrKind.STREAM_STORE: self._stream_extra,
+        }
+        self._cost: List[int] = [1 + fixed.get(k, 0) for k in self.kinds]
+        self._live: List[bool] = [
+            self._dyncost or k in (InstrKind.LOAD, InstrKind.STORE)
             for k in self.kinds
         ]
         self._sfn: List[Optional[Callable]] = [None] * n
@@ -274,7 +272,7 @@ class FastEngine:
         if op == "lui":
             value = (imm << 12) & _MASK32
             return lambda R: R.__setitem__(rd, value)
-        raise FastpathUnsupported(f"no static decoder for opcode {op!r}")
+        raise ExecutionError(f"no static decoder for opcode {op!r}")
 
     def _compile_dynamic(self, pc: int, i) -> Callable:
         """Block terminators: control flow, memory, streams, halt.
@@ -307,6 +305,7 @@ class FastEngine:
                     st = ctx.stats
                     st.cycles_by_kind[kind] = st.cycles_by_kind.get(kind, 0.0) + cost
                     ctx.clock.cycle += cost
+                    ctx.pc_cycles[pc] += cost
                     region = ctx.region
                     if region is not None and region.start <= addr < region.stop:
                         page_addr = addr - (addr - region.start) % _PAGE_BYTES
@@ -333,6 +332,7 @@ class FastEngine:
                     st = ctx.stats
                     st.cycles_by_kind[kind] = st.cycles_by_kind.get(kind, 0.0) + cost
                     ctx.clock.cycle += cost
+                    ctx.pc_cycles[pc] += cost
                 return pcp1
 
             return _store
@@ -474,7 +474,7 @@ class FastEngine:
                 return pcp1
 
             return _seos
-        raise FastpathUnsupported(f"no dynamic decoder for opcode {op!r}")
+        raise ExecutionError(f"no dynamic decoder for opcode {op!r}")
 
     # ------------------------------------------------- predictive compile --
 
@@ -484,10 +484,10 @@ class FastEngine:
         Superblocks still batch execution (one dispatcher round per
         straight-line run) but each op prices its own cycles through the
         run's coster — costs depend on predictor/hazard state, so there is
-        no compile-time constant to fold. The expressions mirror
-        ``PipelineModel._cost_predictive`` term for term, including
-        float-addition order, so both engines stay bit-identical even
-        under fractional parameters.
+        no compile-time constant to fold. The expressions mirror the
+        per-step predictive cost function of the timing oracle term for
+        term, including float-addition order, so the two stay
+        bit-identical even under fractional memory stalls.
         """
         exec_fn = self._sfn[pc]
         kind = self.kinds[pc]
@@ -507,6 +507,7 @@ class FastEngine:
                     st.hazard_stall_cycles += hz
                 ctx.hierarchy.add_compute_cycles(cost)
                 ctx.clock.cycle += cost
+                ctx.pc_cycles[pc] += cost
 
             return _mul
         if kind is InstrKind.DIV:
@@ -528,6 +529,7 @@ class FastEngine:
                     st.hazard_stall_cycles += hz
                 ctx.hierarchy.add_compute_cycles(cost)
                 ctx.clock.cycle += cost
+                ctx.pc_cycles[pc] += cost
 
             return _divop
 
@@ -543,6 +545,7 @@ class FastEngine:
                 st.hazard_stall_cycles += hz
             ctx.hierarchy.add_compute_cycles(cost)
             ctx.clock.cycle += cost
+            ctx.pc_cycles[pc] += cost
 
         return _alu
 
@@ -552,7 +555,7 @@ class FastEngine:
         Execution semantics are identical to :meth:`_compile_dynamic`; only
         the accounting differs. Aborted outcomes (stream stall/EOS, traps)
         return before any coster call, keeping predictor/hazard state
-        identical to the reference, which never costs aborted steps.
+        identical to a per-step loop, which never costs aborted steps.
         """
         op, rd, rs1, rs2, imm = i.op, i.rd, i.rs1, i.rs2, i.imm
         kind = self.kinds[pc]
@@ -586,6 +589,7 @@ class FastEngine:
                         st.hazard_stall_cycles += hz
                     h.add_compute_cycles(cost - mem_stall)
                     ctx.clock.cycle += cost
+                    ctx.pc_cycles[pc] += cost
                     region = ctx.region
                     if region is not None and region.start <= addr < region.stop:
                         page_addr = addr - (addr - region.start) % _PAGE_BYTES
@@ -617,6 +621,7 @@ class FastEngine:
                         st.hazard_stall_cycles += hz
                     h.add_compute_cycles(cost - mem_stall)
                     ctx.clock.cycle += cost
+                    ctx.pc_cycles[pc] += cost
                 return pcp1
 
             return _store
@@ -649,6 +654,7 @@ class FastEngine:
                         st.hazard_stall_cycles += hz
                     ctx.hierarchy.add_compute_cycles(cost)
                     ctx.clock.cycle += cost
+                    ctx.pc_cycles[pc] += cost
                 return imm if t else pcp1
 
             return _branch
@@ -667,6 +673,7 @@ class FastEngine:
                         st.hazard_stall_cycles += hz
                     ctx.hierarchy.add_compute_cycles(cost)
                     ctx.clock.cycle += cost
+                    ctx.pc_cycles[pc] += cost
                 return imm
 
             return _jal
@@ -687,6 +694,7 @@ class FastEngine:
                         st.hazard_stall_cycles += hz
                     ctx.hierarchy.add_compute_cycles(cost)
                     ctx.clock.cycle += cost
+                    ctx.pc_cycles[pc] += cost
                 return target
 
             return _jalr
@@ -702,6 +710,7 @@ class FastEngine:
                         st.hazard_stall_cycles += hz
                     ctx.hierarchy.add_compute_cycles(cost)
                     ctx.clock.cycle += cost
+                    ctx.pc_cycles[pc] += cost
                 return _HALT
 
             return _halt
@@ -730,6 +739,7 @@ class FastEngine:
                         st.hazard_stall_cycles += hz
                     ctx.hierarchy.add_compute_cycles(cost - stream_extra)
                     ctx.clock.cycle += cost
+                    ctx.pc_cycles[pc] += cost
                 return pcp1
 
             return _sload
@@ -754,6 +764,7 @@ class FastEngine:
                         st.hazard_stall_cycles += hz
                     ctx.hierarchy.add_compute_cycles(cost - stream_extra)
                     ctx.clock.cycle += cost
+                    ctx.pc_cycles[pc] += cost
                 return pcp1
 
             return _sskip
@@ -781,6 +792,7 @@ class FastEngine:
                         st.hazard_stall_cycles += hz
                     ctx.hierarchy.add_compute_cycles(cost - stream_extra)
                     ctx.clock.cycle += cost
+                    ctx.pc_cycles[pc] += cost
                 return pcp1
 
             return _sstore
@@ -803,6 +815,7 @@ class FastEngine:
                         st.hazard_stall_cycles += hz
                     ctx.hierarchy.add_compute_cycles(cost)
                     ctx.clock.cycle += cost
+                    ctx.pc_cycles[pc] += cost
                 return pcp1
 
             return _savail
@@ -825,10 +838,11 @@ class FastEngine:
                         st.hazard_stall_cycles += hz
                     ctx.hierarchy.add_compute_cycles(cost)
                     ctx.clock.cycle += cost
+                    ctx.pc_cycles[pc] += cost
                 return pcp1
 
             return _seos
-        raise FastpathUnsupported(f"no dynamic decoder for opcode {op!r}")
+        raise ExecutionError(f"no dynamic decoder for opcode {op!r}")
 
     def _build_run(self, entry_pc: int) -> Tuple[tuple, float, int, int]:
         """Superblock from ``entry_pc``: statics up to the next dynamic op.
@@ -849,7 +863,7 @@ class FastEngine:
         else:
             while pc < n and self.static[pc]:
                 body.append(self._sfn[pc])
-                cost += self._static_cost[pc]
+                cost += self._cost[pc]
                 pc += 1
         run = (tuple(body), float(cost), len(body), pc)
         self._runs[entry_pc] = run
@@ -865,15 +879,17 @@ class FastEngine:
         input_region: Optional[range] = None,
         strict_stalls: bool = False,
         max_steps: Optional[int] = None,
+        profiler=None,
     ) -> Dict[int, float]:
         """Drive ``interp``'s architectural state to completion.
 
-        Mirrors :meth:`repro.core.core.CoreModel._execute` when ``pipeline``
-        and ``clock`` are given (``strict_stalls=True`` reproduces its
-        unresolved-stall trap), and :meth:`Interpreter.run` otherwise.
-        Architectural state, counters and timing stats are synced back into
-        ``interp``/``pipeline`` on every exit path, including exceptions.
-        Returns the first-touch cycle map for ``input_region`` runs.
+        With ``pipeline`` and ``clock`` this is the core model's timed run
+        (``strict_stalls=True`` raises on a stream stall the firmware hooks
+        left unresolved); without them it matches :meth:`Interpreter.run`.
+        Architectural state, counters, timing stats and the optional
+        ``profiler``'s per-PC ``(count, cycles)`` are synced back on every
+        exit path, including exceptions. Returns the first-touch cycle map
+        for ``input_region`` runs.
         """
         if interp.program is not self.program:
             raise ExecutionError("engine compiled for a different program")
@@ -900,6 +916,7 @@ class FastEngine:
         entry = [0] * n
         ctx.taken = taken = [0] * n
         ctx.aborted = aborted = [0] * n
+        ctx.pc_cycles = [0.0] * n
         runs = self._runs
         dfn = self._dfn
         dyncost = self._dyncost
@@ -970,12 +987,12 @@ class FastEngine:
                     )
                 last_stall = True
         finally:
-            self._sync(interp, pipeline, entry, taken, aborted, pc, finished, halted)
+            self._sync(interp, pipeline, profiler, ctx, entry, pc, finished, halted)
         return ctx.first_touch
 
     # ---------------------------------------------------------------- sync --
 
-    def _sync(self, interp, pipeline, entry, taken, aborted, pc, finished, halted):
+    def _sync(self, interp, pipeline, profiler, ctx, entry, pc, finished, halted):
         """Fold batched retirement counts back into interpreter/pipeline state.
 
         Retired-instruction counts come from a flow recurrence over entry
@@ -983,12 +1000,16 @@ class FastEngine:
         successor, so ``retired[p] = entry[p] + retired[p - 1]`` within a
         run (dynamic predecessors redirect through the dispatcher and
         contribute via ``entry`` instead). All batched cycle contributions
-        are integers, which keeps the float totals bit-identical to the
-        per-step reference accumulation.
+        are integers, which keeps the float totals bit-identical to a
+        per-step accumulation. A profiler gets each retired PC's count and
+        cycles: the run-time sum for live-costed PCs, else the compile-time
+        cost per retirement plus any taken-branch penalties.
         """
         n = self.n
         static = self.static
         kinds = self.kinds
+        taken = ctx.taken
+        aborted = ctx.aborted
         retired = [0] * n
         prev = 0
         for p in range(n):
@@ -1021,6 +1042,12 @@ class FastEngine:
                 bytes_in += instr.imm * r
             elif instr.op == "sstore":
                 bytes_out += instr.width * r
+            if profiler is not None:
+                if self._live[p]:
+                    cycles = ctx.pc_cycles[p]
+                else:
+                    cycles = float(r * self._cost[p] + taken[p] * self._taken_pen)
+                profiler.add(p, r, cycles)
         interp.steps += total
         interp.stream_bytes_in += bytes_in
         interp.stream_bytes_out += bytes_out
@@ -1057,23 +1084,8 @@ class FastEngine:
                 stats.branch_penalty_cycles += extra
             elif kind in (InstrKind.STREAM_LOAD, InstrKind.STREAM_STORE):
                 # The head-FIFO extra reaches the clock and the kind stats
-                # but is not booked as compute — mirroring PipelineModel.
+                # but is not booked as compute: it is a stream-buffer cost.
                 cycles += r * self._stream_extra
             by_kind[kind] = by_kind.get(kind, 0.0) + cycles
         pipeline.hierarchy.add_compute_cycles(compute)
 
-
-def run_summary(interp: Interpreter):
-    """The :class:`~repro.isa.interpreter.RunSummary` of a fastpath run."""
-    from collections import Counter
-
-    from repro.isa.interpreter import RunSummary
-
-    return RunSummary(
-        steps=interp.steps,
-        finished=interp.finished,
-        halted=interp.halted,
-        instr_counts=Counter(interp.instr_counts),
-        stream_bytes_in=interp.stream_bytes_in,
-        stream_bytes_out=interp.stream_bytes_out,
-    )

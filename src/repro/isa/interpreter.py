@@ -1,11 +1,14 @@
 """Functional interpreter for the RV32IM subset + stream extension.
 
 The interpreter executes one instruction per :meth:`Interpreter.step` and
-reports what happened in a :class:`StepInfo`, which the timing model in
-:mod:`repro.core.pipeline` converts into cycles. Stream semantics follow the
-paper's Listing 1: a ``StreamLoad`` on an exhausted input stream ends the
-program (the firmware then resets the core); on a merely *empty* stream it
-stalls, giving the firmware a chance to schedule more pages in.
+reports what happened in a :class:`StepInfo`. It is the ISA's functional
+spec: the core model runs kernels on :mod:`repro.isa.fastpath`, which the
+test suite diffs against stepping this interpreter (and, for timing,
+against a per-step cost oracle over the ``StepInfo``). Stream semantics
+follow the paper's Listing 1: a ``StreamLoad`` on an exhausted input
+stream ends the program (the firmware then resets the core); on a merely
+*empty* stream it stalls, giving the firmware a chance to schedule more
+pages in.
 """
 
 from __future__ import annotations

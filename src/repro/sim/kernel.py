@@ -352,12 +352,15 @@ class Simulator:
         """Drain the queue, optionally stopping at a time or event budget.
 
         Pops one *instant* at a time and dispatches its whole bucket by
-        index iteration; same-instant insertions made by the callbacks
-        land in the live bucket (re-sorting the undispatched tail only if
-        an append actually broke (priority, seq) order, which the common
-        homogeneous-priority batch never does).  Process resumes are fully
-        inlined: no per-wait ``Event``/closure allocation, no method-call
-        round trip — the dominant cost left is the process body itself.
+        plain iteration; same-instant insertions made by the callbacks
+        land in the live bucket and are picked up by the same ``for``
+        (re-sorting the undispatched tail only if an append actually broke
+        (priority, seq) order, which the common homogeneous-priority batch
+        never does).  Process resumes are fully inlined: no per-wait
+        ``Event``/closure allocation, no method-call round trip — the
+        dominant cost left is the process body itself.  A recording tracer
+        and an event budget are checks inside this one loop, behind a
+        single per-entry flag that is off in the campaign hot case.
         """
         bound = None if until_ns is None else as_ns(until_ns)
         times = self._times
@@ -369,87 +372,10 @@ class Simulator:
         pop_time = heapq.heappop
         push_time = heapq.heappush
         processed = self.processed
-        executed = 0
+        # The budget is spent when ``processed`` reaches ``limit``.
+        limit = -1 if max_events is None else processed + max(max_events, 0)
+        checks = tracing or max_events is not None
         unbounded = bound is None
-        no_budget = max_events is None
-        if no_budget and not tracing:
-            # Tight variant for the campaign hot case (null tracer, no
-            # event budget): per-entry work is one FOR_ITER, a class test,
-            # and the payload itself.  Semantics are identical to the
-            # generic loop below — appends made by callbacks land on the
-            # live bucket and are picked up by the same ``for`` iteration.
-            while times:
-                when = times[0]
-                if not unbounded and when > bound:
-                    self.now = bound
-                    self.processed = processed
-                    return
-                pop_time(times)
-                bucket = buckets.pop(when)
-                if when in unsorted_times:
-                    unsorted_times.discard(when)
-                    bucket.sort(key=_PRIORITY_OF)
-                previous_now = self.now
-                before = processed
-                self.now = when
-                self._active_time = when
-                self._active_bucket = bucket
-                self._active_dirty = False
-                pos = 0
-                pushed = 0
-                for payload in bucket:
-                    pos += 1
-                    if payload.__class__ is Process:
-                        processed += 1
-                        try:
-                            request = next(payload._gen)
-                        except StopIteration:
-                            payload.alive = False
-                            request = _STOPPED
-                        except Exception as err:
-                            self._size += pushed - pos
-                            self.processed = processed
-                            self._process_error(payload, err)
-                        if request is not _STOPPED:
-                            if request.__class__ is int and request >= 0:
-                                wake = when + request
-                            else:
-                                wake = self._wake_time(request, when)
-                            pushed += 1
-                            if wake == when:
-                                if bucket[-1].priority > 0:
-                                    self._active_dirty = True
-                                bucket.append(payload)
-                            else:
-                                target = buckets_get(wake)
-                                if target is None:
-                                    buckets[wake] = [payload]
-                                    push_time(times, wake)
-                                else:
-                                    if target[-1].priority > 0:
-                                        unsorted_times.add(wake)
-                                    target.append(payload)
-                    elif not payload.cancelled:
-                        payload.fired = True
-                        processed += 1
-                        self.processed = processed
-                        payload.action()
-                    if self._active_dirty:
-                        self._active_dirty = False
-                        tail = bucket[pos:]
-                        tail.sort(key=_PRIORITY_OF)
-                        bucket[pos:] = tail
-                self._size += pushed - pos
-                self._active_time = -1
-                self._active_bucket = None
-                if processed == before:
-                    # Every entry at this instant was cancelled: discard
-                    # them without advancing the clock.
-                    self.now = previous_now
-            self.processed = processed
-            if not unbounded and bound > self.now:
-                self.now = bound
-            return
         while times:
             when = times[0]
             if not unbounded and when > bound:
@@ -469,76 +395,70 @@ class Simulator:
             self._active_dirty = False
             pos = 0
             pushed = 0
-            while pos < len(bucket):
-                if self._active_dirty:
-                    tail = bucket[pos:]
-                    tail.sort(key=_PRIORITY_OF)
-                    bucket[pos:] = tail
-                    self._active_dirty = False
-                if not no_budget and executed >= max_events:
-                    # Re-shelve the undispatched (sorted) tail and stop.
-                    rest = bucket[pos:]
-                    self._active_time = -1
-                    self._active_bucket = None
-                    if rest:
-                        buckets[when] = rest
-                        push_time(times, when)
-                    self._size += pushed - pos
-                    self.processed = processed
-                    if processed == before:
-                        self.now = previous_now
-                    return
-                payload = bucket[pos]
+            for payload in bucket:
+                if checks:
+                    if processed == limit:
+                        # Put the sorted, undispatched rest back and stop.
+                        self._active_time = -1
+                        self._active_bucket = None
+                        rest = bucket[pos:]
+                        if rest:
+                            buckets[when] = rest
+                            push_time(times, when)
+                        self._size += pushed - pos
+                        self.processed = processed
+                        if processed == before:
+                            self.now = previous_now
+                        return
+                    if tracing and (payload.__class__ is Process or not payload.cancelled):
+                        tracer.instant("scheduler", payload.label or "event", when)
                 pos += 1
                 if payload.__class__ is Process:
                     processed += 1
-                    executed += 1
-                    if tracing:
-                        tracer.instant("scheduler", payload.label or "event", when)
-                    # Inlined process resume + calendar push.
                     try:
                         request = next(payload._gen)
                     except StopIteration:
                         payload.alive = False
-                        continue
+                        request = _STOPPED
                     except Exception as err:
                         self._size += pushed - pos
                         self.processed = processed
                         self._process_error(payload, err)
-                    req_cls = request.__class__
-                    if req_cls is int:
-                        wake = when + request
-                        if request < 0:
-                            wake = self._wake_time(request, when)  # raises
-                    else:
-                        wake = self._wake_time(request, when)
-                    pushed += 1
-                    if wake == when:
-                        if bucket[-1].priority > 0:
-                            self._active_dirty = True
-                        bucket.append(payload)
-                    else:
-                        target = buckets_get(wake)
-                        if target is None:
-                            buckets[wake] = [payload]
-                            push_time(times, wake)
+                    if request is not _STOPPED:
+                        if request.__class__ is int and request >= 0:
+                            wake = when + request
                         else:
-                            if target[-1].priority > 0:
-                                unsorted_times.add(wake)
-                            target.append(payload)
+                            wake = self._wake_time(request, when)
+                        pushed += 1
+                        if wake == when:
+                            if bucket[-1].priority > 0:
+                                self._active_dirty = True
+                            bucket.append(payload)
+                        else:
+                            target = buckets_get(wake)
+                            if target is None:
+                                buckets[wake] = [payload]
+                                push_time(times, wake)
+                            else:
+                                if target[-1].priority > 0:
+                                    unsorted_times.add(wake)
+                                target.append(payload)
                 elif not payload.cancelled:
                     payload.fired = True
                     processed += 1
-                    executed += 1
                     self.processed = processed
-                    if tracing:
-                        tracer.instant("scheduler", payload.label or "event", when)
                     payload.action()
+                if self._active_dirty:
+                    self._active_dirty = False
+                    tail = bucket[pos:]
+                    tail.sort(key=_PRIORITY_OF)
+                    bucket[pos:] = tail
             self._size += pushed - pos
             self._active_time = -1
             self._active_bucket = None
             if processed == before:
-                # A fully-cancelled instant must not advance the clock.
+                # Every entry at this instant was cancelled: discard them
+                # without advancing the clock.
                 self.now = previous_now
         self.processed = processed
         if not unbounded and bound > self.now:

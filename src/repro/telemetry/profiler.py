@@ -1,8 +1,8 @@
 """ISA-level cycle-attribution profiler for the stream cores.
 
-Hooks the core-phase execution loop: for every interpreter step the
-pipeline model charges a cost, and the profiler attributes that cost to the
-step's PC under three buckets —
+The fast engine reports, per run, how many times each PC retired and the
+cycles those retirements cost; the profiler adds them up per PC and splits
+each PC's cycles into three buckets by its opcode kind —
 
 * **compute** — the base issue cycle plus multiplier/divider occupancy and
   branch/jump redirect bubbles (cycles the scalar pipeline itself spends),
@@ -11,10 +11,10 @@ step's PC under three buckets —
 * **stream_stall** — extra cycles a stream instruction waited on the
   stream-buffer head FIFO.
 
-The attribution mirrors :meth:`repro.core.pipeline.PipelineModel.cost`
-term for term, so the profile's total equals the run's cycle count
-*exactly* — the per-instruction proof (Stream Semantic Registers style)
-that the stream ISA removes loop overhead rather than hiding it.
+The per-PC cycles are the engine's own charges, so the profile's total
+equals the run's cycle count *exactly* — the per-instruction proof (Stream
+Semantic Registers style) that the stream ISA removes loop overhead rather
+than hiding it.
 
 Per-PC stats roll up into basic blocks (leader = program entry, branch
 target, or instruction after a branch/jump), and :meth:`KernelProfile.report`
@@ -26,8 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.isa.instructions import BRANCH_OPS, InstrKind, JUMP_OPS
-from repro.isa.interpreter import StepInfo
+from repro.isa.instructions import BRANCH_OPS, InstrKind, JUMP_OPS, kind_of
 from repro.isa.program import Program
 
 _MEM_KINDS = (InstrKind.LOAD, InstrKind.STORE)
@@ -36,23 +35,33 @@ _STREAM_KINDS = (InstrKind.STREAM_LOAD, InstrKind.STREAM_STORE)
 
 @dataclass
 class PcStats:
-    """Everything attributed to one program counter."""
+    """Everything attributed to one program counter.
+
+    Only the retirement count and the cycles are summed. A load/store or
+    stream load/store charges one base cycle per retirement to compute and
+    the rest to its stall bucket; every other op's cycles are all compute.
+    """
 
     pc: int
     op: str
     text: str
+    kind: InstrKind
     count: int = 0
     cycles: float = 0.0
-    compute: float = 0.0
-    mem_stall: float = 0.0
-    stream_stall: float = 0.0
 
-    def add(self, cycles: float, compute: float, mem: float, stream: float) -> None:
-        self.count += 1
-        self.cycles += cycles
-        self.compute += compute
-        self.mem_stall += mem
-        self.stream_stall += stream
+    @property
+    def compute(self) -> float:
+        if self.kind in _MEM_KINDS or self.kind in _STREAM_KINDS:
+            return float(self.count)
+        return self.cycles
+
+    @property
+    def mem_stall(self) -> float:
+        return self.cycles - self.count if self.kind in _MEM_KINDS else 0.0
+
+    @property
+    def stream_stall(self) -> float:
+        return self.cycles - self.count if self.kind in _STREAM_KINDS else 0.0
 
 
 @dataclass
@@ -70,13 +79,13 @@ class BlockStats:
 
 
 class IsaProfiler:
-    """Accumulates per-PC cycle attribution from interpreter steps.
+    """Accumulates per-PC cycle attribution from kernel runs.
 
     Attach one to a :class:`~repro.core.core.CoreModel` (``engine.profiler
-    = IsaProfiler()``) and run a kernel; the core model forwards every
-    ``(StepInfo, cost)`` pair. One profiler can absorb several runs (the
-    chunked memory path resets the interpreter between chunks but the
-    profile keeps accumulating).
+    = IsaProfiler()``) and run a kernel; the core model sets the program
+    and the engine adds each run's per-PC ``(count, cycles)``. One profiler
+    can absorb several runs (the chunked memory path resets the
+    interpreter between chunks but the profile keeps accumulating).
     """
 
     def __init__(self) -> None:
@@ -89,24 +98,17 @@ class IsaProfiler:
         """Remember the program being profiled (for disassembly + blocks)."""
         self.program = program
 
-    def record(self, info: StepInfo, cycles: float) -> None:
-        """Attribute one executed step's cycles to its PC."""
-        kind = info.kind
-        extra = cycles - 1.0
-        if kind in _MEM_KINDS:
-            compute, mem, stream = 1.0, extra, 0.0
-        elif kind in _STREAM_KINDS:
-            compute, mem, stream = 1.0, 0.0, extra
-        else:
-            # Base cycle plus muldiv occupancy / redirect bubbles.
-            compute, mem, stream = cycles, 0.0, 0.0
-        stats = self.by_pc.get(info.pc)
+    def add(self, pc: int, count: int, cycles: float) -> None:
+        """Attribute ``count`` retirements at ``pc`` costing ``cycles`` in all."""
+        stats = self.by_pc.get(pc)
         if stats is None:
-            stats = PcStats(pc=info.pc, op=info.instr.op, text=str(info.instr))
-            self.by_pc[info.pc] = stats
-        stats.add(cycles, compute, mem, stream)
+            instr = self.program.instrs[pc]
+            stats = PcStats(pc=pc, op=instr.op, text=str(instr), kind=kind_of(instr.op))
+            self.by_pc[pc] = stats
+        stats.count += count
+        stats.cycles += cycles
         self.total_cycles += cycles
-        self.total_instructions += 1
+        self.total_instructions += count
 
     # -- aggregation ---------------------------------------------------------
 
@@ -194,9 +196,10 @@ class KernelProfile:
             if self.bytes_in
             else f"profile {self.kernel_name} on {self.config_name}",
         ]
-        mem = sum(s.mem_stall for s in prof.by_pc.values())
-        stream = sum(s.stream_stall for s in prof.by_pc.values())
-        compute = sum(s.compute for s in prof.by_pc.values())
+        pcs = prof.pc_stats()
+        mem = sum(s.mem_stall for s in pcs)
+        stream = sum(s.stream_stall for s in pcs)
+        compute = sum(s.compute for s in pcs)
         lines.append(
             f"attribution : compute {compute / total:6.1%}  "
             f"mem-stall {mem / total:6.1%}  stream-stall {stream / total:6.1%}"
@@ -217,7 +220,7 @@ class KernelProfile:
             f"{'pc':>4} {'op':<18} {'execs':>8} {'cycles':>10} "
             f"{'comp':>8} {'mem':>8} {'strm':>8} {'share':>7}"
         )
-        hot = sorted(prof.by_pc.values(), key=lambda s: -s.cycles)
+        hot = sorted(pcs, key=lambda s: -s.cycles)
         for stats in hot[:top]:
             lines.append(
                 f"{stats.pc:>4} {stats.text[:18]:<18} {stats.count:>8} "

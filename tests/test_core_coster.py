@@ -9,10 +9,8 @@ while staying self-consistent.
 
 import pytest
 
-from repro.config import PIPELINE_MODELS
 from repro.core.coster import (
     BRANCH_PREDICTORS,
-    COSTER_MODELS,
     PredictiveCoster,
     StaticCoster,
     div_latency,
@@ -34,12 +32,6 @@ def _coster(**overrides) -> PredictiveCoster:
 # Model registry
 # ---------------------------------------------------------------------------
 
-def test_model_registries_agree():
-    # config.PIPELINE_MODELS and coster.COSTER_MODELS are duplicated to
-    # avoid an import cycle; they must never drift apart.
-    assert PIPELINE_MODELS == COSTER_MODELS
-
-
 def test_make_coster_dispatch():
     assert isinstance(make_coster("static", P), StaticCoster)
     assert isinstance(make_coster("predictive", P), PredictiveCoster)
@@ -49,15 +41,52 @@ def test_make_coster_dispatch():
         make_coster("oracle", P)
 
 
+#: (knob, bad value, expected error) for PipelineParams construction.
+BAD_PIPELINE_PARAMS = [
+    # Fractional or boolean latencies would break exact batched cycle sums.
+    ("mul_extra_cycles", 2.5, "must be an integer"),
+    ("taken_branch_penalty", 1.0, "must be an integer"),
+    ("jump_penalty", True, "must be an integer"),
+    ("history_bits", "8", "must be an integer"),
+    # A negative latency would make every kernel run faster.
+    ("jump_penalty", -1, "cannot be negative"),
+    ("mul_extra_cycles", -2, "cannot be negative"),
+    ("div_extra_cycles", -1, "cannot be negative"),
+    ("stream_head_extra", -1, "cannot be negative"),
+    ("mispredict_penalty", -1, "cannot be negative"),
+    ("load_use_bubble", -1, "cannot be negative"),
+    ("mul_cycles", -1, "cannot be negative"),
+    ("div_base_cycles", -1, "cannot be negative"),
+    ("history_bits", -1, "cannot be negative"),
+    # Table sizes and the divider radix divide: zero is rejected too.
+    ("btb_entries", 0, "must be positive"),
+    ("bimodal_entries", 0, "must be positive"),
+    ("gshare_entries", 0, "must be positive"),
+    ("chooser_entries", 0, "must be positive"),
+    ("div_bits_per_cycle", 0, "must be positive"),
+    ("btb_entries", -4, "must be positive"),
+    ("branch_predictor", "gshare", "unknown branch predictor"),
+    ("branch_predictor", "perceptron", "unknown branch predictor"),
+]
+
+
 def test_knob_validation():
-    with pytest.raises(ConfigError, match="unknown branch predictor"):
-        _coster(branch_predictor="perceptron")
-    for knob in ("btb_entries", "bimodal_entries", "gshare_entries",
-                 "chooser_entries", "div_bits_per_cycle"):
-        with pytest.raises(ConfigError, match=knob):
-            _coster(**{knob: 0})
-    with pytest.raises(ConfigError, match="history_bits"):
-        _coster(history_bits=-1)
+    """Bad knobs fail at construction, whatever the timing model."""
+    for knob, value, message in BAD_PIPELINE_PARAMS:
+        try:
+            PipelineParams(**{knob: value})
+        except ConfigError as err:
+            assert message in str(err), (knob, value, str(err))
+            if knob != "branch_predictor":
+                assert knob in str(err), (knob, value, str(err))
+        else:
+            pytest.fail(f"PipelineParams({knob}={value!r}) was accepted")
+
+
+def test_edge_pipeline_params_are_accepted():
+    PipelineParams(mul_extra_cycles=0, taken_branch_penalty=0, jump_penalty=0,
+                   history_bits=0, load_use_bubble=0, btb_entries=1,
+                   div_bits_per_cycle=1, branch_predictor="none")
     assert BRANCH_PREDICTORS == ("tournament", "none")
 
 

@@ -1,5 +1,7 @@
 """Tests for the pipeline timing model, CoreModel behaviours, and UDP lane."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.config import (
@@ -13,24 +15,36 @@ from repro.core.core import CoreModel, PageTouch
 from repro.core.pipeline import PipelineModel, PipelineParams
 from repro.core.udp import UDP_ISA_FACTORS, UDPLaneModel
 from repro.errors import KernelError
+from repro.isa.fastpath import FastEngine
 from repro.isa.interpreter import Interpreter
 from repro.isa.program import Asm
 from repro.kernels import get_kernel
 from repro.mem.hierarchy import build_hierarchy
 from repro.mem.memory import FlatMemory
 
+from tests.core_oracle import run_steps
+
 SIZE = 16 * 1024
 
 
 def run_timed(asm, core=None, params=PipelineParams()):
-    """Run a small program through the pipeline model; returns cycles."""
-    hierarchy = build_hierarchy(core or baseline_core())
-    pipeline = PipelineModel(hierarchy, params)
-    interp = Interpreter(asm.build(), FlatMemory(4096))
-    cycles = 0.0
-    while not interp.finished:
-        info = interp.step()
-        cycles += pipeline.cost(info, cycles)
+    """Time a small program with the per-step oracle; returns cycles.
+
+    The fast engine must charge the same cycles and stats.
+    """
+    runs = []
+    for fast in (False, True):
+        pipeline = PipelineModel(build_hierarchy(core or baseline_core()), params)
+        program = asm.build()
+        interp = Interpreter(program, FlatMemory(4096))
+        clock = SimpleNamespace(cycle=0.0)
+        if fast:
+            FastEngine(program, params).run(interp, pipeline=pipeline, clock=clock)
+        else:
+            run_steps(interp, pipeline, clock)
+        runs.append((clock.cycle, pipeline))
+    (cycles, pipeline), (fast_cycles, fast_pipeline) = runs
+    assert (fast_cycles, fast_pipeline.stats) == (cycles, pipeline.stats)
     return cycles, pipeline
 
 

@@ -1,14 +1,17 @@
-"""Differential conformance suite: fast-path engine vs reference interpreter.
+"""Differential conformance suite: the fast engine vs its two oracles.
 
 The fast engine (:mod:`repro.isa.fastpath`) must be *bit-identical* to the
-reference interpreter — same register files, memory, stream-buffer head/tail
-CSRs, retired-instruction counts, cycle totals, and the same exceptions at
-trap boundaries. Three layers of evidence:
+reference interpreter (the functional spec) — same register files, memory,
+stream-buffer head/tail CSRs, retired-instruction counts, and the same
+exceptions at trap boundaries — and to the per-step timing oracle
+(``tests/core_oracle.py``) in every cycle it charges. Three layers of
+evidence:
 
-1. every registered kernel, run through :class:`CoreModel` on both engines
-   across the stream, ping-pong, and cache data paths, comparing the full
-   :class:`CoreRunResult` (cycles, stall buckets, pipeline stats, DRAM
-   traffic, page-touch trace, outputs, final regs/state);
+1. every registered kernel, run through :class:`CoreModel` and the timing
+   oracle across the stream, ping-pong, and cache data paths, comparing the
+   full :class:`CoreRunResult` (cycles, stall buckets, pipeline stats, DRAM
+   traffic, page-touch trace, outputs, final regs/state) and the per-PC
+   :class:`IsaProfiler` attribution;
 2. a deterministic corpus of >=500 seeded random RV32IM+stream programs
    (loops, faults, stalls, EOS) compared on full architectural state;
 3. hypothesis-generated programs for adversarial edge discovery.
@@ -34,6 +37,9 @@ from repro.isa.program import Program
 from repro.kernels.registry import KERNEL_NAMES, get_kernel
 from repro.mem.memory import FlatMemory
 from repro.mem.streambuffer import StreamBufferSet
+from repro.telemetry.profiler import IsaProfiler
+
+from tests.core_oracle import OracleCoreModel
 
 # ---------------------------------------------------------------------------
 # Shared machinery: run one program on both engines, capture full state.
@@ -127,18 +133,26 @@ _KERNEL_CONFIGS = ("AssasinSb", "AssasinSp", "Baseline")
 _KERNEL_BYTES = 12 * 1024  # 3 flash pages per stream: exercises refill/wrap
 
 
-def _core_result(config_name, kernel_name, engine):
-    cfg = named_config(config_name).with_exec_engine(engine)
+def _profiled_run(config_name, kernel_name, model="static", oracle=False):
+    """One profiled kernel run: ``(CoreRunResult, per-PC profile)``."""
+    cfg = named_config(config_name).with_pipeline_model(model)
     kernel = get_kernel(kernel_name)
     inputs = kernel.make_inputs(_KERNEL_BYTES, seed=23)
-    return CoreModel(cfg.core).run(kernel, inputs)
+    core = (OracleCoreModel if oracle else CoreModel)(cfg.core)
+    core.profiler = IsaProfiler()
+    result = core.run(kernel, inputs)
+    profile = [
+        (s.pc, s.count, s.cycles, s.compute, s.mem_stall, s.stream_stall)
+        for s in core.profiler.pc_stats()
+    ]
+    return result, profile
 
 
 @pytest.mark.parametrize("config_name", _KERNEL_CONFIGS)
 @pytest.mark.parametrize("kernel_name", KERNEL_NAMES)
 def test_kernel_runs_identical(config_name, kernel_name):
-    fast = _core_result(config_name, kernel_name, "fast")
-    ref = _core_result(config_name, kernel_name, "reference")
+    fast, fast_profile = _profiled_run(config_name, kernel_name)
+    ref, ref_profile = _profiled_run(config_name, kernel_name, oracle=True)
     assert fast.cycles == ref.cycles
     assert fast.instructions == ref.instructions
     assert fast.bytes_in == ref.bytes_in
@@ -151,33 +165,30 @@ def test_kernel_runs_identical(config_name, kernel_name):
     assert fast.dram_traffic == ref.dram_traffic
     assert fast.page_touches == ref.page_touches
     assert fast.chunks == ref.chunks
+    assert fast_profile == ref_profile
 
 
 # ---------------------------------------------------------------------------
-# Layer 1b: pluggable timing models — both costers x both engines (PR-10).
+# Layer 1b: pluggable timing models — both costers, engine vs oracle.
 #
 # The predictive coster is stateful (predictor tables, hazard latch), so
-# engine equivalence is a much stronger claim than for the static model:
-# both engines must consult the coster for exactly the same instructions in
-# exactly the same order. Any divergence (e.g. costing an aborted sload)
-# desynchronises the predictor and shows up as a cycle mismatch here.
+# equivalence is a much stronger claim than for the static model: the
+# engine and the oracle must consult the coster for exactly the same
+# instructions in exactly the same order. Any divergence (e.g. costing an
+# aborted sload) desynchronises the predictor and shows up as a cycle
+# mismatch here.
 # ---------------------------------------------------------------------------
 
 
-def _model_result(config_name, kernel_name, engine, model):
-    cfg = (named_config(config_name)
-           .with_exec_engine(engine)
-           .with_pipeline_model(model))
-    kernel = get_kernel(kernel_name)
-    inputs = kernel.make_inputs(_KERNEL_BYTES, seed=23)
-    return CoreModel(cfg.core).run(kernel, inputs)
+def _model_result(config_name, kernel_name, model):
+    return _profiled_run(config_name, kernel_name, model)[0]
 
 
 @pytest.mark.parametrize("config_name", _KERNEL_CONFIGS)
 @pytest.mark.parametrize("kernel_name", KERNEL_NAMES)
 def test_predictive_kernel_runs_identical(config_name, kernel_name):
-    fast = _model_result(config_name, kernel_name, "fast", "predictive")
-    ref = _model_result(config_name, kernel_name, "reference", "predictive")
+    fast, fast_profile = _profiled_run(config_name, kernel_name, "predictive")
+    ref, ref_profile = _profiled_run(config_name, kernel_name, "predictive", oracle=True)
     assert fast.cycles == ref.cycles
     assert fast.instructions == ref.instructions
     assert fast.outputs == ref.outputs
@@ -187,6 +198,7 @@ def test_predictive_kernel_runs_identical(config_name, kernel_name):
     assert fast.pipeline == ref.pipeline  # incl. hazard stalls + mispredicts
     assert fast.dram_traffic == ref.dram_traffic
     assert fast.page_touches == ref.page_touches
+    assert fast_profile == ref_profile
 
 
 @pytest.mark.parametrize("kernel_name", KERNEL_NAMES)
@@ -194,8 +206,8 @@ def test_predictive_changes_cpi_not_architecture(kernel_name):
     """The predictive model reprices cycles but must not perturb execution:
     identical outputs, registers, and retired-instruction counts, with a
     different cycle total whenever the kernel has any priced work."""
-    static = _model_result("AssasinSb", kernel_name, "fast", "static")
-    pred = _model_result("AssasinSb", kernel_name, "fast", "predictive")
+    static = _model_result("AssasinSb", kernel_name, "static")
+    pred = _model_result("AssasinSb", kernel_name, "predictive")
     assert pred.outputs == static.outputs
     assert pred.final_state == static.final_state
     assert pred.final_regs == static.final_regs
@@ -209,8 +221,8 @@ def test_predictive_changes_cpi_not_architecture(kernel_name):
 def test_predictive_prices_branch_heavy_kernel_differently():
     """Acceptance pin: at least one kernel must actually exercise the
     predictor and hazard logic (otherwise the model proves nothing)."""
-    pred = _model_result("AssasinSb", "stat", "fast", "predictive")
-    static = _model_result("AssasinSb", "stat", "fast", "static")
+    pred = _model_result("AssasinSb", "stat", "predictive")
+    static = _model_result("AssasinSb", "stat", "static")
     assert pred.cycles != static.cycles
     assert pred.pipeline.hazard_stall_cycles > 0
 
@@ -469,28 +481,6 @@ def test_finished_program_run_is_noop():
     assert interp.steps == 1
 
 
-def test_fractional_pipeline_params_fall_back_to_reference():
-    """Non-integer latencies break exact batched accounting, so the fast
-    path refuses to compile and CoreModel silently uses the reference."""
-    from repro.core.pipeline import PipelineParams
-    from repro.isa.fastpath import FastpathUnsupported
-
-    odd = PipelineParams(mul_extra_cycles=2.5)
-    with pytest.raises(FastpathUnsupported, match="mul_extra_cycles"):
-        FastEngine(Program("p", (Instr("halt"),)), odd)
-
-    cfg = named_config("AssasinSb")
-    kernel = get_kernel("stat")
-    inputs = kernel.make_inputs(4 * 1024, seed=9)
-    via_fast_cfg = CoreModel(cfg.core, pipeline_params=odd).run(kernel, inputs)
-    via_reference = CoreModel(
-        cfg.with_exec_engine("reference").core, pipeline_params=odd
-    ).run(kernel, inputs)
-    assert via_fast_cfg.cycles == via_reference.cycles
-    assert via_fast_cfg.instructions == via_reference.instructions
-    assert via_fast_cfg.outputs == via_reference.outputs
-
-
 def test_engine_rejects_foreign_interpreter():
     engine = FastEngine(Program("a", (Instr("halt"),)))
     other = Interpreter(Program("b", (Instr("halt"),)), FlatMemory(64))
@@ -499,7 +489,9 @@ def test_engine_rejects_foreign_interpreter():
 
 
 def test_run_summary_matches_reference_summary():
-    from repro.isa.fastpath import run_summary
+    from collections import Counter
+
+    from repro.isa.interpreter import RunSummary
 
     program = Program("sum", (Instr("addi", rd=1, rs1=0, imm=3),
                               Instr("mul", rd=2, rs1=1, rs2=1),
@@ -508,7 +500,14 @@ def test_run_summary_matches_reference_summary():
     expected = ref.run()
     fast = Interpreter(program, FlatMemory(64))
     FastEngine(program).run(fast)
-    assert run_summary(fast) == expected
+    assert RunSummary(
+        steps=fast.steps,
+        finished=fast.finished,
+        halted=fast.halted,
+        instr_counts=Counter(fast.instr_counts),
+        stream_bytes_in=fast.stream_bytes_in,
+        stream_bytes_out=fast.stream_bytes_out,
+    ) == expected
 
 
 def test_exceeded_max_steps_raises_like_reference():
@@ -516,22 +515,3 @@ def test_exceeded_max_steps_raises_like_reference():
     interp = Interpreter(program, FlatMemory(64))
     with pytest.raises(ExecutionError, match="exceeded max_steps=50"):
         FastEngine(program).run(interp, max_steps=50)
-
-
-def test_profiled_core_model_uses_reference_and_matches_fast():
-    """Profiler attribution (PR-3) is untouched: profiled runs fall back to
-    the reference loop yet produce the same architectural result."""
-    from repro.telemetry.profiler import IsaProfiler
-
-    cfg = named_config("AssasinSb")
-    kernel = get_kernel("stat")
-    inputs = kernel.make_inputs(8 * 1024, seed=5)
-    plain = CoreModel(cfg.core).run(kernel, inputs)
-    profiled_core = CoreModel(cfg.core)
-    profiled_core.profiler = IsaProfiler()
-    profiled = profiled_core.run(kernel, inputs)
-    assert profiled.cycles == plain.cycles
-    assert profiled.instructions == plain.instructions
-    assert profiled.outputs == plain.outputs
-    assert profiled_core.profiler.total_cycles == pytest.approx(profiled.cycles)
-    assert profiled_core.profiler.total_instructions == profiled.instructions

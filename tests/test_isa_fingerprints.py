@@ -3,16 +3,17 @@
 ``tests/golden/isa_fingerprints.json`` pins, per (config, kernel): the
 cycle count, retired-instruction count (instret), and SHA-256 hashes of the
 final register file, kernel outputs, and kernel state. The pins were
-generated with the *reference* interpreter, so this test simultaneously
-detects drift in the seed semantics and any divergence of the default
-(fast-path) engine from them.
+generated by stepping the reference interpreter under the per-step timing
+oracle (``tests/core_oracle.py``), so this test simultaneously detects
+drift in the seed semantics and any divergence of the fast engine, the
+core model's only engine, from them.
 
 Regenerate after an intentional architectural change with::
 
     REGEN_GOLDEN=1 PYTHONPATH=src python -m pytest tests/test_isa_fingerprints.py
 
-(the regeneration pass always runs the reference engine, keeping it the
-ground truth the fast path is measured against).
+(the regeneration pass always runs the oracle, keeping it the ground truth
+the fast engine is measured against).
 """
 
 import hashlib
@@ -27,6 +28,8 @@ from repro.config import named_config
 from repro.core.core import CoreModel
 from repro.kernels.registry import KERNEL_NAMES, get_kernel
 
+from tests.core_oracle import OracleCoreModel
+
 GOLDEN_PATH = Path(__file__).parent / "golden" / "isa_fingerprints.json"
 
 CONFIGS = ("AssasinSb", "Baseline")  # stream form and memory form
@@ -38,11 +41,11 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _fingerprint(config_name: str, kernel_name: str, engine: str) -> dict:
-    cfg = named_config(config_name).with_exec_engine(engine)
+def _fingerprint(config_name: str, kernel_name: str, model=CoreModel) -> dict:
+    cfg = named_config(config_name)
     kernel = get_kernel(kernel_name)
     inputs = kernel.make_inputs(INPUT_BYTES, seed=SEED)
-    result = CoreModel(cfg.core).run(kernel, inputs)
+    result = model(cfg.core).run(kernel, inputs)
     return {
         "cycles": result.cycles,
         "instret": result.instructions,
@@ -54,7 +57,7 @@ def _fingerprint(config_name: str, kernel_name: str, engine: str) -> dict:
 
 def _regen() -> dict:
     data = {
-        f"{config}/{kernel}": _fingerprint(config, kernel, "reference")
+        f"{config}/{kernel}": _fingerprint(config, kernel, OracleCoreModel)
         for config in CONFIGS
         for kernel in KERNEL_NAMES
     }
@@ -79,9 +82,8 @@ def _golden() -> dict:
 @pytest.mark.parametrize("config_name", CONFIGS)
 @pytest.mark.parametrize("kernel_name", KERNEL_NAMES)
 def test_kernel_fingerprint_pinned(config_name, kernel_name):
-    """The default engine reproduces the reference-generated pins exactly."""
-    default_engine = named_config(config_name).core.exec_engine
-    actual = _fingerprint(config_name, kernel_name, default_engine)
+    """The fast engine reproduces the oracle-generated pins exactly."""
+    actual = _fingerprint(config_name, kernel_name)
     assert actual == _golden()[f"{config_name}/{kernel_name}"]
 
 

@@ -339,7 +339,7 @@ def test_crashed_process_is_marked_dead_and_chained(engine):
 
 @ENGINE_CASES
 def test_crashed_process_chains_under_event_budget(engine):
-    """The budgeted loop (a distinct code path in the calendar queue)
+    """A run under an event budget (a check inside the one dispatch loop)
     applies the same crash protocol."""
     from repro.sim import SimProcessError
 

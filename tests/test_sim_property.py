@@ -10,7 +10,9 @@ delays and ``wait_until`` instants — and asserts both engines produce the
 identical dispatch sequence and final ``(now, processed)``.  A second
 property replays the same schedules through ``run(max_events=...)`` slices
 to pin the budgeted re-shelving path, and a third through ``run(until_ns=...)``
-to pin the time-bounded path.
+to pin the time-bounded path.  The first two also run with a recording
+tracer, whose ``scheduler`` instants must match the oracle's: tracing and
+budgets are checks inside the one dispatch loop, not separate loops.
 """
 
 import pytest
@@ -20,6 +22,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from repro.sim import Simulator  # noqa: E402
+from repro.telemetry.tracer import Tracer  # noqa: E402
 
 from tests.sim_oracle import HeapSimulator  # noqa: E402
 
@@ -80,11 +83,14 @@ def _build(sim, plan, log):
                         lambda idx=idx, step=step: log.append(
                             ("nested", idx, step, sim.now)
                         ),
+                        label=f"n{idx}.{step}" if step else "",
                         priority=priority,
                     )
 
             handles.append(
-                sim.schedule(item["delay"], action, priority=item["priority"])
+                sim.schedule(
+                    item["delay"], action, label=f"e{idx}", priority=item["priority"]
+                )
             )
         else:
 
@@ -106,21 +112,25 @@ def _build(sim, plan, log):
     return handles
 
 
-def _run_plan(make_sim, plan, run):
-    """Dispatch log, ``run``'s own result, and the final (now, processed)."""
-    sim = make_sim()
+def _run_plan(make_sim, plan, run, traced=False):
+    """Dispatch log, ``run``'s own result, the final (now, processed), and
+    the tracer's ``scheduler`` instants when ``traced``."""
+    tracer = Tracer() if traced else None
+    sim = make_sim(tracer)
     log = []
     _build(sim, plan, log)
     result = run(sim)
-    return log, result, sim.now, sim.processed
+    instants = tracer.events_on("scheduler") if traced else None
+    return log, result, sim.now, sim.processed, instants
 
 
 @settings(max_examples=80, deadline=None)
 @given(plan=_plans)
 def test_random_schedules_dispatch_identically(plan):
-    reference = _run_plan(HeapSimulator, plan, lambda sim: sim.run())
-    fast = _run_plan(Simulator, plan, lambda sim: sim.run())
-    assert fast == reference
+    for traced in (False, True):
+        reference = _run_plan(HeapSimulator, plan, lambda sim: sim.run(), traced)
+        fast = _run_plan(Simulator, plan, lambda sim: sim.run(), traced)
+        assert fast == reference
 
 
 @settings(max_examples=60, deadline=None)
@@ -142,9 +152,10 @@ def test_budgeted_slices_dispatch_identically(plan, budget):
                 raise AssertionError("schedule did not drain")
         return checkpoints
 
-    reference = _run_plan(HeapSimulator, plan, run_sliced)
-    fast = _run_plan(Simulator, plan, run_sliced)
-    assert fast == reference
+    for traced in (False, True):
+        reference = _run_plan(HeapSimulator, plan, run_sliced, traced)
+        fast = _run_plan(Simulator, plan, run_sliced, traced)
+        assert fast == reference
 
 
 @settings(max_examples=60, deadline=None)
