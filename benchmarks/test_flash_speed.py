@@ -1,0 +1,138 @@
+"""Flash write-path speed: the byte-lane ECC codec and the block pick vs their oracles.
+
+Every page programmed with data is ECC-encoded (``repro.flash.ecc``) and
+every write point that opens a block runs the wear-levelling pick
+(``repro.ftl.allocator``); the fleet set-up programs hundreds of golden
+pages through both. This harness times each against its oracle in
+``tests/flash_oracle.py`` (per-word ``encode_word``/``decode_word`` loops,
+a full scan of the free list) on the default geometry:
+
+* ``encode_page`` of a 4 KiB page;
+* ``decode_page`` of a clean 4 KiB page, and of one with 4 flipped bits
+  in 4 codewords (recorded, not gated);
+* opening all 256 blocks of a never-erased unit, and of a unit where
+  every block has been erased (recorded, not gated).
+
+Outputs must match before any time counts. Emits ``BENCH_flash.json``
+and gates the three headline ratios at ``MIN_SPEEDUP``x; the gates are
+relative to the oracle on the same machine, so they hold on slow CI
+boxes too.
+"""
+
+import json
+import random
+import time
+
+from conftest import run_once
+
+from repro.config import FlashConfig
+from repro.flash import ecc
+from repro.ftl.allocator import _UnitCursor
+from repro.ftl.wear import WearTracker
+
+from tests import flash_oracle as oracle
+
+PAGE_BYTES = 4096
+#: Calls per timed codec sample; every case keeps its best of ROUNDS samples.
+CODEC_CALLS = 20
+ROUNDS = 5
+MIN_SPEEDUP = 10.0
+GATED = ("encode_page", "decode_page_clean", "pick_fresh_unit")
+
+CFG = FlashConfig()
+
+
+def _codec_cases():
+    """name -> ((fast fn, args), (oracle fn, args), calls per sample)."""
+    rng = random.Random(11)
+    page = rng.randbytes(PAGE_BYTES)
+    spare = oracle.encode_page(page)
+    damaged = bytearray(page)
+    for offset in (5, 900, 2000, 4000):
+        damaged[offset] ^= 1 << (offset % 8)
+    damaged = bytes(damaged)
+    assert ecc.encode_page(page) == spare
+    assert ecc.decode_page(page, spare) == oracle.decode_page(page, spare)
+    assert ecc.decode_page(damaged, spare) == oracle.decode_page(damaged, spare)
+    return {
+        name: ((fast, args), (slow, args), CODEC_CALLS)
+        for name, fast, slow, args in (
+            ("encode_page", ecc.encode_page, oracle.encode_page, (page,)),
+            ("decode_page_clean", ecc.decode_page, oracle.decode_page, (page, spare)),
+            ("decode_page_4_flips", ecc.decode_page, oracle.decode_page, (damaged, spare)),
+        )
+    }
+
+
+def _open_every_block(tracker, pick, worn):
+    """Open all blocks of one unit in turn; returns the blocks in pick order."""
+    wear = tracker()
+    if worn:
+        for block in range(CFG.blocks_per_plane):
+            for _ in range(1 + block % 3):
+                wear.record_erase((0, 0, 0, 0, block))
+    unit = _UnitCursor(CFG, 0, 0, 0, 0, wear)
+    return [pick(unit) for _ in range(CFG.blocks_per_plane)]
+
+
+def _pick_cases():
+    """Like :func:`_codec_cases`; one call opens every block of a unit."""
+    cases = {}
+    for name, worn in (("pick_fresh_unit", False), ("pick_worn_unit", True)):
+        fast = (WearTracker, _UnitCursor._pick_block, worn)
+        scan = (oracle.FlatWearTracker, oracle.scan_pick_block, worn)
+        assert _open_every_block(*fast) == _open_every_block(*scan)
+        cases[name] = ((_open_every_block, fast), (_open_every_block, scan), 1)
+    return cases
+
+
+def _per_call(fn, args, calls):
+    start = time.perf_counter()
+    for _ in range(calls):
+        fn(*args)
+    return (time.perf_counter() - start) / calls
+
+
+def _measure():
+    """Best-of-ROUNDS walls per call (a codec page, or a unit's 256 picks).
+
+    The oracle and the fast path alternate inside every round, so a slow
+    window on a shared machine does not land on one side of a ratio.
+    """
+    cases = {**_codec_cases(), **_pick_cases()}
+    walls = {}
+    for _ in range(ROUNDS):
+        for name, (fast, slow, calls) in cases.items():
+            for side, (fn, args) in (("oracle", slow), ("fast", fast)):
+                wall = _per_call(fn, args, calls)
+                walls[name, side] = min(walls.get((name, side), float("inf")), wall)
+    return walls
+
+
+def test_flash_write_path_speed(benchmark):
+    walls = run_once(benchmark, _measure)
+    rows = {}
+    for name in sorted({name for name, _ in walls}):
+        slow, fast = walls[(name, "oracle")], walls[(name, "fast")]
+        rows[name] = {
+            "oracle_us": round(slow * 1e6, 2),
+            "fast_us": round(fast * 1e6, 2),
+            "speedup": round(slow / fast, 2),
+        }
+        print(f"\n{name:<22}{slow * 1e6:>11.1f} us{fast * 1e6:>11.2f} us{slow / fast:>9.1f}x")
+
+    payload = {
+        "benchmark": "flash_speed",
+        "page_bytes": PAGE_BYTES,
+        "blocks_per_plane": CFG.blocks_per_plane,
+        "rounds": ROUNDS,
+        "min_speedup": MIN_SPEEDUP,
+        "gated": list(GATED),
+        "cases": rows,
+    }
+    with open("BENCH_flash.json", "w") as handle:
+        json.dump(payload, handle, indent=2, sort_keys=True)
+    for name in GATED:
+        assert rows[name]["speedup"] >= MIN_SPEEDUP, (
+            f"{name}: only {rows[name]['speedup']:.1f}x over the oracle"
+        )

@@ -112,8 +112,10 @@ class FlashArray:
         """Write one page: channel transfer into the register, then program."""
         chip = self._chip(ppa)
         issue = as_ns(issue_ns)
+        # Check first: a rejected program must book neither bus nor plane.
+        chip.check_program(ppa.die, ppa.plane, ppa.block, ppa.page, data)
         transferred = self.channels[ppa.channel].transfer(self.config.page_bytes, issue)
-        done = chip.start_program(ppa.die, ppa.plane, ppa.block, ppa.page, transferred, data)
+        done = chip.book_program(ppa.die, ppa.plane, ppa.block, ppa.page, transferred, data)
         self._writes.inc()
         return ServiceRecord(ppa, issue, transferred, done)
 

@@ -14,6 +14,7 @@ from typing import Dict, Optional, Tuple
 
 from repro.config import FlashConfig
 from repro.errors import FlashError
+from repro.flash import ecc
 from repro.sim import PooledResource, as_ns
 
 
@@ -101,6 +102,21 @@ class FlashChip:
         self.planes[die][plane].reads += 1
         return grant.done_ns
 
+    def check_program(
+        self, die: int, plane: int, block: int, page: int, data: Optional[bytes] = None
+    ) -> None:
+        """Raise :class:`FlashError` unless the page can be programmed with ``data``.
+
+        It runs before any timeline is booked, so a rejected program leaves
+        the channel bus, the plane and the page as they were.
+        """
+        self._check(die, plane, block, page)
+        key = (die, plane, block, page)
+        if self._state.get(key) is PageState.PROGRAMMED:
+            raise FlashError(f"program into non-erased page {key} (erase the block first)")
+        if data is not None and len(data) > self.config.page_bytes:
+            raise FlashError(f"page data of {len(data)}B exceeds page size")
+
     def start_program(
         self,
         die: int,
@@ -110,10 +126,20 @@ class FlashChip:
         at_ns,
         data: Optional[bytes] = None,
     ) -> int:
-        self._check(die, plane, block, page)
+        self.check_program(die, plane, block, page, data)
+        return self.book_program(die, plane, block, page, at_ns, data)
+
+    def book_program(
+        self,
+        die: int,
+        plane: int,
+        block: int,
+        page: int,
+        at_ns,
+        data: Optional[bytes] = None,
+    ) -> int:
+        """:meth:`start_program` after :meth:`check_program` has passed."""
         key = (die, plane, block, page)
-        if self._state.get(key) is PageState.PROGRAMMED:
-            raise FlashError(f"program into non-erased page {key} (erase the block first)")
         unit = self._unit(die, plane)
         # Programs queue behind everything on the plane: in-flight reads
         # (which would suspend them) and earlier programs/erases.
@@ -125,15 +151,11 @@ class FlashChip:
         self.planes[die][plane].programs += 1
         self._state[key] = PageState.PROGRAMMED
         if data is not None:
-            if len(data) > self.config.page_bytes:
-                raise FlashError(f"page data of {len(data)}B exceeds page size")
             stored = bytes(data)
             self._data[key] = stored
             # Spare-area ECC over the 8-byte-aligned prefix of the page.
-            from repro.flash.ecc import encode_page
-
             aligned = stored + b"\x00" * (-len(stored) % 8)
-            self._spare[key] = encode_page(aligned)
+            self._spare[key] = ecc.encode_page(aligned)
         return done
 
     def erase_block(self, die: int, plane: int, block: int, at_ns) -> int:
@@ -179,11 +201,9 @@ class FlashChip:
             raise FlashError(
                 f"cannot inject errors into page {key}: never programmed with data"
             )
-        from repro.flash.ecc import inject_bit_errors
-
         rounds = self._inject_rounds.get(key, 0)
         derived = (seed * 1_000_003 + rounds) * 7_919 + self._flat(key)
-        self._data[key] = inject_bit_errors(self._data[key], nbits, derived)
+        self._data[key] = ecc.inject_bit_errors(self._data[key], nbits, derived)
         self._inject_rounds[key] = rounds + 1
 
     def corrupt_page(self, die: int, plane: int, block: int, page: int,
@@ -229,19 +249,17 @@ class FlashChip:
         callers must come through here rather than calling
         :func:`repro.flash.ecc.decode_page` directly.
         """
-        from repro.flash.ecc import ECCStatus, decode_page
-
         key = (die, plane, block, page)
         raw = self._data.get(key)
         if raw is None:
-            return None, ECCStatus.CLEAN
+            return None, ecc.ECCStatus.CLEAN
         spare = self._spare.get(key)
         if spare is None:
-            return raw, ECCStatus.CLEAN
+            return raw, ecc.ECCStatus.CLEAN
         aligned = raw + b"\x00" * (-len(raw) % 8)
-        decoded, status, corrections = decode_page(aligned, spare)
+        decoded, status, corrections = ecc.decode_page(aligned, spare)
         self.ecc_corrections += corrections
-        if status is ECCStatus.UNCORRECTABLE:
+        if status is ecc.ECCStatus.UNCORRECTABLE:
             self.ecc_failures += 1
         return decoded[: len(raw)], status
 

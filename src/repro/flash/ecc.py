@@ -160,41 +160,72 @@ def decode_word(word: int, ecc_byte: int) -> ECCResult:
 
 # -- page-level helpers ------------------------------------------------------
 
+# Byte-lane tables: ``_LANE_TABLES[p][v]`` is what byte ``p`` of a word,
+# holding ``v``, adds to the word's spare byte: its Hamming bits (bits 0-6)
+# and its own parity (bit 7). The code is linear over GF(2), so the XOR of
+# one entry per lane holds the word's Hamming bits and its data parity;
+# ``_FIXUP`` turns that data parity into the stored overall bit (data
+# parity ^ parity of the Hamming bits).
+_LANE_TABLES = [
+    bytes(_HAMMING_TABLE[lane][v] | _BYTE_PARITY[v] << 7 for v in range(256))
+    for lane in range(8)
+]
+_FIXUP = bytes(b ^ _BYTE_PARITY[b & 0x7F] << 7 for b in range(256))
+
+
+def _spare_of(data: bytes) -> bytes:
+    """Spare bytes of an 8-aligned page: eight byte-lane passes, all in C."""
+    acc = 0
+    for lane, table in enumerate(_LANE_TABLES):
+        acc ^= int.from_bytes(data[lane::8].translate(table), "little")
+    return acc.to_bytes(len(data) // 8, "little").translate(_FIXUP)
+
 
 def encode_page(data: bytes) -> bytes:
     """Spare-area parity bytes for a page (one per 8 data bytes)."""
+    data = bytes(data)
     if len(data) % 8:
         raise FlashError("page length must be a multiple of 8 for ECC")
-    return bytes(
-        encode_word(int.from_bytes(data[i : i + 8], "little"))
-        for i in range(0, len(data), 8)
-    )
+    return _spare_of(data)
 
 
 def decode_page(data: bytes, spare: bytes) -> Tuple[bytes, ECCStatus, int]:
-    """Verify/correct a page; returns (data, worst status, corrections)."""
+    """Verify/correct a page; returns (data, worst status, corrections).
+
+    A word decodes CLEAN exactly when its recomputed spare byte equals the
+    stored one, so a clean page costs one :func:`_spare_of` and a compare;
+    only the words whose bytes differ go through :func:`decode_word`.
+    """
+    data = bytes(data)
+    if len(data) % 8:
+        raise FlashError("page length must be a multiple of 8 for ECC")
     if len(spare) != len(data) // 8:
         raise FlashError("spare area size mismatch")
+    fresh = _spare_of(data)
+    if fresh == spare:
+        return data, ECCStatus.CLEAN, 0
     out = bytearray(data)
     worst = ECCStatus.CLEAN
     corrections = 0
-    for i in range(0, len(data), 8):
-        word = int.from_bytes(data[i : i + 8], "little")
-        result = decode_word(word, spare[i // 8])
+    for index, (recomputed, stored) in enumerate(zip(fresh, spare)):
+        if recomputed == stored:
+            continue
+        i = index * 8
+        result = decode_word(int.from_bytes(data[i : i + 8], "little"), stored)
         if result.status is ECCStatus.CORRECTED:
             corrections += 1
             out[i : i + 8] = result.word.to_bytes(8, "little")
             if worst is ECCStatus.CLEAN:
                 worst = ECCStatus.CORRECTED
-        elif result.status is ECCStatus.UNCORRECTABLE:
+        else:
             worst = ECCStatus.UNCORRECTABLE
     return bytes(out), worst, corrections
 
 
 def inject_bit_errors(data: bytes, nbits: int, seed: int = 1) -> bytes:
     """Flip ``nbits`` distinct random bits (raw-NAND error injection)."""
-    if nbits > len(data) * 8:
-        raise FlashError("cannot flip more bits than the page holds")
+    if not 0 <= nbits <= len(data) * 8:
+        raise FlashError(f"cannot flip {nbits} bits of a {len(data)}-byte page")
     rng = random.Random(seed)
     flipped = bytearray(data)
     for index in rng.sample(range(len(data) * 8), nbits):

@@ -172,19 +172,19 @@ class _UnitCursor:
         self._next_page = config.pages_per_block  # forces opening a block
 
     def _pick_block(self) -> int:
-        """Open the least-worn free block (wear leveling)."""
-        if self.wear is None:
-            return self._free_blocks.pop()
-        best_index = min(
-            range(len(self._free_blocks)),
-            key=lambda i: (
-                self.wear.erase_count(
-                    (self.channel, self.chip, self.die, self.plane, self._free_blocks[i])
-                ),
-                -i,  # prefer the natural pop order among equals
-            ),
-        )
-        return self._free_blocks.pop(best_index)
+        """Open the least-worn free block (wear leveling).
+
+        Among equally worn blocks the last one in the free list wins (the
+        natural pop order). A unit with no erases has every block at 0.
+        """
+        free = self._free_blocks
+        counts = None
+        if self.wear is not None:
+            counts = self.wear.units.get((self.channel, self.chip, self.die, self.plane))
+        if not counts:
+            return free.pop()
+        erases = [counts.get(block, 0) for block in reversed(free)]
+        return free.pop(len(free) - 1 - erases.index(min(erases)))
 
     def next_page(self):
         if self._next_page >= self.config.pages_per_block:

@@ -108,6 +108,31 @@ def test_page_data_size_checked():
         chip.start_program(0, 0, 0, 0, 0.0, data=b"x" * (CFG.page_bytes + 1))
 
 
+def test_rejected_program_books_nothing():
+    """An oversized program is refused before the bus, plane or page change."""
+    array = FlashArray(CFG)
+    target = ppa(block=1, page=2)
+    chip = array.chips[0][0]
+    bus = array.channels[0]
+    lane = chip._write_lanes
+    unit = chip._unit(target.die, target.plane)
+    before = (bus.free_at_ns, bus.bytes_transferred, lane.free_at(unit))
+    with pytest.raises(FlashError):
+        array.service_write(target, 0, data=b"x" * (CFG.page_bytes + 8))
+    assert chip.page_state(0, 0, 1, 2) is PageState.ERASED
+    assert (bus.free_at_ns, bus.bytes_transferred, lane.free_at(unit)) == before
+    assert array.writes_served == 0
+    # The page is still writable: a valid retry programs it.
+    rec = array.service_write(target, 0, data=b"y" * CFG.page_bytes)
+    assert rec.done_ns == CFG.page_transfer_ns + CFG.program_latency_ns
+    assert chip.read_data(0, 0, 1, 2) == b"y" * CFG.page_bytes
+    # Programming it again is refused the same way.
+    booked = (bus.free_at_ns, bus.bytes_transferred, lane.free_at(unit))
+    with pytest.raises(FlashError):
+        array.service_write(target, 0, data=b"z")
+    assert (bus.free_at_ns, bus.bytes_transferred, lane.free_at(unit)) == booked
+
+
 def test_geometry_bounds_checked():
     chip = FlashChip(CFG, 0, 0)
     with pytest.raises(FlashError):

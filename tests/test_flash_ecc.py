@@ -97,6 +97,11 @@ def test_page_validation():
         encode_page(b"123")  # not a multiple of 8
     with pytest.raises(FlashError):
         decode_page(b"\x00" * 16, b"\x00")
+    # A ragged tail is rejected even when the spare size matches len // 8.
+    with pytest.raises(FlashError):
+        decode_page(b"\x00" * 12, b"\x00")
+    with pytest.raises(FlashError):
+        decode_page(b"\x00" * 4, b"")
 
 
 def test_inject_bit_errors_flips_exactly_n():
@@ -106,6 +111,8 @@ def test_inject_bit_errors_flips_exactly_n():
     assert diff == 7
     with pytest.raises(FlashError):
         inject_bit_errors(b"\x00", 9)
+    with pytest.raises(FlashError):
+        inject_bit_errors(data, -1)
 
 
 def test_raw_bit_error_rate_recovery():
