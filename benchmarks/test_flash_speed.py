@@ -1,22 +1,30 @@
-"""Flash write-path speed: the byte-lane ECC codec and the block pick vs their oracles.
+"""Flash write-path speed: the ECC codec, the block pick and the GC pick vs their oracles.
 
-Every page programmed with data is ECC-encoded (``repro.flash.ecc``) and
+Every page programmed with data is ECC-encoded (``repro.flash.ecc``),
 every write point that opens a block runs the wear-levelling pick
-(``repro.ftl.allocator``); the fleet set-up programs hundreds of golden
-pages through both. This harness times each against its oracle in
-``tests/flash_oracle.py`` (per-word ``encode_word``/``decode_word`` loops,
-a full scan of the free list) on the default geometry:
+(``repro.ftl.allocator``), and every GC pass picks a victim from the
+FTL's per-block state (``repro.ftl.gc``); the fleet set-up programs
+hundreds of golden pages through the first two, and SQL sessions run GC
+passes every few hundred microseconds of simulated time. This harness
+times each against its oracle in ``tests/flash_oracle.py`` (per-word
+``encode_word``/``decode_word`` loops, a full scan of the free list, a
+regrouping of the invalid set and a walk over every write point) on the
+default geometry:
 
 * ``encode_page`` of a 4 KiB page;
 * ``decode_page`` of a clean 4 KiB page, and of one with 4 flipped bits
   in 4 codewords (recorded, not gated);
 * opening all 256 blocks of a never-erased unit, and of a unit where
-  every block has been erased (recorded, not gated).
+  every block has been erased (recorded, not gated);
+* one GC victim pick after a seeded overwrite mix that leaves thousands
+  of invalid pages in both open and closed blocks.
 
 Outputs must match before any time counts. Emits ``BENCH_flash.json``
-and gates the three headline ratios at ``MIN_SPEEDUP``x; the gates are
+and gates the four headline ratios at ``MIN_SPEEDUP``x; the gates are
 relative to the oracle on the same machine, so they hold on slow CI
-boxes too.
+boxes too. The file also records the wall of mounting ``MOUNT_PAGES``
+pages (serve_mixed's data set) through ``PageMapFTL.populate``, without
+a gate or an oracle.
 """
 
 import json
@@ -27,6 +35,7 @@ from conftest import run_once
 
 from repro.config import FlashConfig
 from repro.flash import ecc
+from repro.ftl import GarbageCollector, PageMapFTL
 from repro.ftl.allocator import _UnitCursor
 from repro.ftl.wear import WearTracker
 
@@ -37,7 +46,10 @@ PAGE_BYTES = 4096
 CODEC_CALLS = 20
 ROUNDS = 5
 MIN_SPEEDUP = 10.0
-GATED = ("encode_page", "decode_page_clean", "pick_fresh_unit")
+GATED = ("encode_page", "decode_page_clean", "pick_fresh_unit", "gc_pick_victim")
+#: Victim picks per timed GC sample.
+GC_PICKS = 5
+MOUNT_PAGES = 10_240
 
 CFG = FlashConfig()
 
@@ -86,6 +98,41 @@ def _pick_cases():
     return cases
 
 
+def _gc_case():
+    """A production and a scan FTL after the same seeded overwrite mix.
+
+    Filling one block per unit closes every unit's first block, and four
+    more pages per unit open its second; the overwrites then leave about
+    3,000 invalid pages in the closed blocks and 3,000 in the open ones.
+    """
+    rng = random.Random(16)
+    units = CFG.channels * CFG.chips_per_channel * CFG.dies_per_chip * CFG.planes_per_die
+    first_open = units * CFG.pages_per_block  # LPAs from here on sit in open blocks
+    written = first_open + 4 * units
+    lpas = list(range(written))
+    lpas += rng.choices(range(first_open), k=3000)
+    lpas += rng.choices(range(first_open, written), k=3000)
+    fast, scan = PageMapFTL(CFG), oracle.ScanFTL(CFG)
+    for lpa in lpas:
+        fast.write(lpa)
+        scan.write(lpa)
+    fast_gc = GarbageCollector(fast, None)
+    scan_gc = oracle.ScanGarbageCollector(scan, None)
+    assert fast_gc.pick_victim() == scan_gc.pick_victim() is not None
+    assert fast.collectible_invalid_pages() == oracle.scan_collectible(scan) >= 1000
+    assert len(fast.invalid_pages) - fast.collectible_invalid_pages() >= 1000
+    return {
+        "gc_pick_victim": ((fast_gc.pick_victim, ()), (scan_gc.pick_victim, ()), GC_PICKS)
+    }
+
+
+def _mount():
+    ftl = PageMapFTL(CFG)
+    start = time.perf_counter()
+    ftl.populate(range(MOUNT_PAGES))
+    return time.perf_counter() - start
+
+
 def _per_call(fn, args, calls):
     start = time.perf_counter()
     for _ in range(calls):
@@ -94,23 +141,27 @@ def _per_call(fn, args, calls):
 
 
 def _measure():
-    """Best-of-ROUNDS walls per call (a codec page, or a unit's 256 picks).
+    """Best-of-ROUNDS walls per call (a codec page, a unit's 256 picks, or
+    one GC victim pick), and of one mount.
 
     The oracle and the fast path alternate inside every round, so a slow
     window on a shared machine does not land on one side of a ratio.
     """
-    cases = {**_codec_cases(), **_pick_cases()}
+    cases = {**_codec_cases(), **_pick_cases(), **_gc_case()}
     walls = {}
     for _ in range(ROUNDS):
         for name, (fast, slow, calls) in cases.items():
             for side, (fn, args) in (("oracle", slow), ("fast", fast)):
                 wall = _per_call(fn, args, calls)
                 walls[name, side] = min(walls.get((name, side), float("inf")), wall)
+        walls["mount"] = min(walls.get("mount", float("inf")), _mount())
     return walls
 
 
 def test_flash_write_path_speed(benchmark):
     walls = run_once(benchmark, _measure)
+    mount = walls.pop("mount")
+    print(f"\nmount of {MOUNT_PAGES} pages: {mount * 1e3:.1f} ms")
     rows = {}
     for name in sorted({name for name, _ in walls}):
         slow, fast = walls[(name, "oracle")], walls[(name, "fast")]
@@ -129,6 +180,7 @@ def test_flash_write_path_speed(benchmark):
         "min_speedup": MIN_SPEEDUP,
         "gated": list(GATED),
         "cases": rows,
+        "mount": {"pages": MOUNT_PAGES, "ms": round(mount * 1e3, 2)},
     }
     with open("BENCH_flash.json", "w") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)

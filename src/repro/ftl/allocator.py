@@ -11,11 +11,13 @@ maximise parallelism (what lets Figure 18 show balanced channels). The
 
 from __future__ import annotations
 
-from typing import List
+from operator import add
+from typing import List, Optional, Set
 
 from repro.config import FlashConfig
 from repro.errors import FTLError
 from repro.flash.array import PhysicalPageAddress
+from repro.ftl.wear import BlockKey
 
 
 def skew_shares(channels: int, skew: float) -> List[float]:
@@ -51,6 +53,10 @@ class PageAllocator:
     in round-robin; when a write point opens a new block it picks the
     least-erased free block (wear leveling). A block is only reused after
     the garbage collector erases it.
+
+    The write points keep :meth:`open_blocks` current as they open, fill
+    and retire blocks. A block whose last page has been handed out is
+    closed, even while it is still its unit's current block.
     """
 
     def __init__(self, config: FlashConfig, skew: float = 0.0, wear=None) -> None:
@@ -58,18 +64,20 @@ class PageAllocator:
         self.shares = skew_shares(config.channels, skew)
         self.wear = wear
         self._deficit: List[float] = [0.0] * config.channels
+        self._open: Set[BlockKey] = set()
         self._cursors: List[_ChannelCursor] = [
-            _ChannelCursor(config, ch, wear) for ch in range(config.channels)
+            _ChannelCursor(config, ch, wear, self._open) for ch in range(config.channels)
         ]
         self.allocated = 0
         self.retired_blocks: set = set()
 
     def _pick_channel(self) -> int:
-        """Weighted round-robin by share (largest accumulated deficit wins)."""
-        for ch in range(self.config.channels):
-            self._deficit[ch] += self.shares[ch]
-        best = max(range(self.config.channels), key=lambda ch: (self._deficit[ch], -ch))
-        self._deficit[best] -= 1.0
+        """Weighted round-robin by share (largest accumulated deficit wins;
+        the lowest channel among equals)."""
+        deficit = self._deficit
+        deficit[:] = map(add, deficit, self.shares)
+        best = deficit.index(max(deficit))
+        deficit[best] -= 1.0
         return best
 
     def allocate(self) -> PhysicalPageAddress:
@@ -105,29 +113,29 @@ class PageAllocator:
         self._cursors[ppa.channel].retire_block(ppa)
         return True
 
-    def open_blocks(self):
-        """Blocks currently serving as write points (GC must skip them)."""
-        blocks = set()
-        for channel, cursor in enumerate(self._cursors):
-            for unit in cursor._units:
-                if unit._current_block >= 0 and unit._next_page < self.config.pages_per_block:
-                    blocks.add(
-                        (channel, unit.chip, unit.die, unit.plane, unit._current_block)
-                    )
-        return blocks
+    def open_blocks(self) -> Set[BlockKey]:
+        """Blocks with pages still to hand out (GC must skip them).
+
+        The live set the write points maintain: read it, do not mutate it.
+        """
+        return self._open
 
 
 class _ChannelCursor:
     """Round-robin write points across a channel's chips/dies/planes."""
 
-    def __init__(self, config: FlashConfig, channel: int, wear=None) -> None:
+    def __init__(
+        self, config: FlashConfig, channel: int, wear, open_blocks: Set[BlockKey]
+    ) -> None:
         self.config = config
         self.channel = channel
         self._units: List[_UnitCursor] = []
         for chip in range(config.chips_per_channel):
             for die in range(config.dies_per_chip):
                 for plane in range(config.planes_per_die):
-                    self._units.append(_UnitCursor(config, channel, chip, die, plane, wear))
+                    self._units.append(
+                        _UnitCursor(config, channel, chip, die, plane, wear, open_blocks)
+                    )
         self._rr = 0
 
     def next_page(self) -> PhysicalPageAddress:
@@ -155,10 +163,21 @@ class _ChannelCursor:
 
 
 class _UnitCursor:
-    """Write point within one (chip, die, plane)."""
+    """Write point within one (chip, die, plane).
+
+    Adds its current block to ``open_blocks`` when it opens it, and removes
+    it when the last page is handed out or the block is retired.
+    """
 
     def __init__(
-        self, config: FlashConfig, channel: int, chip: int, die: int, plane: int, wear=None
+        self,
+        config: FlashConfig,
+        channel: int,
+        chip: int,
+        die: int,
+        plane: int,
+        wear=None,
+        open_blocks: Optional[Set[BlockKey]] = None,
     ):
         self.config = config
         self.channel = channel
@@ -166,6 +185,7 @@ class _UnitCursor:
         self.die = die
         self.plane = plane
         self.wear = wear
+        self._open: Set[BlockKey] = set() if open_blocks is None else open_blocks
         self._free_blocks = list(range(config.blocks_per_plane - 1, -1, -1))
         self._retired: set = set()
         self._current_block: int = -1
@@ -186,21 +206,31 @@ class _UnitCursor:
         erases = [counts.get(block, 0) for block in reversed(free)]
         return free.pop(len(free) - 1 - erases.index(min(erases)))
 
+    def _key(self, block: int) -> BlockKey:
+        return (self.channel, self.chip, self.die, self.plane, block)
+
     def next_page(self):
-        if self._next_page >= self.config.pages_per_block:
+        pages = self.config.pages_per_block
+        if self._next_page >= pages:
             if not self._free_blocks:
                 return None
             self._current_block = self._pick_block()
             self._next_page = 0
+            self._open.add(self._key(self._current_block))
+        page = self._next_page
         ppa = PhysicalPageAddress(
-            self.channel, self.chip, self.die, self.plane, self._current_block, self._next_page
+            self.channel, self.chip, self.die, self.plane, self._current_block, page
         )
-        self._next_page += 1
+        self._next_page = page + 1
+        if page + 1 == pages:
+            self._open.discard(ppa[:5])  # full: closed from now on
         return ppa
 
     def release_block(self, block: int) -> None:
         if block == self._current_block:
-            raise FTLError("cannot release the open write block")
+            if self._next_page < self.config.pages_per_block:
+                raise FTLError("cannot release the open write block")
+            self._current_block = -1  # full, so closed: the next page opens a fresh one
         if block in self._retired:
             return  # grown bad blocks never rejoin the pool
         self._free_blocks.insert(0, block)
@@ -211,5 +241,6 @@ class _UnitCursor:
             self._free_blocks.remove(block)
         if block == self._current_block:
             # Close the write point; the next allocation opens a fresh block.
+            self._open.discard(self._key(block))
             self._current_block = -1
             self._next_page = self.config.pages_per_block

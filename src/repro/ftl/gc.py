@@ -3,7 +3,9 @@
 Victim selection is greedy-by-invalid-count (the standard MQSim policy):
 the block with the most invalid pages is reclaimed first, still-valid pages
 are relocated through the allocator, and the erase is timed against the
-flash array so GC pressure shows up as channel/die occupancy.
+flash array so GC pressure shows up as channel/die occupancy. Every step
+reads the FTL's per-block state (invalid pages per block, the P2L map, the
+open-block set); none rescans the invalid set or the write points.
 
 Two driving styles share the same relocation mechanics:
 
@@ -18,9 +20,8 @@ Two driving styles share the same relocation mechanics:
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.errors import FTLError
 from repro.flash.array import FlashArray, PhysicalPageAddress
@@ -51,34 +52,36 @@ class GarbageCollector:
         #: the process form has no direct way to return it).
         self.last_result: Optional[GCResult] = None
 
-    def _blocks_by_invalid(self) -> Dict[BlockId, List[PhysicalPageAddress]]:
-        groups: Dict[BlockId, List[PhysicalPageAddress]] = defaultdict(list)
-        for ppa in self.ftl.invalid_pages:
-            key = (ppa.channel, ppa.chip, ppa.die, ppa.plane, ppa.block)
-            groups[key].append(ppa)
-        return groups
-
     def pick_victim(self) -> Optional[BlockId]:
-        groups = self._blocks_by_invalid()
+        """The closed block with the most invalid pages, least worn among
+        equals; then the block whose page comes first in ``invalid_pages``."""
         # Never reclaim an open write point: its remaining pages are about
         # to be programmed.
         open_blocks = self.ftl.allocator.open_blocks()
-        candidates = {k: v for k, v in groups.items() if k not in open_blocks}
-        if not candidates:
-            return None
-        # Most invalid pages first; break ties toward least-worn blocks.
-        def score(item):
-            key, pages = item
-            return (len(pages), -self.ftl.wear.erase_count(key))
-
-        return max(candidates.items(), key=score)[0]
+        most, tied = 0, []
+        for block, pages in self.ftl.invalid_by_block.items():
+            if block in open_blocks:
+                continue
+            count = len(pages)
+            if count > most:
+                most, tied = count, [block]
+            elif count == most:
+                tied.append(block)
+        if len(tied) > 1:
+            erases = [self.ftl.wear.erase_count(block) for block in tied]
+            least = min(erases)
+            tied = [block for block, count in zip(tied, erases) if count == least]
+        if len(tied) < 2:
+            return tied[0] if tied else None
+        tied = set(tied)
+        return next(ppa[:5] for ppa in self.ftl.invalid_pages if ppa[:5] in tied)
 
     def collect(self, at_ns: float = 0.0) -> GCResult:
         """Run one GC pass; raises if there is nothing to collect."""
         victim = self.pick_victim()
         if victim is None:
             raise FTLError("no invalid pages: nothing to collect")
-        invalid_here = self._invalid_pages_in(victim)
+        invalid_here = set(self.ftl.invalid_by_block[victim])
         # Relocate valid pages (mapped pages living in this block).
         relocated = 0
         now = at_ns
@@ -100,7 +103,7 @@ class GarbageCollector:
         if victim is None:
             raise FTLError("no invalid pages: nothing to collect")
         yield sim.wait_until(at_ns)
-        invalid_here = self._invalid_pages_in(victim)
+        invalid_here = set(self.ftl.invalid_by_block.get(victim, ()))
         relocated = 0
         now = sim.now
         for ppa, lpa in self._valid_pages_in(victim, invalid_here):
@@ -110,13 +113,6 @@ class GarbageCollector:
         self._finish(victim, invalid_here, relocated, now)
 
     # -- shared relocation mechanics ------------------------------------------
-
-    def _invalid_pages_in(self, victim: BlockId):
-        return {
-            ppa.page
-            for ppa in self.ftl.invalid_pages
-            if (ppa.channel, ppa.chip, ppa.die, ppa.plane, ppa.block) == victim
-        }
 
     def _valid_pages_in(self, victim: BlockId, invalid_here):
         channel, chip, die, plane, block = victim
@@ -136,18 +132,11 @@ class GarbageCollector:
         return write.array_done_ns
 
     def _finish(self, victim: BlockId, invalid_here, relocated: int, now: float) -> GCResult:
-        channel, chip, die, plane, block = victim
-        erase_ppa = PhysicalPageAddress(channel, chip, die, plane, block, 0)
+        erase_ppa = PhysicalPageAddress(*victim, 0)
         done = self.array.erase(erase_ppa, now)
         self.ftl.wear.record_erase(victim)
         # Drop this block's pages from the invalid set and free it.
-        self.ftl.invalid_pages.difference_update(
-            {
-                ppa
-                for ppa in set(self.ftl.invalid_pages)
-                if (ppa.channel, ppa.chip, ppa.die, ppa.plane, ppa.block) == victim
-            }
-        )
+        self.ftl.forget_erased(victim)
         self.ftl.allocator.free_block(erase_ppa)
         self.collections += 1
         self.pages_relocated += relocated

@@ -4,6 +4,11 @@ Implements the mapping responsibilities of Section II-A: page-granular
 LPA -> PPA translation, out-of-place updates (old pages invalidated for the
 garbage collector), and bulk ``populate`` used to mount datasets before an
 offload run.
+
+Beside the L2P map the FTL keeps the per-block state a greedy collector
+reads, as MQSim does: a P2L map, the invalid page numbers grouped per
+block, and (in the allocator) the set of open write blocks. Every update
+keeps them in step, so no GC pass rebuilds them by scanning.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from repro.config import FlashConfig
 from repro.errors import FTLError
 from repro.flash.array import PhysicalPageAddress
 from repro.ftl.allocator import PageAllocator
-from repro.ftl.wear import WearTracker
+from repro.ftl.wear import BlockKey, WearTracker
 
 
 class PageMapFTL:
@@ -25,7 +30,9 @@ class PageMapFTL:
         self.wear = WearTracker()
         self.allocator = PageAllocator(config, skew=skew, wear=self.wear)
         self._map: Dict[int, PhysicalPageAddress] = {}
+        self._p2l: Dict[PhysicalPageAddress, int] = {}
         self._invalid: Set[PhysicalPageAddress] = set()
+        self._invalid_by_block: Dict[BlockKey, Set[int]] = {}
         self.updates = 0
 
     # -- translation -------------------------------------------------------------
@@ -45,15 +52,20 @@ class PageMapFTL:
     # -- writes --------------------------------------------------------------------
 
     def write(self, lpa: int) -> PhysicalPageAddress:
-        """Map ``lpa`` to a fresh physical page (out-of-place update)."""
+        """Map ``lpa`` to a fresh physical page (out-of-place update).
+
+        The page is allocated before anything else changes, so a write the
+        array has no room for leaves the map as it was.
+        """
         if lpa < 0:
             raise FTLError("LPA must be non-negative")
+        ppa = self.allocator.allocate()
         old = self._map.get(lpa)
         if old is not None:
-            self._invalid.add(old)
+            self._invalidate(old)
             self.updates += 1
-        ppa = self.allocator.allocate()
         self._map[lpa] = ppa
+        self._p2l[ppa] = lpa
         return ppa
 
     def populate(self, lpas: Iterable[int]) -> List[PhysicalPageAddress]:
@@ -65,7 +77,16 @@ class PageMapFTL:
         ppa = self._map.pop(lpa, None)
         if ppa is None:
             raise FTLError(f"trim of unmapped LPA {lpa}")
+        self._invalidate(ppa)
+
+    def _invalidate(self, ppa: PhysicalPageAddress) -> None:
+        del self._p2l[ppa]
         self._invalid.add(ppa)
+        pages = self._invalid_by_block.get(ppa[:5])
+        if pages is None:
+            self._invalid_by_block[ppa[:5]] = {ppa.page}
+        else:
+            pages.add(ppa.page)
 
     # -- GC interface -----------------------------------------------------------------
 
@@ -73,20 +94,39 @@ class PageMapFTL:
     def invalid_pages(self) -> Set[PhysicalPageAddress]:
         return self._invalid
 
-    def remap_for_gc(self, lpa: int, new_ppa_source: Optional[PhysicalPageAddress] = None):
+    @property
+    def invalid_by_block(self) -> Dict[BlockKey, Set[int]]:
+        """Invalid page numbers of every block that has any (read-only)."""
+        return self._invalid_by_block
+
+    def collectible_invalid_pages(self) -> int:
+        """Invalid pages in closed blocks: what the collector can reclaim."""
+        open_blocks = self.allocator.open_blocks()
+        return sum(
+            len(pages)
+            for block, pages in self._invalid_by_block.items()
+            if block not in open_blocks
+        )
+
+    def remap_for_gc(self, lpa: int):
         """Used by the GC when relocating a still-valid page."""
         old = self.lookup(lpa)
         new = self.allocator.allocate()
         self._map[lpa] = new
-        self._invalid.add(old)
+        self._p2l[new] = lpa
+        self._invalidate(old)
         return old, new
 
     def reverse_lookup(self, ppa: PhysicalPageAddress) -> Optional[int]:
-        """Find the LPA mapped to ``ppa`` (linear; GC-path only)."""
-        for lpa, mapped in self._map.items():
-            if mapped == ppa:
-                return lpa
-        return None
+        """The LPA mapped to ``ppa``, or None for a free or invalid page."""
+        return self._p2l.get(ppa)
+
+    def forget_erased(self, block: BlockKey) -> None:
+        """Drop an erased block's pages from the invalid set."""
+        pages = self._invalid_by_block.pop(block, ())
+        self._invalid.difference_update(
+            {PhysicalPageAddress(*block, page) for page in pages}
+        )
 
     # -- distribution stats -------------------------------------------------------------
 

@@ -64,9 +64,9 @@ class ZonedFTL:
 
     Keeps the slices of the :class:`~repro.ftl.mapping.PageMapFTL` surface
     that shared code paths touch (``lookup``/``is_mapped``/``__len__``/
-    ``invalid_pages``/``channel_page_counts``/``wear``/``allocator``), but
-    random writes (``write``/``populate``/``trim``) raise: a zoned
-    namespace is sequential-write-only by construction.
+    ``invalid_pages``/``collectible_invalid_pages``/``channel_page_counts``/
+    ``wear``), but random writes (``write``/``populate``/``trim``) raise: a
+    zoned namespace is sequential-write-only by construction.
     """
 
     def __init__(self, config: FlashConfig, max_open_zones: int = 8) -> None:
@@ -85,8 +85,6 @@ class ZonedFTL:
         self._open: Set[int] = set()
         self.resets = 0
         self.appends = 0
-        #: Duck-type shim for code that inspects ``ftl.allocator.open_blocks()``.
-        self.allocator = _ZoneAllocatorView(self)
         #: PageMapFTL compatibility: ZNS mode has no page-GC debt, ever.
         self.updates = 0
 
@@ -276,6 +274,10 @@ class ZonedFTL:
         """ZNS reclaims by zone reset; there is no page-GC debt to collect."""
         return set()
 
+    def collectible_invalid_pages(self) -> int:
+        """Nothing for a page collector to reclaim, as for ``invalid_pages``."""
+        return 0
+
     def write(self, lpa: int) -> PhysicalPageAddress:
         raise ZnsError("zoned namespace is append-only; use append(zone_id, npages)")
 
@@ -296,17 +298,3 @@ class ZonedFTL:
                 counts[self.zone_group(zone_id)[0]] += wp
         return counts
 
-
-class _ZoneAllocatorView:
-    """Just enough of :class:`~repro.ftl.allocator.PageAllocator` for code
-    that asks the FTL which blocks are open (e.g. GC-debt probes): the open
-    blocks of a zoned namespace are the block groups of its OPEN zones."""
-
-    def __init__(self, ftl: ZonedFTL) -> None:
-        self._ftl = ftl
-
-    def open_blocks(self) -> Set[BlockKey]:
-        keys: Set[BlockKey] = set()
-        for zone_id in self._ftl.open_zones:
-            keys.update(self._ftl.zone_blocks(zone_id))
-        return keys

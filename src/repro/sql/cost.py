@@ -115,14 +115,7 @@ class LiveCostSource(StaticCostSource):
         fills, so the raw invalid count wildly over-states GC pressure on a
         lightly-written device.
         """
-        ftl = self.layer.device.ftl
-        open_blocks = ftl.allocator.open_blocks()
-        return sum(
-            1
-            for ppa in ftl.invalid_pages
-            if (ppa.channel, ppa.chip, ppa.die, ppa.plane, ppa.block)
-            not in open_blocks
-        )
+        return self.layer.device.ftl.collectible_invalid_pages()
 
     def gc_backlog_ns(self) -> float:
         """Committed background relocation work, as time stolen from scans.

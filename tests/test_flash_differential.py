@@ -6,11 +6,19 @@
   input type, with flips scattered over the page or packed into one
   codeword, in the data and in the spare bytes: same spare bytes, decoded
   bytes, worst status and correction count.
-* **Block pick.** A :class:`~repro.ftl.PageMapFTL` on the per-unit
-  :class:`~repro.ftl.WearTracker` must hand out the same PPA stream as one
-  on the flat wear map with the scanning pick, under random writes,
-  overwrites, GC passes and block retirements at skew 0 and skew > 0, and
-  end with the same erase counts.
+* **Block pick and GC.** A :class:`~repro.ftl.PageMapFTL` on the per-unit
+  :class:`~repro.ftl.WearTracker`, collected by
+  :class:`~repro.ftl.GarbageCollector` from its per-block state, must
+  behave like the :class:`ScanFTL` on the flat wear map with the scanning
+  block and channel picks, collected by the scanning
+  :class:`ScanGarbageCollector`. The ops are random writes, overwrites,
+  trims, synchronous GC passes, GC processes with host writes interleaved,
+  block retirements and writes into a full array, at skew 0 and skew > 0.
+  Both sides must give the same PPA streams, victims, GC results,
+  collectible counts, invalid-set order and erase counts. After every op
+  the per-block state must also equal a fresh rebuild: the P2L map is the
+  inverse of the L2P map, the per-block groups are a regrouping of the
+  invalid set, and the open-block set is the walk over the write points.
 
 Examples are bounded so each property stays a few seconds inside tier-1.
 """
@@ -29,6 +37,7 @@ from repro.flash import ecc  # noqa: E402
 from repro.flash.array import FlashArray, PhysicalPageAddress  # noqa: E402
 from repro.ftl import GarbageCollector, PageMapFTL, WearTracker  # noqa: E402
 from repro.ftl.allocator import _UnitCursor  # noqa: E402
+from repro.sim import Simulator  # noqa: E402
 
 from tests import flash_oracle as oracle  # noqa: E402
 
@@ -119,38 +128,113 @@ BLOCK_KEYS = [
     for plane in range(CFG.planes_per_die)
     for block in range(CFG.blocks_per_plane)
 ]
-LPAS = 20  # ~40% of the array: overwrites fill it with garbage quickly
+LPAS = 20  # ~20% of the array: overwrites fill it with garbage quickly
+#: ``fill`` writes fresh LPAs from here on, until the array is full of live data.
+FILL_BASE = 1000
 
+_lpas = st.integers(0, LPAS - 1)
 _ops = st.lists(
     st.one_of(
-        st.tuples(st.just("write"), st.integers(0, LPAS - 1)),
+        st.tuples(st.just("write"), _lpas),
+        st.tuples(st.just("trim"), _lpas),
         st.tuples(st.just("gc")),
+        st.tuples(
+            st.just("gc_process"),
+            st.lists(_lpas, max_size=4),
+            st.sampled_from((0, 5_000, 40_000, 200_000)),
+        ),
         st.tuples(st.just("retire"), st.integers(0, BLOCKS - 1)),
+        st.tuples(st.just("fill"), st.integers(1, 60)),
     ),
     max_size=150,
 )
 
 
-def _stack(ftl):
+def _stack(ftl, collector):
     array = FlashArray(CFG)
-    return ftl, array, GarbageCollector(ftl, array)
+    return ftl, array, collector(ftl, array), [FILL_BASE]
+
+
+def _fast_stack(skew):
+    return _stack(PageMapFTL(CFG, skew=skew), GarbageCollector)
+
+
+def _scan_stack(skew):
+    return _stack(oracle.ScanFTL(CFG, skew=skew), oracle.ScanGarbageCollector)
+
+
+def _write(ftl, array, lpa, at_ns=0):
+    try:
+        ppa = ftl.write(lpa)
+    except FTLError as exc:
+        return f"FTLError: {exc}"
+    array.service_write(ppa, at_ns)  # a page handed out twice fails here
+    return ppa
+
+
+def _gc_process(gc, sim, out):
+    try:
+        yield from gc.collect_process(sim, 0)
+    except FTLError as exc:
+        out.append(f"FTLError: {exc}")
+
+
+def _host_writes(ftl, array, sim, victim, picks, gap_ns, out):
+    """Overwrites issued while the GC process relocates pages: pick *i*
+    rewrites a still-mapped LPA of the victim block, if one is left."""
+    for pick in picks:
+        live = []
+        for page in range(CFG.pages_per_block if victim else 0):
+            lpa = ftl.reverse_lookup(PhysicalPageAddress(*victim, page))
+            if lpa is not None:
+                live.append(lpa)
+        lpa = live[pick % len(live)] if live else pick % LPAS
+        out.append(_write(ftl, array, lpa, sim.now))
+        yield sim.wait_until(sim.now + gap_ns)
 
 
 def _apply(stack, op):
     """Run one op; returns what it handed out (or the error it raised)."""
-    ftl, array, gc = stack
+    ftl, array, gc, fill_next = stack
+    kind = op[0]
+    if kind == "write":
+        return _write(ftl, array, op[1])
+    if kind == "fill":
+        out = []
+        for _ in range(op[1]):
+            out.append(_write(ftl, array, fill_next[0]))
+            fill_next[0] += 1
+        return out
+    if kind == "gc_process":
+        sim, out = Simulator(), []
+        gc.last_result = None
+        victim = gc.pick_victim()
+        sim.spawn(_gc_process(gc, sim, out), label="gc")
+        sim.spawn(_host_writes(ftl, array, sim, victim, op[1], op[2], out), label="host")
+        sim.run()
+        return out, gc.last_result, gc.collections, gc.pages_relocated
     try:
-        if op[0] == "write":
-            ppa = ftl.write(op[1])
-            array.service_write(ppa, 0)  # a page handed out twice fails here
-            return ppa
-        if op[0] == "gc":
+        if kind == "trim":
+            return ftl.trim(op[1])
+        if kind == "gc":
             result = gc.collect()
-            return result.victim, result.relocated, result.reclaimed
+            return result, gc.collections, gc.pages_relocated
         block = PhysicalPageAddress.from_flat(op[1] * CFG.pages_per_block, CFG)
         return ftl.allocator.retire_block(block)
     except FTLError as exc:
         return f"FTLError: {exc}"
+
+
+def assert_block_state(ftl):
+    """The per-block state equals one rebuilt from the L2P map and the scans."""
+    assert ftl._p2l == {ppa: lpa for lpa, ppa in ftl._map.items()}
+    assert len(ftl._p2l) == len(ftl._map)  # the L2P map is injective
+    assert ftl.invalid_by_block == {
+        block: {ppa.page for ppa in pages}
+        for block, pages in oracle.regroup(ftl.invalid_pages).items()
+    }
+    assert ftl.allocator.open_blocks() == oracle.walk_open_blocks(ftl.allocator)
+    assert ftl.collectible_invalid_pages() == oracle.scan_collectible(ftl)
 
 
 def _flat_counts(wear: WearTracker):
@@ -162,10 +246,17 @@ def _flat_counts(wear: WearTracker):
 
 
 def _run_both(ops, skew):
-    fast = _stack(PageMapFTL(CFG, skew=skew))
-    scan = _stack(oracle.scan_ftl(CFG, skew=skew))
+    """Both stacks through ``ops``; returns the outcomes and the erase count."""
+    fast, scan = _fast_stack(skew), _scan_stack(skew)
+    outcomes = []
     for step, op in enumerate(ops):
-        assert _apply(fast, op) == _apply(scan, op), (step, op)
+        outcomes.append(_apply(fast, op))
+        assert outcomes[-1] == _apply(scan, op), (step, op)
+        assert_block_state(fast[0])
+        assert fast[0]._map == scan[0].map, (step, op)
+        assert list(fast[0].invalid_pages) == list(scan[0].invalid_pages), (step, op)
+        assert fast[0].collectible_invalid_pages() == oracle.scan_collectible(scan[0])
+        assert fast[2].pick_victim() == scan[2].pick_victim(), (step, op)
     fast_wear, scan_wear = fast[0].wear, scan[0].wear
     assert _flat_counts(fast_wear) == scan_wear.erases
     for key in scan_wear.erases:
@@ -173,7 +264,7 @@ def _run_both(ops, skew):
     assert fast_wear.total_erases == scan_wear.total_erases
     assert fast_wear.max_erases == scan_wear.max_erases
     assert fast_wear.imbalance() == scan_wear.imbalance()
-    return scan_wear.total_erases
+    return outcomes, scan_wear.total_erases
 
 
 @settings(max_examples=200, deadline=None)
@@ -182,20 +273,74 @@ def test_allocator_matches_scan_oracle(ops, skew):
     _run_both(ops, skew)
 
 
+def _random_ops(seed, count):
+    rng = random.Random(seed)
+    ops = []
+    for _ in range(count):
+        roll = rng.random()
+        if roll < 0.7:
+            ops.append(("write", rng.randrange(LPAS)))
+        elif roll < 0.75:
+            ops.append(("trim", rng.randrange(LPAS)))
+        elif roll < 0.88:
+            ops.append(("gc",))
+        elif roll < 0.96:
+            lpas = [rng.randrange(LPAS) for _ in range(rng.randrange(5))]
+            ops.append(("gc_process", lpas, rng.choice((0, 5_000, 40_000))))
+        elif roll < 0.98:
+            ops.append(("retire", rng.randrange(BLOCKS)))
+    return ops
+
+
 @pytest.mark.parametrize("skew", [0.0, 0.3])
 def test_long_write_gc_sequence_matches_scan_oracle(skew):
     """Hundreds of overwrites between GC passes: blocks wear unevenly."""
-    rng = random.Random(7)
-    ops = []
-    for _ in range(600):
-        roll = rng.random()
-        if roll < 0.8:
-            ops.append(("write", rng.randrange(LPAS)))
-        elif roll < 0.98:
-            ops.append(("gc",))
-        else:
-            ops.append(("retire", rng.randrange(BLOCKS)))
-    assert _run_both(ops, skew) > 20  # enough erases for wear to decide picks
+    _, erases = _run_both(_random_ops(7, 600), skew)
+    assert erases > 20  # enough erases for wear to decide picks
+
+
+@pytest.mark.parametrize("fill", [24, 32])
+def test_full_array_sequence_matches_scan_oracle(fill):
+    """With ``fill`` more live pages, garbage fills the array between GC
+    passes: writes and relocations fail until GC frees a block."""
+    ops = [("fill", fill)] + _random_ops(3, 400)
+    outcomes, erases = _run_both(ops, 0.0)
+    failed = [
+        out for op, out in zip(ops, outcomes) if op[0] == "write" and "no free pages" in str(out)
+    ]
+    assert len(failed) > 20, "the array never filled up"
+    assert erases > 20
+
+
+def test_gc_process_skips_a_page_overwritten_mid_pass():
+    """The host rewrites the victim's last live page between relocations."""
+    ops = [("write", lpa) for lpa in range(16)] + [("write", 0), ("gc_process", [0, 0, 0], 0)]
+    outcomes, _ = _run_both(ops, 0.0)
+    result = outcomes[-1][1]
+    assert (result.victim, result.relocated, result.reclaimed) == ((0, 0, 0, 0, 0), 1, 2)
+
+
+def test_tied_victims_go_to_the_first_block_in_invalid_set_order():
+    """Equal counts and wear: the block of the earliest invalid page wins."""
+    rng = random.Random(5)
+    ties = 0
+    for _ in range(30):
+        ftl = PageMapFTL(CFG)
+        scan = oracle.ScanFTL(CFG)
+        lpas = rng.sample(range(48), 48)
+        for lpa in lpas + rng.sample(lpas, 24):
+            ftl.write(lpa)
+            scan.write(lpa)
+        groups = [
+            (len(pages), key)
+            for key, pages in oracle.regroup(scan.invalid_pages).items()
+            if key not in oracle.walk_open_blocks(scan.allocator)
+        ]
+        best = max(count for count, _ in groups)
+        ties += sum(count == best for count, _ in groups) > 1
+        victim = GarbageCollector(ftl, FlashArray(CFG)).pick_victim()
+        assert victim == oracle.ScanGarbageCollector(scan, FlashArray(CFG)).pick_victim()
+    assert ties > 10  # the tie walk decided most of the picks
 
 
 @settings(max_examples=200, deadline=None)

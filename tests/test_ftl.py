@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.config import FlashConfig
 from repro.errors import FTLError
-from repro.flash.array import FlashArray
+from repro.flash.array import FlashArray, PhysicalPageAddress
 from repro.ftl.allocator import PageAllocator, measured_skew, skew_shares
 from repro.ftl.gc import GarbageCollector
 from repro.ftl.mapping import PageMapFTL
@@ -167,6 +167,55 @@ def test_gc_frees_capacity_for_new_writes():
     # Array is now full; GC must reclaim before further writes succeed.
     gc.collect(at_ns=array.horizon_ns)
     ftl.write(100)  # should not raise
+
+
+def _geometry(channels, blocks, pages):
+    return FlashConfig(
+        channels=channels,
+        chips_per_channel=1,
+        dies_per_chip=1,
+        planes_per_die=1,
+        blocks_per_plane=blocks,
+        pages_per_block=pages,
+    )
+
+
+def test_failed_overwrite_leaves_the_map_unchanged():
+    """An overwrite the full array cannot place must not invalidate the
+    old page: GC would erase it unrelocated and hand it to another LPA."""
+    tiny = _geometry(1, 3, 2)
+    ftl, array = PageMapFTL(tiny), FlashArray(tiny)
+    gc = GarbageCollector(ftl, array)
+    for lpa in (0, 0, 1, 1, 2, 2):
+        array.service_write(ftl.write(lpa), 0.0)
+    state = lambda: ([ftl.lookup(lpa) for lpa in range(3)], set(ftl.invalid_pages), ftl.updates)
+    before = state()
+    with pytest.raises(FTLError):
+        ftl.write(0)
+    assert state() == before
+    # Every block holds one live page and no page is free: nothing can move.
+    with pytest.raises(FTLError):
+        gc.collect(at_ns=array.horizon_ns)
+    assert state() == before
+    assert len(set(before[0])) == 3
+
+
+def test_gc_reclaims_a_full_write_point_block():
+    """A unit's current block, once full, is closed: GC may reclaim it and
+    the erased block rejoins the unit's free pool."""
+    two = _geometry(2, 4, 2)
+    ftl, array = PageMapFTL(two), FlashArray(two)
+    gc = GarbageCollector(ftl, array)
+    for lpa in (3, 3, 2):  # channel 0's block 0: LPA 3 (stale), then LPA 2
+        array.service_write(ftl.write(lpa), 0.0)
+    assert (0, 0, 0, 0, 0) not in ftl.allocator.open_blocks()
+    result = gc.collect(at_ns=array.horizon_ns)
+    assert (result.victim, result.relocated, result.reclaimed) == ((0, 0, 0, 0, 0), 1, 1)
+    assert gc.collections == 1 and gc.last_result is result
+    assert ftl.wear.erase_count((0, 0, 0, 0, 0)) == 1
+    assert ftl.allocator._cursors[0]._units[0]._free_blocks == [0, 3, 2, 1]
+    assert ftl.invalid_pages == set()
+    assert ftl.lookup(2) == PhysicalPageAddress(1, 0, 0, 0, 0, 1)  # relocated
 
 
 def test_wear_leveling_prefers_least_erased_blocks():

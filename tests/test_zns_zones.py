@@ -159,4 +159,4 @@ def test_random_write_surface_raises():
     with pytest.raises(ZnsError):
         ftl.trim(0)
     assert ftl.invalid_pages == set()
-    assert ftl.allocator.open_blocks() == set()
+    assert ftl.collectible_invalid_pages() == 0
