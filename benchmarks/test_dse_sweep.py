@@ -33,8 +33,9 @@ SAMPLE_BYTES = (8 if SMOKE else 16) * 1024
 DATA_BYTES = 8 << 20
 SEED = 7
 
-#: Conservative floors (observed locally: ~2 points/s and ~400k instr/s at
-#: the full sample size; CI boxes are slower and shared).
+#: Conservative floors (observed on a 2-vCPU x86 host: 2.5-3.8 points/s
+#: and 0.4-0.6M instr/s at the full sample size, most of it the predictive
+#: model's ALU costing and the offload replay; CI boxes are slower and shared).
 MIN_POINTS_PER_SEC = 0.25
 MIN_INSTR_PER_SEC = 30_000.0
 

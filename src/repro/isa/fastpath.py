@@ -30,10 +30,13 @@ paper's evaluation (§VI) is about.
   a per-step interpreter loop (the timing oracle in the test suite), not
   just close.
 
-Semantics that cannot be batched are not batched: loads/stores call the
-memory hierarchy with the exact intermediate cycle (cache fill times and
-prefetcher timestamps depend on it), and stream ops keep the shared clock
-current so firmware refill hooks record the same page-needed cycles.
+Semantics that cannot be batched are not batched: DRAM-space loads/stores
+call the memory hierarchy with the exact intermediate cycle (cache fill
+times and prefetcher timestamps depend on it), and stream ops keep the
+shared clock current so firmware refill hooks record the same page-needed
+cycles. A scratchpad or ping-pong access costs a constant per pad and
+width, so it is timed by one range check and counted per PC; the counts
+are folded into the pads' stats at sync time.
 
 This is the only engine the core model runs. An attached
 :class:`~repro.telemetry.profiler.IsaProfiler` is fed per PC at sync time
@@ -46,6 +49,7 @@ paths are differential-testable too.
 
 from __future__ import annotations
 
+from struct import Struct, calcsize
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.config import PIPELINE_MODELS
@@ -65,9 +69,13 @@ _EOS = -3
 #: First-touch page granularity of the core model's DRAM-staged I/O trace.
 _PAGE_BYTES = 4096
 
-_LOAD_SIZES = {"lb": (1, True), "lbu": (1, False), "lh": (2, True),
-               "lhu": (2, False), "lw": (4, False)}
-_STORE_SIZES = {"sb": 1, "sh": 2, "sw": 4}
+#: Little-endian ``struct`` format of each load and store.
+_MEM_FORMATS = {"lb": "<b", "lbu": "<B", "lh": "<h", "lhu": "<H", "lw": "<I",
+                "sb": "<B", "sh": "<H", "sw": "<I"}
+
+#: Window bounds of a pad the hierarchy does not have: 32-bit addresses
+#: never reach them.
+_NO_PAD = 1 << 32
 
 #: Instruction kinds whose cost is a compile-time constant: these form the
 #: superblock bodies. Everything else is a block-terminating dynamic op.
@@ -89,6 +97,8 @@ class _Ctx:
     __slots__ = (
         "regs",
         "memory",
+        "buf",
+        "mem_size",
         "in_streams",
         "out_streams",
         "clock",
@@ -100,11 +110,26 @@ class _Ctx:
         "taken",
         "aborted",
         "pc_cycles",
+        "sp_lo",
+        "sp_hi",
+        "sp_stall",
+        "sp_hits",
+        "pp_lo",
+        "pp_hi",
+        "pp_half",
+        "pp_stall",
+        "pp_hits",
+        "mem_cycles",
     )
 
 
 def _signed(value: int) -> int:
     return value - 0x100000000 if value & 0x80000000 else value
+
+
+def _pad_stalls(pad) -> List[int]:
+    """Stall cycles of a pad access, indexed by its width in bytes."""
+    return [0] + [pad.access_latency(width) - 1 for width in range(1, 5)]
 
 
 class FastEngine:
@@ -156,6 +181,11 @@ class FastEngine:
             self._dyncost or k in (InstrKind.LOAD, InstrKind.STORE)
             for k in self.kinds
         ]
+        #: Bytes moved by each load/store (0 elsewhere), for the pad fold.
+        self._mem_size: List[int] = [
+            calcsize(_MEM_FORMATS[i.op]) if i.op in _MEM_FORMATS else 0
+            for i in program.instrs
+        ]
         self._sfn: List[Optional[Callable]] = [None] * n
         self._dfn: List[Optional[Callable]] = [None] * n
         self._pfn: List[Optional[Callable]] = [None] * n
@@ -164,6 +194,8 @@ class FastEngine:
                 self._sfn[pc] = self._compile_static(instr)
                 if self._dyncost:
                     self._pfn[pc] = self._compile_costed(pc, instr)
+            elif instr.op in _MEM_FORMATS:
+                self._dfn[pc] = self._compile_mem(pc, instr)
             elif self._dyncost:
                 self._dfn[pc] = self._compile_dynamic_predictive(pc, instr)
             else:
@@ -274,8 +306,76 @@ class FastEngine:
             return lambda R: R.__setitem__(rd, value)
         raise ExecutionError(f"no static decoder for opcode {op!r}")
 
+    def _compile_mem(self, pc: int, i) -> Callable:
+        """A load or store, under either timing model.
+
+        The bytes move with ``struct`` after :meth:`FlatMemory.check`'s
+        bounds test. The timing is one range check against the run's pad
+        windows (see :meth:`_bind_pads`): a scratchpad or ping-pong access
+        stalls its pad's constant for this width and bumps this PC's tally,
+        which :meth:`_sync` folds into the pad's stats and the scratchpad
+        stall bucket. Only a DRAM-space access calls
+        :meth:`MemoryHierarchy.access`, whose cache outcome depends on the
+        cycle. The load/store cycles add up in one running float per kind,
+        in the same order as the per-step loop's per-kind sums.
+        """
+        op, rd, rs1, rs2, imm = i.op, i.rd, i.rs1, i.rs2, i.imm
+        is_store = self.kinds[pc] is InstrKind.STORE
+        codec = Struct(_MEM_FORMATS[op])
+        size = codec.size
+        pack, unpack = codec.pack_into, codec.unpack_from
+        mask = (1 << (8 * size)) - 1
+        access = AccessType.STORE if is_store else AccessType.LOAD
+        dest = 0 if is_store else rd  # the load-use hazard's destination
+        dyncost = self._dyncost
+        reads = instr_reads(i)
+        pcp1 = pc + 1
+
+        def _mem(ctx):
+            R = ctx.regs
+            addr = (R[rs1] + imm) & _MASK32
+            if addr + size > ctx.mem_size:
+                ctx.memory.check(addr, size)
+            if is_store:
+                pack(ctx.buf, addr, R[rs2] & mask)
+            elif rd:
+                R[rd] = unpack(ctx.buf, addr)[0] & _MASK32
+            h = ctx.hierarchy
+            if h is None:
+                return pcp1
+            hz = ctx.coster.mem(reads, dest) if dyncost else 0
+            if ctx.sp_lo <= addr and addr + size <= ctx.sp_hi:
+                stall = ctx.sp_stall[size]
+                ctx.sp_hits[pc] += 1
+            elif (
+                ctx.pp_lo <= addr
+                and addr + size <= ctx.pp_hi
+                and (addr - ctx.pp_lo) % ctx.pp_half + size <= ctx.pp_half
+            ):
+                stall = ctx.pp_stall[size]
+                ctx.pp_hits[pc] += 1
+            else:
+                stall = h.access(pc, addr, size, access, ctx.clock.cycle).stall_cycles
+            cost = 1.0 + (hz + stall)
+            if dyncost:
+                if hz:
+                    ctx.stats.hazard_stall_cycles += hz
+                h.add_compute_cycles(cost - stall)
+            ctx.mem_cycles[is_store] += cost
+            ctx.clock.cycle += cost
+            ctx.pc_cycles[pc] += cost
+            if not is_store:
+                region = ctx.region
+                if region is not None and region.start <= addr < region.stop:
+                    page_addr = addr - (addr - region.start) % _PAGE_BYTES
+                    if page_addr not in ctx.first_touch:
+                        ctx.first_touch[page_addr] = ctx.clock.cycle
+            return pcp1
+
+        return _mem
+
     def _compile_dynamic(self, pc: int, i) -> Callable:
-        """Block terminators: control flow, memory, streams, halt.
+        """Block terminators: control flow, streams, halt.
 
         Each closure performs its own live cycle/stats accounting (the part
         that depends on runtime state) and returns the next PC or a
@@ -284,58 +384,6 @@ class FastEngine:
         op, rd, rs1, rs2, imm = i.op, i.rd, i.rs1, i.rs2, i.imm
         kind = self.kinds[pc]
         pcp1 = pc + 1
-        if op in _LOAD_SIZES:
-            size, is_signed = _LOAD_SIZES[op]
-
-            def _load(ctx):
-                R = ctx.regs
-                addr = (R[rs1] + imm) & _MASK32
-                value = int.from_bytes(
-                    ctx.memory.load_bytes(addr, size), "little", signed=is_signed
-                )
-                if rd:
-                    R[rd] = value & _MASK32
-                h = ctx.hierarchy
-                if h is not None:
-                    result = h.access(
-                        pc=pc, addr=addr, size=size,
-                        access=AccessType.LOAD, cycle=ctx.clock.cycle,
-                    )
-                    cost = 1.0 + result.stall_cycles
-                    st = ctx.stats
-                    st.cycles_by_kind[kind] = st.cycles_by_kind.get(kind, 0.0) + cost
-                    ctx.clock.cycle += cost
-                    ctx.pc_cycles[pc] += cost
-                    region = ctx.region
-                    if region is not None and region.start <= addr < region.stop:
-                        page_addr = addr - (addr - region.start) % _PAGE_BYTES
-                        if page_addr not in ctx.first_touch:
-                            ctx.first_touch[page_addr] = ctx.clock.cycle
-                return pcp1
-
-            return _load
-        if op in _STORE_SIZES:
-            size = _STORE_SIZES[op]
-            mask = (1 << (8 * size)) - 1
-
-            def _store(ctx):
-                R = ctx.regs
-                addr = (R[rs1] + imm) & _MASK32
-                ctx.memory.store_bytes(addr, (R[rs2] & mask).to_bytes(size, "little"))
-                h = ctx.hierarchy
-                if h is not None:
-                    result = h.access(
-                        pc=pc, addr=addr, size=size,
-                        access=AccessType.STORE, cycle=ctx.clock.cycle,
-                    )
-                    cost = 1.0 + result.stall_cycles
-                    st = ctx.stats
-                    st.cycles_by_kind[kind] = st.cycles_by_kind.get(kind, 0.0) + cost
-                    ctx.clock.cycle += cost
-                    ctx.pc_cycles[pc] += cost
-                return pcp1
-
-            return _store
         if kind is InstrKind.BRANCH:
             taken_cost = 1.0 + self._taken_pen
             if op == "beq":
@@ -563,68 +611,6 @@ class FastEngine:
         reads = instr_reads(i)
         params = self.params
         stream_extra = params.stream_head_extra if params is not None else 0
-        if op in _LOAD_SIZES:
-            size, is_signed = _LOAD_SIZES[op]
-
-            def _load(ctx):
-                R = ctx.regs
-                addr = (R[rs1] + imm) & _MASK32
-                value = int.from_bytes(
-                    ctx.memory.load_bytes(addr, size), "little", signed=is_signed
-                )
-                if rd:
-                    R[rd] = value & _MASK32
-                h = ctx.hierarchy
-                if h is not None:
-                    hz = ctx.coster.mem(reads, rd)
-                    result = h.access(
-                        pc=pc, addr=addr, size=size,
-                        access=AccessType.LOAD, cycle=ctx.clock.cycle,
-                    )
-                    mem_stall = result.stall_cycles
-                    cost = 1.0 + (hz + mem_stall)
-                    st = ctx.stats
-                    st.cycles_by_kind[kind] = st.cycles_by_kind.get(kind, 0.0) + cost
-                    if hz:
-                        st.hazard_stall_cycles += hz
-                    h.add_compute_cycles(cost - mem_stall)
-                    ctx.clock.cycle += cost
-                    ctx.pc_cycles[pc] += cost
-                    region = ctx.region
-                    if region is not None and region.start <= addr < region.stop:
-                        page_addr = addr - (addr - region.start) % _PAGE_BYTES
-                        if page_addr not in ctx.first_touch:
-                            ctx.first_touch[page_addr] = ctx.clock.cycle
-                return pcp1
-
-            return _load
-        if op in _STORE_SIZES:
-            size = _STORE_SIZES[op]
-            mask = (1 << (8 * size)) - 1
-
-            def _store(ctx):
-                R = ctx.regs
-                addr = (R[rs1] + imm) & _MASK32
-                ctx.memory.store_bytes(addr, (R[rs2] & mask).to_bytes(size, "little"))
-                h = ctx.hierarchy
-                if h is not None:
-                    hz = ctx.coster.mem(reads, 0)
-                    result = h.access(
-                        pc=pc, addr=addr, size=size,
-                        access=AccessType.STORE, cycle=ctx.clock.cycle,
-                    )
-                    mem_stall = result.stall_cycles
-                    cost = 1.0 + (hz + mem_stall)
-                    st = ctx.stats
-                    st.cycles_by_kind[kind] = st.cycles_by_kind.get(kind, 0.0) + cost
-                    if hz:
-                        st.hazard_stall_cycles += hz
-                    h.add_compute_cycles(cost - mem_stall)
-                    ctx.clock.cycle += cost
-                    ctx.pc_cycles[pc] += cost
-                return pcp1
-
-            return _store
         if kind is InstrKind.BRANCH:
             if op == "beq":
                 cond = lambda a, b: a == b  # noqa: E731
@@ -900,6 +886,8 @@ class FastEngine:
         ctx = _Ctx()
         ctx.regs = interp.regs._regs
         ctx.memory = interp.memory
+        ctx.buf = interp.memory.buf
+        ctx.mem_size = interp.memory.size_bytes
         ctx.in_streams = interp.in_streams
         ctx.out_streams = interp.out_streams
         ctx.clock = clock if clock is not None else _NullClock()
@@ -911,6 +899,7 @@ class FastEngine:
                 f"engine compiled for pipeline model {self.model!r} but the "
                 "pipeline's coster uses the other timing model"
             )
+        self._bind_pads(ctx, pipeline)
         ctx.region = input_region
         ctx.first_touch = {}
         entry = [0] * n
@@ -990,6 +979,56 @@ class FastEngine:
             self._sync(interp, pipeline, profiler, ctx, entry, pc, finished, halted)
         return ctx.first_touch
 
+    def _bind_pads(self, ctx, pipeline) -> None:
+        """The run's pad windows, per-width stalls, tallies and kind sums.
+
+        A pad's stall for a ``w``-byte access is the hierarchy spec's
+        ``access_latency(w) - 1``; ping-pong accesses are timed (and
+        counted) as the input ping half. A missing pad gets bounds no
+        32-bit address reaches.
+        """
+        n = self.n
+        ctx.sp_hits = [0] * n
+        ctx.pp_hits = [0] * n
+        ctx.sp_lo = ctx.sp_hi = ctx.pp_lo = ctx.pp_hi = _NO_PAD
+        ctx.pp_half = 1
+        ctx.sp_stall = ctx.pp_stall = None
+        h = ctx.hierarchy
+        if h is None:
+            return
+        by_kind = pipeline.stats.cycles_by_kind
+        ctx.mem_cycles = [
+            by_kind.get(InstrKind.LOAD, 0.0), by_kind.get(InstrKind.STORE, 0.0)
+        ]
+        if h.scratchpad_window is not None:
+            ctx.sp_lo, ctx.sp_hi = h.scratchpad_window
+            ctx.sp_stall = _pad_stalls(h.scratchpad)
+        if h.pingpong_window is not None:
+            ctx.pp_lo, ctx.pp_hi, ctx.pp_half = h.pingpong_window
+            ctx.pp_stall = _pad_stalls(h.pingpong.ping)
+
+    def _fold_pads(self, pipeline, ctx) -> None:
+        """Fold the run's load/store sums and pad tallies into ``pipeline``.
+
+        Pad stalls are integers, so the bucket's sum is exact in any order.
+        """
+        by_kind = pipeline.stats.cycles_by_kind
+        for kind, cycles in zip((InstrKind.LOAD, InstrKind.STORE), ctx.mem_cycles):
+            if cycles or kind in by_kind:
+                by_kind[kind] = cycles
+        h = pipeline.hierarchy
+        if h.scratchpad is not None:
+            self._fold_pad(h, h.scratchpad, ctx.sp_hits, ctx.sp_stall)
+        if h.pingpong is not None:
+            self._fold_pad(h, h.pingpong.ping, ctx.pp_hits, ctx.pp_stall)
+
+    def _fold_pad(self, h, pad, hits, stalls) -> None:
+        for p, count in enumerate(hits):
+            if count:
+                size = self._mem_size[p]
+                pad.record(size, self.kinds[p] is InstrKind.STORE, count)
+                h.buckets.scratchpad_stall += count * stalls[size]
+
     # ---------------------------------------------------------------- sync --
 
     def _sync(self, interp, pipeline, profiler, ctx, entry, pc, finished, halted):
@@ -1051,6 +1090,8 @@ class FastEngine:
         interp.steps += total
         interp.stream_bytes_in += bytes_in
         interp.stream_bytes_out += bytes_out
+        if ctx.hierarchy is not None:
+            self._fold_pads(pipeline, ctx)
         if pipeline is None or self._dyncost:
             # Predictive runs account every cycle live at the op closures;
             # only retirement counts and stream bytes needed folding.

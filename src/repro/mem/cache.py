@@ -4,15 +4,19 @@ The cache tracks tags, LRU order, dirty bits, and per-line fill-ready cycles
 (so prefetched lines that are still in flight can be charged a partial miss).
 It stores no data: the interpreter's functional state lives in
 :class:`~repro.mem.memory.FlatMemory`.
+
+Each set is one dict from tag to line whose insertion order is the LRU
+order: a hit moves its line to the end, and a fill into a full set evicts
+the first line. The list-based LRU it replaced is the oracle of a
+differential test (``tests/core_oracle.py``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, NamedTuple
 
 from repro.config import CacheConfig
-from repro.errors import MemoryError_
 
 
 @dataclass
@@ -36,25 +40,31 @@ class CacheStats:
         return 1.0 - self.hit_rate if self.accesses else 0.0
 
 
-@dataclass
 class _Line:
-    tag: int
-    dirty: bool = False
-    prefetched: bool = False
-    ready_cycle: float = 0.0
+    __slots__ = ("dirty", "prefetched", "ready_cycle")
+
+    def __init__(self, dirty: bool, prefetched: bool, ready_cycle: float) -> None:
+        self.dirty = dirty
+        self.prefetched = prefetched
+        self.ready_cycle = ready_cycle
 
 
-@dataclass
-class LookupResult:
+class LookupResult(NamedTuple):
     """Outcome of a cache lookup.
 
-    ``extra_wait`` is the number of cycles the access must still wait for an
-    in-flight (prefetched) fill, 0 for a plain hit, and None for a miss.
+    ``extra_wait`` is the number of cycles a hit must still wait for an
+    in-flight (prefetched) fill: 0 for a plain hit and for a miss.
     """
 
     hit: bool
     extra_wait: float = 0.0
     writeback: bool = False
+
+
+# The outcomes that carry no wait, shared: a NamedTuple is immutable.
+_HIT = LookupResult(True)
+_MISS = LookupResult(False)
+_MISS_WRITEBACK = LookupResult(False, 0.0, True)
 
 
 class Cache:
@@ -64,18 +74,10 @@ class Cache:
         self.config = config
         self.num_sets = config.num_sets
         self.line_bytes = config.line_bytes
-        self._sets: List[Dict[int, _Line]] = [dict() for _ in range(self.num_sets)]
-        # LRU: per-set list of tags, most recent last.
-        self._lru: List[List[int]] = [[] for _ in range(self.num_sets)]
+        self.ways = config.ways
+        # Per set: tag -> line, least recently used first.
+        self._sets: List[Dict[int, _Line]] = [{} for _ in range(self.num_sets)]
         self.stats = CacheStats()
-
-    # -- address helpers ---------------------------------------------------
-
-    def line_addr(self, addr: int) -> int:
-        return addr // self.line_bytes
-
-    def _index_tag(self, line: int) -> Tuple[int, int]:
-        return line % self.num_sets, line // self.num_sets
 
     # -- operations ---------------------------------------------------------
 
@@ -86,26 +88,27 @@ class Cache:
         ``ready_cycle`` left at ``cycle`` (the caller adds the fill latency
         via :meth:`set_fill_time` if it wants in-flight modelling).
         """
-        line = self.line_addr(addr)
-        index, tag = self._index_tag(line)
+        tag, index = divmod(addr // self.line_bytes, self.num_sets)
         cache_set = self._sets[index]
-        self.stats.accesses += 1
-        entry = cache_set.get(tag)
-        if entry is not None:
-            self._touch(index, tag)
-            if is_write:
-                entry.dirty = True
-            extra = max(0.0, entry.ready_cycle - cycle)
-            if entry.prefetched:
-                entry.prefetched = False
-                self.stats.prefetch_hits += 1
-                if extra > 0:
-                    self.stats.late_prefetch_hits += 1
-            self.stats.hits += 1
-            return LookupResult(hit=True, extra_wait=extra)
-        self.stats.misses += 1
-        writeback = self._install(index, tag, dirty=is_write, prefetched=False, ready_cycle=cycle)
-        return LookupResult(hit=False, writeback=writeback)
+        stats = self.stats
+        stats.accesses += 1
+        entry = cache_set.pop(tag, None)
+        if entry is None:
+            stats.misses += 1
+            if self._install(cache_set, tag, is_write, False, cycle):
+                return _MISS_WRITEBACK
+            return _MISS
+        cache_set[tag] = entry  # now the most recently used
+        stats.hits += 1
+        if is_write:
+            entry.dirty = True
+        extra = entry.ready_cycle - cycle
+        if entry.prefetched:
+            entry.prefetched = False
+            stats.prefetch_hits += 1
+            if extra > 0:
+                stats.late_prefetch_hits += 1
+        return LookupResult(True, extra) if extra > 0 else _HIT
 
     def prefetch(self, addr: int, ready_cycle: float) -> bool:
         """Install a prefetched line that becomes usable at ``ready_cycle``.
@@ -113,56 +116,28 @@ class Cache:
         Returns True if a line was actually installed (False if already
         present). Prefetches never dirty lines.
         """
-        line = self.line_addr(addr)
-        index, tag = self._index_tag(line)
-        if tag in self._sets[index]:
+        tag, index = divmod(addr // self.line_bytes, self.num_sets)
+        cache_set = self._sets[index]
+        if tag in cache_set:
             return False
         self.stats.prefetches_issued += 1
-        self._install(index, tag, dirty=False, prefetched=True, ready_cycle=ready_cycle)
+        self._install(cache_set, tag, False, True, ready_cycle)
         return True
 
     def contains(self, addr: int) -> bool:
-        line = self.line_addr(addr)
-        index, tag = self._index_tag(line)
+        tag, index = divmod(addr // self.line_bytes, self.num_sets)
         return tag in self._sets[index]
 
     def flush(self) -> int:
         """Drop all lines; returns the number of dirty lines written back."""
         dirty = sum(1 for s in self._sets for line in s.values() if line.dirty)
         self.stats.writebacks += dirty
-        self._sets = [dict() for _ in range(self.num_sets)]
-        self._lru = [[] for _ in range(self.num_sets)]
+        self._sets = [{} for _ in range(self.num_sets)]
         return dirty
-
-    # -- internals -----------------------------------------------------------
-
-    def _touch(self, index: int, tag: int) -> None:
-        order = self._lru[index]
-        order.remove(tag)
-        order.append(tag)
-
-    def _install(
-        self, index: int, tag: int, dirty: bool, prefetched: bool, ready_cycle: float
-    ) -> bool:
-        cache_set = self._sets[index]
-        order = self._lru[index]
-        writeback = False
-        if len(cache_set) >= self.config.ways:
-            victim_tag = order.pop(0)
-            victim = cache_set.pop(victim_tag)
-            if victim.dirty:
-                writeback = True
-                self.stats.writebacks += 1
-        cache_set[tag] = _Line(tag=tag, dirty=dirty, prefetched=prefetched, ready_cycle=ready_cycle)
-        order.append(tag)
-        if len(cache_set) > self.config.ways:
-            raise MemoryError_("cache set overflow (internal invariant violated)")
-        return writeback
 
     def set_fill_time(self, addr: int, ready_cycle: float) -> None:
         """Record when the (just-missed) line's fill completes."""
-        line = self.line_addr(addr)
-        index, tag = self._index_tag(line)
+        tag, index = divmod(addr // self.line_bytes, self.num_sets)
         entry = self._sets[index].get(tag)
         if entry is not None:
             entry.ready_cycle = ready_cycle
@@ -170,3 +145,18 @@ class Cache:
     @property
     def occupancy(self) -> int:
         return sum(len(s) for s in self._sets)
+
+    # -- internals -----------------------------------------------------------
+
+    def _install(
+        self, cache_set: Dict[int, _Line], tag: int, dirty: bool, prefetched: bool,
+        ready_cycle: float,
+    ) -> bool:
+        """Fill ``tag`` as the most recent line; True if a dirty victim left."""
+        writeback = False
+        if len(cache_set) >= self.ways:
+            if cache_set.pop(next(iter(cache_set))).dirty:
+                writeback = True
+                self.stats.writebacks += 1
+        cache_set[tag] = _Line(dirty, prefetched, ready_cycle)
+        return writeback

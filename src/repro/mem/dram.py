@@ -57,17 +57,3 @@ class DRAMModel:
 
     def reset_traffic(self) -> None:
         self.traffic = DRAMTraffic()
-
-    def contention_factor(self, demand_bytes_per_ns: float) -> float:
-        """How much a demand stream must be slowed to fit the pool.
-
-        Returns >= 1.0; 1.0 means the DRAM satisfies the demand at full rate.
-        """
-        bw = self.config.bandwidth_bytes_per_ns
-        if demand_bytes_per_ns <= bw:
-            return 1.0
-        return demand_bytes_per_ns / bw
-
-    def effective_rate(self, demand_bytes_per_ns: float) -> float:
-        """Achievable throughput for a given aggregate demand."""
-        return min(demand_bytes_per_ns, self.config.bandwidth_bytes_per_ns)

@@ -6,6 +6,13 @@ access adds beyond the instruction's base cycle, which level served it, and
 how many bytes moved to/from SSD DRAM. Data itself lives in
 :class:`~repro.mem.memory.FlatMemory`.
 
+:meth:`MemoryHierarchy.access` is the spec of every data access. The fast
+engine (:mod:`repro.isa.fastpath`) times scratchpad and ping-pong accesses
+itself, from :attr:`~MemoryHierarchy.scratchpad_window`,
+:attr:`~MemoryHierarchy.pingpong_window` and the pads' latencies (a
+constant per pad and width), and calls :meth:`~MemoryHierarchy.access` for
+DRAM-space accesses only, whose cache outcome depends on the cycle.
+
 Address map (32-bit core address space):
 
 ========================  =====================================
@@ -21,14 +28,14 @@ stream ISA (Section V-B), which the core model handles directly.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Dict, Optional
+from dataclasses import dataclass
+from typing import Dict, NamedTuple, Optional, Tuple
 
 from repro.config import CoreConfig, DRAMConfig, PrefetcherKind
 from repro.mem.cache import Cache
 from repro.mem.dram import DRAMModel
 from repro.mem.prefetcher import make_prefetcher
-from repro.mem.scratchpad import PingPongBuffer, Scratchpad
+from repro.mem.scratchpad import PingPongBuffer, Scratchpad, ScratchpadStats
 
 SCRATCHPAD_BASE = 0x0100_0000
 PINGPONG_BASE = 0x0110_0000
@@ -40,13 +47,16 @@ class AccessType(enum.Enum):
     STORE = "store"
 
 
-@dataclass
-class AccessResult:
+class AccessResult(NamedTuple):
     """Timing outcome of one data access."""
 
     stall_cycles: float
     level: str  # 'l1' | 'l2' | 'dram' | 'scratchpad' | 'pingpong'
     dram_bytes: int = 0
+
+
+#: The most common outcome: an L1 hit on a line that is already filled.
+_L1_HIT = AccessResult(0.0, "l1")
 
 
 @dataclass
@@ -103,19 +113,34 @@ class MemoryHierarchy:
             if core.pingpong
             else None
         )
+        #: ``(lo, hi)``: the scratchpad's bytes, or None without one.
+        self.scratchpad_window: Optional[Tuple[int, int]] = (
+            (self.scratchpad.base_addr, self.scratchpad.end_addr) if self.scratchpad else None
+        )
+        #: ``(lo, hi, half)``: the four ping-pong halves tile ``[lo, hi)`` in
+        #: ``half``-byte steps (input ping, pong, output ping, pong), or None.
+        #: An access belongs to a half only if it fits inside that half.
+        self.pingpong_window: Optional[Tuple[int, int, int]] = (
+            (self.pingpong.ping.base_addr, self.pingpong_out.pong.end_addr,
+             self.pingpong.buffer_bytes)
+            if self.pingpong
+            else None
+        )
         self.buckets = StallBuckets()
         self._dram_latency = dram.latency_cycles(core.frequency_ghz)
+        self._prefetching = core.prefetcher is not PrefetcherKind.NONE and self.l1 is not None
 
     # -- classification ----------------------------------------------------
 
     def region(self, addr: int, size: int = 1) -> str:
-        if self.scratchpad is not None and self.scratchpad.contains(addr, size):
+        window = self.scratchpad_window
+        if window is not None and window[0] <= addr and addr + size <= window[1]:
             return "scratchpad"
-        if self.pingpong is not None and (
-            self.pingpong.contains(addr, size)
-            or (self.pingpong_out is not None and self.pingpong_out.contains(addr, size))
-        ):
-            return "pingpong"
+        window = self.pingpong_window
+        if window is not None:
+            lo, hi, half = window
+            if lo <= addr and addr + size <= hi and (addr - lo) % half + size <= half:
+                return "pingpong"
         return "dram"
 
     # -- the timing oracle ----------------------------------------------------
@@ -125,80 +150,70 @@ class MemoryHierarchy:
     ) -> AccessResult:
         """Time one data access; updates stall buckets and DRAM traffic."""
         region = self.region(addr, size)
-        if region == "scratchpad":
-            return self._scratchpad_access(self.scratchpad, size, access, region)
-        if region == "pingpong":
-            # Timing is identical for any half and either direction; record
-            # the access against the input ping half's stats.
-            return self._scratchpad_access(self.pingpong.ping, size, access, region)
-        return self._dram_space_access(pc, addr, size, access, cycle)
-
-    def _scratchpad_access(
-        self, pad: Scratchpad, size: int, access: AccessType, region: str
-    ) -> AccessResult:
-        pad.record(size, access is AccessType.STORE)
-        # A 1-cycle scratchpad is fully pipelined (no stall); each extra
-        # latency cycle and each extra port beat stalls the in-order pipe.
-        stall = pad.access_latency(size) - 1
-        self.buckets.scratchpad_stall += stall
-        return AccessResult(stall_cycles=stall, level=region)
-
-    def _dram_space_access(
-        self, pc: int, addr: int, size: int, access: AccessType, cycle: float
-    ) -> AccessResult:
         is_write = access is AccessType.STORE
-        if self.l1 is None:
+        buckets = self.buckets
+        if region != "dram":
+            # Timing is identical for any ping-pong half and either
+            # direction; ping-pong accesses count against the input ping.
+            pad = self.scratchpad if region == "scratchpad" else self.pingpong.ping
+            pad.record(size, is_write)
+            # A 1-cycle scratchpad is fully pipelined (no stall); each extra
+            # latency cycle and each extra port beat stalls the in-order pipe.
+            stall = pad.access_latency(size) - 1
+            buckets.scratchpad_stall += stall
+            return AccessResult(stall, region)
+
+        l1 = self.l1
+        if l1 is None:
             # No cache in front of DRAM (UDP lanes copy via firmware; plain
             # cores without caches pay the full round trip).
             stall = self._dram_latency
-            self.buckets.dram_stall += stall
-            traffic = size
-            self.dram.add_traffic(
-                "core_writeback" if is_write else "core_fill", traffic
-            )
-            return AccessResult(stall_cycles=stall, level="dram", dram_bytes=traffic)
+            buckets.dram_stall += stall
+            self.dram.add_traffic("core_writeback" if is_write else "core_fill", size)
+            return AccessResult(stall, "dram", size)
 
-        line = self.l1.config.line_bytes
-        result = self.l1.lookup(addr, is_write, cycle)
-        dram_bytes = 0
-        if result.hit:
-            stall = result.extra_wait
-            self.buckets.l1_wait += stall
-            level = "l1"
+        hit, extra_wait, writeback = l1.lookup(addr, is_write, cycle)
+        if hit:
+            buckets.l1_wait += extra_wait
+            result = AccessResult(extra_wait, "l1") if extra_wait else _L1_HIT
         else:
-            if result.writeback:
+            line = l1.line_bytes
+            dram_bytes = 0
+            if writeback:
                 dram_bytes += line
                 self.dram.add_traffic("core_writeback", line)
-            if self.l2 is not None:
-                l2_result = self.l2.lookup(addr, is_write, cycle)
-                if l2_result.hit:
-                    stall = self.l2.config.hit_latency_cycles + l2_result.extra_wait
-                    self.buckets.l2_stall += stall
+            l2 = self.l2
+            if l2 is not None:
+                l2_hit, l2_wait, l2_writeback = l2.lookup(addr, is_write, cycle)
+                l2_latency = l2.config.hit_latency_cycles
+                if l2_hit:
+                    stall = l2_latency + l2_wait
+                    buckets.l2_stall += stall
                     level = "l2"
                 else:
-                    if l2_result.writeback:
+                    if l2_writeback:
                         dram_bytes += line
                         self.dram.add_traffic("core_writeback", line)
-                    stall = self.l2.config.hit_latency_cycles + self._dram_latency
-                    self.buckets.l2_stall += self.l2.config.hit_latency_cycles
-                    self.buckets.dram_stall += self._dram_latency
+                    stall = l2_latency + self._dram_latency
+                    buckets.l2_stall += l2_latency
+                    buckets.dram_stall += self._dram_latency
                     dram_bytes += line
                     self.dram.add_traffic("core_fill", line)
-                    self.l2.set_fill_time(addr, cycle + stall)
+                    l2.set_fill_time(addr, cycle + stall)
                     level = "dram"
             else:
                 stall = self._dram_latency
-                self.buckets.dram_stall += stall
+                buckets.dram_stall += stall
                 dram_bytes += line
                 self.dram.add_traffic("core_fill", line)
                 level = "dram"
-            self.l1.set_fill_time(addr, cycle + stall)
-        self._run_prefetcher(pc, addr, cycle)
-        return AccessResult(stall_cycles=stall, level=level, dram_bytes=dram_bytes)
+            l1.set_fill_time(addr, cycle + stall)
+            result = AccessResult(stall, level, dram_bytes)
+        if self._prefetching:
+            self._run_prefetcher(pc, addr, cycle)
+        return result
 
     def _run_prefetcher(self, pc: int, addr: int, cycle: float) -> None:
-        if self.core.prefetcher is PrefetcherKind.NONE or self.l1 is None:
-            return
         predictions = self.prefetcher.observe(pc, addr)
         for target in predictions:
             if target < 0 or target >= DRAM_SPACE_BYTES + SCRATCHPAD_BASE:
@@ -226,6 +241,12 @@ class MemoryHierarchy:
 
     def reset_stats(self) -> None:
         self.buckets = StallBuckets()
+        if self.scratchpad is not None:
+            self.scratchpad.stats = ScratchpadStats()
+        for pair in (self.pingpong, self.pingpong_out):
+            if pair is not None:
+                pair.ping.stats = ScratchpadStats()
+                pair.pong.stats = ScratchpadStats()
         if self.l1 is not None:
             self.l1.flush()
             self.l1.stats.__init__()

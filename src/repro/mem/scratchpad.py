@@ -49,13 +49,14 @@ class Scratchpad:
         beats = -(-size // self.config.port_width_bytes)  # ceil division
         return self.config.access_latency_cycles * beats
 
-    def record(self, size: int, is_write: bool) -> None:
+    def record(self, size: int, is_write: bool, count: int = 1) -> None:
+        """Count ``count`` accesses of ``size`` bytes."""
         if is_write:
-            self.stats.writes += 1
-            self.stats.bytes_written += size
+            self.stats.writes += count
+            self.stats.bytes_written += size * count
         else:
-            self.stats.reads += 1
-            self.stats.bytes_read += size
+            self.stats.reads += count
+            self.stats.bytes_read += size * count
 
 
 class PingPongBuffer:

@@ -14,7 +14,6 @@ they *are* the data path between the flash controllers and the core.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Callable, List, Optional
 
 from repro.config import StreamBufferConfig
@@ -75,11 +74,6 @@ class StreamBuffer:
     @property
     def tail_csr(self) -> int:
         return self.tail % self.capacity
-
-    @property
-    def pages_filled(self) -> int:
-        """Number of whole pages pushed so far (used for the I/O trace)."""
-        return self.tail // self.config.page_bytes
 
     @property
     def exhausted(self) -> bool:
@@ -178,15 +172,6 @@ class StreamBuffer:
         if self.available > 0 and self.state in (StreamState.DRAINING, StreamState.CLOSED):
             return self.consume(self.available)
         return None
-
-
-@dataclass
-class StreamAccessRecord:
-    """One head access, used by the core model to build the page I/O trace."""
-
-    stream_id: int
-    byte_offset: int
-    size: int
 
 
 class StreamBufferSet:

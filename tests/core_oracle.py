@@ -9,13 +9,23 @@ The production core model runs every kernel on the fast engine
 sync time; the differential, fingerprint and core-model suites run the same
 kernels through both and demand bit-identical cycles, stats, traces and
 per-PC profiles. Only tests and benchmarks use it.
+
+:class:`ListLRUCache` is the cache the hierarchy used before its sets kept
+their LRU order as dict insertion order: a per-set list of tags, most
+recent last, reordered with ``list.remove``/``append``. The cache tests
+run operation sequences through it and :class:`repro.mem.cache.Cache` and
+demand identical results, counters and per-set LRU order.
 """
+
+from dataclasses import dataclass
+from typing import Dict, List, Tuple
 
 from repro.core.core import PAGE_BYTES, CoreModel
 from repro.core.coster import instr_reads
-from repro.errors import ExecutionError
+from repro.errors import ExecutionError, MemoryError_
 from repro.isa.instructions import InstrKind
 from repro.isa.interpreter import StepKind
+from repro.mem.cache import CacheStats, LookupResult
 from repro.mem.hierarchy import AccessType
 
 
@@ -148,3 +158,131 @@ class OracleCoreModel(CoreModel):
 
     def _execute(self, interp, pipeline, clock, input_region=None):
         return run_steps(interp, pipeline, clock, input_region, self.profiler)
+
+
+# ---------------------------------------------------------------------------
+# The list-LRU cache: the oracle of repro.mem.cache.Cache.
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class _Line:
+    tag: int
+    dirty: bool = False
+    prefetched: bool = False
+    ready_cycle: float = 0.0
+
+
+class ListLRUCache:
+    """One level of set-associative cache with true-LRU replacement."""
+
+    def __init__(self, config) -> None:
+        self.config = config
+        self.num_sets = config.num_sets
+        self.line_bytes = config.line_bytes
+        self._sets: List[Dict[int, _Line]] = [dict() for _ in range(self.num_sets)]
+        # LRU: per-set list of tags, most recent last.
+        self._lru: List[List[int]] = [[] for _ in range(self.num_sets)]
+        self.stats = CacheStats()
+
+    # -- address helpers ---------------------------------------------------
+
+    def line_addr(self, addr: int) -> int:
+        return addr // self.line_bytes
+
+    def _index_tag(self, line: int) -> Tuple[int, int]:
+        return line % self.num_sets, line // self.num_sets
+
+    # -- operations ---------------------------------------------------------
+
+    def lookup(self, addr: int, is_write: bool, cycle: float) -> LookupResult:
+        """Probe (and on miss, fill) the line containing ``addr``.
+
+        Returns a :class:`LookupResult`; on a miss the line is installed with
+        ``ready_cycle`` left at ``cycle`` (the caller adds the fill latency
+        via :meth:`set_fill_time` if it wants in-flight modelling).
+        """
+        line = self.line_addr(addr)
+        index, tag = self._index_tag(line)
+        cache_set = self._sets[index]
+        self.stats.accesses += 1
+        entry = cache_set.get(tag)
+        if entry is not None:
+            self._touch(index, tag)
+            if is_write:
+                entry.dirty = True
+            extra = max(0.0, entry.ready_cycle - cycle)
+            if entry.prefetched:
+                entry.prefetched = False
+                self.stats.prefetch_hits += 1
+                if extra > 0:
+                    self.stats.late_prefetch_hits += 1
+            self.stats.hits += 1
+            return LookupResult(hit=True, extra_wait=extra)
+        self.stats.misses += 1
+        writeback = self._install(index, tag, dirty=is_write, prefetched=False, ready_cycle=cycle)
+        return LookupResult(hit=False, writeback=writeback)
+
+    def prefetch(self, addr: int, ready_cycle: float) -> bool:
+        """Install a prefetched line that becomes usable at ``ready_cycle``.
+
+        Returns True if a line was actually installed (False if already
+        present). Prefetches never dirty lines.
+        """
+        line = self.line_addr(addr)
+        index, tag = self._index_tag(line)
+        if tag in self._sets[index]:
+            return False
+        self.stats.prefetches_issued += 1
+        self._install(index, tag, dirty=False, prefetched=True, ready_cycle=ready_cycle)
+        return True
+
+    def contains(self, addr: int) -> bool:
+        line = self.line_addr(addr)
+        index, tag = self._index_tag(line)
+        return tag in self._sets[index]
+
+    def flush(self) -> int:
+        """Drop all lines; returns the number of dirty lines written back."""
+        dirty = sum(1 for s in self._sets for line in s.values() if line.dirty)
+        self.stats.writebacks += dirty
+        self._sets = [dict() for _ in range(self.num_sets)]
+        self._lru = [[] for _ in range(self.num_sets)]
+        return dirty
+
+    # -- internals -----------------------------------------------------------
+
+    def _touch(self, index: int, tag: int) -> None:
+        order = self._lru[index]
+        order.remove(tag)
+        order.append(tag)
+
+    def _install(
+        self, index: int, tag: int, dirty: bool, prefetched: bool, ready_cycle: float
+    ) -> bool:
+        cache_set = self._sets[index]
+        order = self._lru[index]
+        writeback = False
+        if len(cache_set) >= self.config.ways:
+            victim_tag = order.pop(0)
+            victim = cache_set.pop(victim_tag)
+            if victim.dirty:
+                writeback = True
+                self.stats.writebacks += 1
+        cache_set[tag] = _Line(tag=tag, dirty=dirty, prefetched=prefetched, ready_cycle=ready_cycle)
+        order.append(tag)
+        if len(cache_set) > self.config.ways:
+            raise MemoryError_("cache set overflow (internal invariant violated)")
+        return writeback
+
+    def set_fill_time(self, addr: int, ready_cycle: float) -> None:
+        """Record when the (just-missed) line's fill completes."""
+        line = self.line_addr(addr)
+        index, tag = self._index_tag(line)
+        entry = self._sets[index].get(tag)
+        if entry is not None:
+            entry.ready_cycle = ready_cycle
+
+    @property
+    def occupancy(self) -> int:
+        return sum(len(s) for s in self._sets)

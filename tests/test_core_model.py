@@ -98,6 +98,21 @@ def test_core_model_rejects_wrong_input_count():
         CoreModel(assasin_sb_core()).run(kernel, [b"only-one" * 4])
 
 
+def test_rerun_counts_only_its_own_pad_accesses():
+    """``CoreModel.run`` resets the pads' stats with the buckets and caches:
+    a second run on one model reports what a fresh model does."""
+    kernel = get_kernel("stat")
+    inputs = kernel.make_inputs(8 * 1024, seed=5)
+    fresh = CoreModel(assasin_sp_core())
+    fresh.run(kernel, inputs)
+    reused = CoreModel(assasin_sp_core())
+    reused.run(kernel, inputs)
+    reused.run(kernel, inputs)
+    assert fresh.hierarchy.pingpong.ping.stats.reads == 2048  # one per word
+    assert reused.hierarchy.pingpong.ping.stats == fresh.hierarchy.pingpong.ping.stats
+    assert reused.hierarchy.scratchpad.stats == fresh.hierarchy.scratchpad.stats
+
+
 def test_page_touches_monotonic_stream():
     kernel = get_kernel("stat")
     result = CoreModel(assasin_sb_core()).run(kernel, kernel.make_inputs(SIZE))

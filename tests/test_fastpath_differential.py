@@ -10,8 +10,10 @@ evidence:
 1. every registered kernel, run through :class:`CoreModel` and the timing
    oracle across the stream, ping-pong, and cache data paths, comparing the
    full :class:`CoreRunResult` (cycles, stall buckets, pipeline stats, DRAM
-   traffic, page-touch trace, outputs, final regs/state) and the per-PC
-   :class:`IsaProfiler` attribution;
+   traffic, page-touch trace, outputs, final regs/state), the per-PC
+   :class:`IsaProfiler` attribution and the pads' and caches' counters;
+   plus loads and stores of every width at every pad edge on six
+   configurations, straddling accesses and memory faults included;
 2. a deterministic corpus of >=500 seeded random RV32IM+stream programs
    (loops, faults, stalls, EOS) compared on full architectural state;
 3. hypothesis-generated programs for adversarial edge discovery.
@@ -22,24 +24,28 @@ Run the seeded corpus alone (the CI smoke job does) with::
 """
 
 import random
+from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import StreamBufferConfig, named_config
-from repro.core.core import CoreModel
-from repro.errors import ExecutionError
+from repro.core.core import MEMORY_BYTES, CoreModel
+from repro.core.pipeline import PipelineModel, PipelineParams
+from repro.errors import ExecutionError, MemoryError_
 from repro.isa.fastpath import FastEngine
 from repro.isa.instructions import Instr
 from repro.isa.interpreter import Interpreter
 from repro.isa.program import Program
 from repro.kernels.registry import KERNEL_NAMES, get_kernel
+from repro.mem.hierarchy import PINGPONG_BASE, SCRATCHPAD_BASE, build_hierarchy
 from repro.mem.memory import FlatMemory
 from repro.mem.streambuffer import StreamBufferSet
 from repro.telemetry.profiler import IsaProfiler
 
-from tests.core_oracle import OracleCoreModel
+from tests.core_oracle import OracleCoreModel, run_steps
 
 # ---------------------------------------------------------------------------
 # Shared machinery: run one program on both engines, capture full state.
@@ -133,26 +139,40 @@ _KERNEL_CONFIGS = ("AssasinSb", "AssasinSp", "Baseline")
 _KERNEL_BYTES = 12 * 1024  # 3 flash pages per stream: exercises refill/wrap
 
 
+def _profile(profiler):
+    return [
+        (s.pc, s.count, s.cycles, s.compute, s.mem_stall, s.stream_stall)
+        for s in profiler.pc_stats()
+    ]
+
+
+def _level_stats(h):
+    """Every pad's and cache level's counters (None for a level it lacks)."""
+    pads = {"scratchpad": h.scratchpad}
+    for name, pair in (("in", h.pingpong), ("out", h.pingpong_out)):
+        pads[f"{name}_ping"] = pair and pair.ping
+        pads[f"{name}_pong"] = pair and pair.pong
+    levels = {name: pad and pad.stats for name, pad in pads.items()}
+    levels.update(l1=h.l1 and h.l1.stats, l2=h.l2 and h.l2.stats)
+    return levels
+
+
 def _profiled_run(config_name, kernel_name, model="static", oracle=False):
-    """One profiled kernel run: ``(CoreRunResult, per-PC profile)``."""
+    """One profiled kernel run: ``(result, per-PC profile, level stats)``."""
     cfg = named_config(config_name).with_pipeline_model(model)
     kernel = get_kernel(kernel_name)
     inputs = kernel.make_inputs(_KERNEL_BYTES, seed=23)
     core = (OracleCoreModel if oracle else CoreModel)(cfg.core)
     core.profiler = IsaProfiler()
     result = core.run(kernel, inputs)
-    profile = [
-        (s.pc, s.count, s.cycles, s.compute, s.mem_stall, s.stream_stall)
-        for s in core.profiler.pc_stats()
-    ]
-    return result, profile
+    return result, _profile(core.profiler), _level_stats(core.hierarchy)
 
 
 @pytest.mark.parametrize("config_name", _KERNEL_CONFIGS)
 @pytest.mark.parametrize("kernel_name", KERNEL_NAMES)
 def test_kernel_runs_identical(config_name, kernel_name):
-    fast, fast_profile = _profiled_run(config_name, kernel_name)
-    ref, ref_profile = _profiled_run(config_name, kernel_name, oracle=True)
+    fast, fast_profile, fast_levels = _profiled_run(config_name, kernel_name)
+    ref, ref_profile, ref_levels = _profiled_run(config_name, kernel_name, oracle=True)
     assert fast.cycles == ref.cycles
     assert fast.instructions == ref.instructions
     assert fast.bytes_in == ref.bytes_in
@@ -166,6 +186,7 @@ def test_kernel_runs_identical(config_name, kernel_name):
     assert fast.page_touches == ref.page_touches
     assert fast.chunks == ref.chunks
     assert fast_profile == ref_profile
+    assert fast_levels == ref_levels
 
 
 # ---------------------------------------------------------------------------
@@ -187,8 +208,10 @@ def _model_result(config_name, kernel_name, model):
 @pytest.mark.parametrize("config_name", _KERNEL_CONFIGS)
 @pytest.mark.parametrize("kernel_name", KERNEL_NAMES)
 def test_predictive_kernel_runs_identical(config_name, kernel_name):
-    fast, fast_profile = _profiled_run(config_name, kernel_name, "predictive")
-    ref, ref_profile = _profiled_run(config_name, kernel_name, "predictive", oracle=True)
+    fast, fast_profile, fast_levels = _profiled_run(config_name, kernel_name, "predictive")
+    ref, ref_profile, ref_levels = _profiled_run(
+        config_name, kernel_name, "predictive", oracle=True
+    )
     assert fast.cycles == ref.cycles
     assert fast.instructions == ref.instructions
     assert fast.outputs == ref.outputs
@@ -199,6 +222,7 @@ def test_predictive_kernel_runs_identical(config_name, kernel_name):
     assert fast.dram_traffic == ref.dram_traffic
     assert fast.page_touches == ref.page_touches
     assert fast_profile == ref_profile
+    assert fast_levels == ref_levels
 
 
 @pytest.mark.parametrize("kernel_name", KERNEL_NAMES)
@@ -225,6 +249,147 @@ def test_predictive_prices_branch_heavy_kernel_differently():
     static = _model_result("AssasinSb", "stat", "static")
     assert pred.cycles != static.cycles
     assert pred.pipeline.hazard_stall_cycles > 0
+
+
+# ---------------------------------------------------------------------------
+# Layer 1c: loads and stores at every pad edge, on every data path.
+#
+# The engine times scratchpad and ping-pong accesses with its own range
+# check and hands only DRAM-space accesses to the hierarchy; an access that
+# straddles a pad boundary belongs to no pad and must take the DRAM-space
+# path, exactly as the hierarchy spec classifies it.
+# ---------------------------------------------------------------------------
+
+_EDGE_CONFIGS = ("AssasinSb", "AssasinSp", "Baseline", "AssasinSb$", "UDP", "Prefetch")
+#: AssasinSp with slow, narrow pads: a 2-cycle SRAM behind a 2-byte port
+#: stalls 1 cycle per 1- or 2-byte access and 3 per 4-byte access.
+_SLOW_PADS = "AssasinSp-slow-pads"
+_SLOW_PAD = dict(access_latency_cycles=2, port_width_bytes=2)
+
+
+def _edge_core(config_name, model):
+    if config_name == _SLOW_PADS:
+        core = named_config("AssasinSp").core
+        core = replace(
+            core,
+            scratchpad=replace(core.scratchpad, **_SLOW_PAD),
+            pingpong=replace(core.pingpong, **_SLOW_PAD),
+        )
+        return replace(core, pipeline_model=model)
+    return named_config(config_name).with_pipeline_model(model).core
+
+
+def _pad_edges():
+    """Every pad boundary of any configuration, lowest first."""
+    cores = [named_config(name).core for name in _EDGE_CONFIGS]
+    edges = {SCRATCHPAD_BASE}
+    edges.update(SCRATCHPAD_BASE + c.scratchpad.size_bytes for c in cores if c.scratchpad)
+    for core in cores:
+        if core.pingpong:  # input ping, pong, output ping, pong
+            edges.update(PINGPONG_BASE + k * core.pingpong.size_bytes for k in range(5))
+    return sorted(edges)
+
+
+def _point_at(addr):
+    """``lui x5`` so that ``x5 + offset`` is ``addr``; returns (instr, offset)."""
+    hi = (addr + 0x800) >> 12
+    return Instr("lui", rd=5, imm=hi), addr - (hi << 12)
+
+
+def _edge_accesses(addr, ops):
+    """Each op of ``ops`` at ``addr``; loads fold into x8 so values count."""
+    point, offset = _point_at(addr)
+    instrs = [point]
+    for op in ops:
+        if op in _STORES:
+            instrs.append(Instr(op, rs1=5, rs2=7, imm=offset))
+        else:
+            instrs += [Instr(op, rd=6, rs1=5, imm=offset),
+                       Instr("add", rd=8, rs1=8, rs2=6)]
+    return instrs
+
+
+def _edge_program(trap_op=None):
+    """Every width, loaded and stored, from 4 bytes below each pad edge to
+    1 above it, then the last in-bounds bytes of memory; ``trap_op`` ends
+    the program with one access that runs 1 byte past the end."""
+    instrs = [Instr("lui", rd=7, imm=0x81A5C), Instr("addi", rd=7, rs1=7, imm=-0x35B)]
+    for edge in _pad_edges():
+        for addr in range(edge - 4, edge + 2):
+            instrs += _edge_accesses(addr, _LOADS + _STORES)
+    for width, ops in ((1, ("lb", "lbu", "sb")), (2, ("lh", "lhu", "sh")), (4, ("lw", "sw"))):
+        instrs += _edge_accesses(MEMORY_BYTES - width, ops)
+    if trap_op is not None:
+        width = {"lw": 4, "sw": 4, "lh": 2, "sh": 2}[trap_op]
+        instrs += _edge_accesses(MEMORY_BYTES - width + 1, (trap_op,))
+    return Program("edges", tuple(instrs) + (Instr("halt"),))
+
+
+def _edge_run(config_name, model, program, oracle):
+    """Run ``program`` timed; everything the engine and the oracle charge."""
+    h = build_hierarchy(_edge_core(config_name, model))
+    pipeline = PipelineModel(h, PipelineParams(), model=model)
+    memory = FlatMemory(MEMORY_BYTES)
+    interp = Interpreter(program, memory)
+    clock = SimpleNamespace(cycle=0.0)
+    profiler = IsaProfiler()
+    profiler.set_program(program)
+    # First-touch pages of a DRAM-staged input that runs into the scratchpad.
+    region = range(SCRATCHPAD_BASE - 8192, SCRATCHPAD_BASE + 8192)
+    touches = err = None
+    try:
+        if oracle:
+            touches = run_steps(interp, pipeline, clock, region, profiler)
+        else:
+            touches = FastEngine(program, PipelineParams(), model=model).run(
+                interp, pipeline=pipeline, clock=clock, input_region=region,
+                strict_stalls=True, profiler=profiler,
+            )
+    except MemoryError_ as exc:
+        err = str(exc)
+    return {
+        "err": err,
+        "touches": touches,
+        "cycles": clock.cycle,
+        "pc": interp.pc,
+        "steps": interp.steps,
+        "regs": interp.regs.snapshot(),
+        "memory": [memory.load_bytes(edge - 8, 16) for edge in _pad_edges()]
+        + [memory.load_bytes(MEMORY_BYTES - 8, 8)],
+        "pipeline": pipeline.stats,
+        "buckets": h.buckets,
+        "traffic": h.dram.traffic,
+        "levels": _level_stats(h),
+        "profile": _profile(profiler),
+    }
+
+
+@pytest.mark.parametrize("model", ("static", "predictive"))
+@pytest.mark.parametrize("config_name", _EDGE_CONFIGS + (_SLOW_PADS,))
+@pytest.mark.parametrize("trap_op", (None, "lw", "sh"))
+def test_pad_edge_accesses_identical(config_name, model, trap_op):
+    program = _edge_program(trap_op)
+    fast = _edge_run(config_name, model, program, oracle=False)
+    ref = _edge_run(config_name, model, program, oracle=True)
+    assert (fast["err"] is None) == (trap_op is None)
+    for key in ref:
+        assert fast[key] == ref[key], key
+
+
+def test_pad_edges_cover_every_region():
+    """The edge program really reaches each pad and the DRAM-space path
+    on the configurations that have them, with straddles in between."""
+    program = _edge_program()
+    sp = _edge_run("AssasinSp", "static", program, oracle=False)["levels"]
+    assert sp["scratchpad"].reads and sp["scratchpad"].writes
+    assert sp["in_ping"].reads and sp["in_ping"].writes
+    assert sp["in_pong"].reads == 0  # every ping-pong access counts as ping
+    udp = _edge_run("UDP", "static", program, oracle=False)
+    assert udp["levels"]["scratchpad"].reads and udp["traffic"].core_fill
+    cached = _edge_run("AssasinSb$", "static", program, oracle=False)["levels"]
+    assert cached["scratchpad"].reads and cached["l1"].misses and cached["l1"].hits
+    slow = _edge_run(_SLOW_PADS, "static", program, oracle=False)
+    assert slow["buckets"].scratchpad_stall > 0
 
 
 def test_engine_pipeline_model_mismatch_guard():

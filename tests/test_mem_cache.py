@@ -1,11 +1,15 @@
 """Tests for the set-associative cache timing model."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import CacheConfig
 from repro.mem.cache import Cache
+
+from tests.core_oracle import ListLRUCache
 
 
 def small_cache(size=1024, ways=2, line=64):
@@ -103,3 +107,80 @@ def test_immediate_reaccess_always_hits(addresses):
     for i, addr in enumerate(addresses):
         cache.lookup(addr, False, cycle=2 * i)
         assert cache.lookup(addr, False, cycle=2 * i + 1).hit
+
+
+# ---------------------------------------------------------------------------
+# Differential: the dict-LRU cache vs the list-LRU oracle.
+# ---------------------------------------------------------------------------
+
+GEOMETRIES = (
+    CacheConfig(size_bytes=1024, ways=2, line_bytes=64),
+    CacheConfig(size_bytes=512, ways=1, line_bytes=64),  # direct-mapped
+    CacheConfig(size_bytes=2048, ways=4, line_bytes=32),
+    CacheConfig(size_bytes=1024, ways=16, line_bytes=64),  # one set
+)
+
+
+def _lines(cache):
+    """Per set, least recently used first: (tag, dirty, prefetched, ready)."""
+    if isinstance(cache, ListLRUCache):
+        sets = [[(tag, s[tag]) for tag in order] for s, order in zip(cache._sets, cache._lru)]
+    else:
+        sets = [list(s.items()) for s in cache._sets]
+    return [
+        [(tag, line.dirty, line.prefetched, line.ready_cycle) for tag, line in lines]
+        for lines in sets
+    ]
+
+
+def assert_caches_agree(config, ops):
+    """Apply ``ops`` (method name, args) to both caches, comparing after each."""
+    fast, oracle = Cache(config), ListLRUCache(config)
+    for name, *args in ops:
+        assert getattr(fast, name)(*args) == getattr(oracle, name)(*args), (name, args)
+        assert fast.stats == oracle.stats, (name, args)
+        assert _lines(fast) == _lines(oracle), (name, args)
+    assert fast.occupancy == oracle.occupancy
+
+
+def _random_ops(rng, config, n):
+    span = 4 * config.size_bytes  # enough lines to keep every set evicting
+    ops = []
+    cycle = 0.0
+    for _ in range(n):
+        cycle += rng.choice((0, 0.5, 1, 3, 12))
+        addr = rng.randrange(span)
+        roll = rng.random()
+        if roll < 0.6:
+            ops.append(("lookup", addr, rng.random() < 0.3, cycle))
+        elif roll < 0.75:
+            ops.append(("prefetch", addr, cycle + rng.choice((0, 4, 40))))
+        elif roll < 0.85:
+            ops.append(("set_fill_time", addr, cycle + rng.choice((0, 2, 60.5))))
+        elif roll < 0.98:
+            ops.append(("contains", addr))
+        else:
+            ops.append(("flush",))
+    return ops
+
+
+@pytest.mark.parametrize("config", GEOMETRIES, ids=lambda c: f"{c.size_bytes}B-{c.ways}w")
+def test_seeded_sequences_match_list_lru_oracle(config):
+    rng = random.Random(0xCAC4E)
+    for _ in range(20):
+        assert_caches_agree(config, _random_ops(rng, config, 400))
+
+
+cache_ops = st.one_of(
+    st.tuples(st.just("lookup"), st.integers(0, 4095), st.booleans(), st.integers(0, 300)),
+    st.tuples(st.just("prefetch"), st.integers(0, 4095), st.integers(0, 300)),
+    st.tuples(st.just("set_fill_time"), st.integers(0, 4095), st.integers(0, 300)),
+    st.tuples(st.just("contains"), st.integers(0, 4095)),
+    st.tuples(st.just("flush")),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(GEOMETRIES), st.lists(cache_ops, max_size=120))
+def test_hypothesis_sequences_match_list_lru_oracle(config, ops):
+    assert_caches_agree(config, ops)

@@ -16,6 +16,7 @@ from repro.mem.hierarchy import (
     AccessType,
     build_hierarchy,
 )
+from repro.mem.scratchpad import ScratchpadStats
 
 
 def test_baseline_levels_and_latencies():
@@ -119,3 +120,29 @@ def test_sb_cache_core_has_cache_and_scratchpad():
     assert r.level == "scratchpad"
     r2 = h.access(0x400, 0x500, 4, AccessType.LOAD, 1)
     assert r2.level == "dram"  # falls back to the DRAM-backed cache path
+
+
+def test_reset_stats_clears_pad_counters():
+    h = build_hierarchy(assasin_sp_core())
+    h.access(0x400, SCRATCHPAD_BASE, 4, AccessType.STORE, 0)
+    h.access(0x400, PINGPONG_BASE + 100, 4, AccessType.LOAD, 1)
+    assert h.scratchpad.stats.writes == 1 and h.pingpong.ping.stats.reads == 1
+    h.reset_stats()
+    for pad in (h.scratchpad, h.pingpong.ping, h.pingpong.pong,
+                h.pingpong_out.ping, h.pingpong_out.pong):
+        assert pad.stats == ScratchpadStats()
+
+
+def test_straddling_access_is_dram_space():
+    """An access that crosses a pad boundary belongs to no pad."""
+    h = build_hierarchy(assasin_sp_core())
+    sp_end = SCRATCHPAD_BASE + h.scratchpad.size_bytes
+    half = h.pingpong.buffer_bytes
+    assert h.region(SCRATCHPAD_BASE - 2, 4) == "dram"
+    assert h.region(sp_end - 4, 4) == "scratchpad"
+    assert h.region(sp_end - 2, 4) == "dram"
+    for k in range(1, 4):  # between two halves
+        assert h.region(PINGPONG_BASE + k * half - 2, 4) == "dram"
+        assert h.region(PINGPONG_BASE + k * half, 4) == "pingpong"
+    assert h.region(PINGPONG_BASE + 4 * half - 4, 4) == "pingpong"
+    assert h.region(PINGPONG_BASE + 4 * half - 2, 4) == "dram"
