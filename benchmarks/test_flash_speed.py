@@ -22,9 +22,12 @@ default geometry:
 Outputs must match before any time counts. Emits ``BENCH_flash.json``
 and gates the four headline ratios at ``MIN_SPEEDUP``x; the gates are
 relative to the oracle on the same machine, so they hold on slow CI
-boxes too. The file also records the wall of mounting ``MOUNT_PAGES``
-pages (serve_mixed's data set) through ``PageMapFTL.populate``, without
-a gate or an oracle.
+boxes too. The file also records, without a gate or an oracle, the
+wall of mounting ``MOUNT_PAGES`` pages (serve_mixed's data set) through
+``PageMapFTL.populate``, and the timed page path's throughput: pages/s
+through ``FlashArray.service_read`` plus ``Crossbar.route`` for
+``PATH_READS`` pages striped over every plane, then ``service_write`` for
+``PATH_WRITES`` fresh pages, on a fresh array.
 """
 
 import json
@@ -34,10 +37,11 @@ import time
 from conftest import run_once
 
 from repro.config import FlashConfig
-from repro.flash import ecc
+from repro.flash import FlashArray, PhysicalPageAddress, ecc
 from repro.ftl import GarbageCollector, PageMapFTL
 from repro.ftl.allocator import _UnitCursor
 from repro.ftl.wear import WearTracker
+from repro.ssd.crossbar import Crossbar
 
 from tests import flash_oracle as oracle
 
@@ -50,6 +54,12 @@ GATED = ("encode_page", "decode_page_clean", "pick_fresh_unit", "gc_pick_victim"
 #: Victim picks per timed GC sample.
 GC_PICKS = 5
 MOUNT_PAGES = 10_240
+#: Pages through the timed page path per sample.
+PATH_READS = 20_000
+PATH_WRITES = 5_000
+#: Issue spacing of the page path: the 8 buses move a page per 512 ns in
+#: all, so reads queue on the buses as an offload's do.
+PATH_ISSUE_NS = 400
 
 CFG = FlashConfig()
 
@@ -133,6 +143,41 @@ def _mount():
     return time.perf_counter() - start
 
 
+def _striped_ppas(count):
+    """Page ``i`` goes to plane unit ``i % units`` (channel varying
+    fastest), at depth ``i // units`` in that unit's first blocks."""
+    c = CFG
+    units = c.channels * c.chips_per_channel * c.dies_per_chip * c.planes_per_die
+    ppas = []
+    for i in range(count):
+        unit, depth = i % units, i // units
+        unit, channel = divmod(unit, c.channels)
+        unit, chip = divmod(unit, c.chips_per_channel)
+        die, plane = divmod(unit, c.planes_per_die)
+        block, page = divmod(depth, c.pages_per_block)
+        ppas.append(PhysicalPageAddress(channel, chip, die, plane, block, page))
+    return ppas
+
+
+def _page_path(ppas):
+    """Wall of ``PATH_READS`` routed reads, then ``PATH_WRITES`` writes."""
+    array = FlashArray(CFG)
+    crossbar = Crossbar(CFG.channels, CFG.channels)
+    read, write, route = array.service_read, array.service_write, crossbar.route
+    cores, page_bytes = CFG.channels, CFG.page_bytes
+    start = time.perf_counter()
+    for i in range(PATH_READS):
+        ppa = ppas[i]
+        arrival = read(ppa, i * PATH_ISSUE_NS).done_ns + route(i % cores, ppa.channel, page_bytes)
+    issue = PATH_READS * PATH_ISSUE_NS
+    for i in range(PATH_WRITES):
+        write(ppas[i], issue + i * PATH_ISSUE_NS)
+    wall = time.perf_counter() - start
+    assert (array.reads_served, array.writes_served) == (PATH_READS, PATH_WRITES)
+    assert arrival > issue
+    return wall
+
+
 def _per_call(fn, args, calls):
     start = time.perf_counter()
     for _ in range(calls):
@@ -148,6 +193,7 @@ def _measure():
     window on a shared machine does not land on one side of a ratio.
     """
     cases = {**_codec_cases(), **_pick_cases(), **_gc_case()}
+    ppas = _striped_ppas(PATH_READS)
     walls = {}
     for _ in range(ROUNDS):
         for name, (fast, slow, calls) in cases.items():
@@ -155,6 +201,7 @@ def _measure():
                 wall = _per_call(fn, args, calls)
                 walls[name, side] = min(walls.get((name, side), float("inf")), wall)
         walls["mount"] = min(walls.get("mount", float("inf")), _mount())
+        walls["page_path"] = min(walls.get("page_path", float("inf")), _page_path(ppas))
     return walls
 
 
@@ -162,6 +209,9 @@ def test_flash_write_path_speed(benchmark):
     walls = run_once(benchmark, _measure)
     mount = walls.pop("mount")
     print(f"\nmount of {MOUNT_PAGES} pages: {mount * 1e3:.1f} ms")
+    page_path = walls.pop("page_path")
+    pages_per_s = (PATH_READS + PATH_WRITES) / page_path
+    print(f"\ntimed page path: {pages_per_s:,.0f} pages/s")
     rows = {}
     for name in sorted({name for name, _ in walls}):
         slow, fast = walls[(name, "oracle")], walls[(name, "fast")]
@@ -181,6 +231,12 @@ def test_flash_write_path_speed(benchmark):
         "gated": list(GATED),
         "cases": rows,
         "mount": {"pages": MOUNT_PAGES, "ms": round(mount * 1e3, 2)},
+        "page_path": {
+            "reads": PATH_READS,
+            "writes": PATH_WRITES,
+            "ms": round(page_path * 1e3, 2),
+            "pages_per_s": round(pages_per_s),
+        },
     }
     with open("BENCH_flash.json", "w") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)

@@ -9,7 +9,6 @@ this module owns the raw timing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, NamedTuple, Optional
 
 from repro.config import FlashConfig
@@ -17,6 +16,10 @@ from repro.errors import FlashError
 from repro.flash.channel import ChannelBus
 from repro.flash.chip import FlashChip
 from repro.sim import as_ns
+
+#: Service records are built with ``tuple.__new__``: the same object the
+#: class call returns, without the NamedTuple ``__new__`` frame.
+_tuple_new = tuple.__new__
 
 
 class PhysicalPageAddress(NamedTuple):
@@ -57,8 +60,7 @@ class PhysicalPageAddress(NamedTuple):
         return cls(channel, chip, die, plane, block, page)
 
 
-@dataclass(frozen=True)
-class ServiceRecord:
+class ServiceRecord(NamedTuple):
     """Timing of one serviced page operation (integer ns on the sim clock)."""
 
     ppa: PhysicalPageAddress
@@ -102,16 +104,17 @@ class FlashArray:
         return self.chips[channel][chip]
 
     # The service calls unpack the address once: one tuple unpack costs
-    # less than reading its named fields one by one.
+    # less than reading its named fields one by one. An int issue time is
+    # already on the clock; only other values are rounded.
 
     def service_read(self, ppa: PhysicalPageAddress, issue_ns) -> ServiceRecord:
         """Read one page: die tR, then the channel transfer."""
         channel, chip, die, plane, block, page = ppa
-        issue = as_ns(issue_ns)
+        issue = issue_ns if issue_ns.__class__ is int else as_ns(issue_ns)
         array_done = self._chip(channel, chip).start_read(die, plane, block, page, issue)
         done = self.channels[channel].transfer(self.config.page_bytes, array_done)
         self._reads.inc()
-        return ServiceRecord(ppa, issue, array_done, done)
+        return _tuple_new(ServiceRecord, (ppa, issue, array_done, done))
 
     def service_write(
         self, ppa: PhysicalPageAddress, issue_ns, data: Optional[bytes] = None
@@ -119,13 +122,13 @@ class FlashArray:
         """Write one page: channel transfer into the register, then program."""
         channel, chip_id, die, plane, block, page = ppa
         chip = self._chip(channel, chip_id)
-        issue = as_ns(issue_ns)
+        issue = issue_ns if issue_ns.__class__ is int else as_ns(issue_ns)
         # Check first: a rejected program must book neither bus nor plane.
         chip.check_program(die, plane, block, page, data)
         transferred = self.channels[channel].transfer(self.config.page_bytes, issue)
         done = chip.book_program(die, plane, block, page, transferred, data)
         self._writes.inc()
-        return ServiceRecord(ppa, issue, transferred, done)
+        return _tuple_new(ServiceRecord, (ppa, issue, transferred, done))
 
     def erase(self, ppa: PhysicalPageAddress, issue_ns) -> int:
         """Erase the block containing ``ppa``."""

@@ -16,10 +16,13 @@ Each bus publishes its byte/occupancy totals into the device's
 :class:`~repro.telemetry.counters.CounterRegistry` and emits one span per
 transfer on its ``flash/ch<n>`` trace track; with the default
 :class:`~repro.telemetry.tracer.NullTracer` the span call is a no-op and
-timing is unchanged.
+timing is unchanged.  The integer transfer time of each transfer size is
+computed once and memoised.
 """
 
 from __future__ import annotations
+
+from typing import Dict
 
 from repro.config import FlashConfig
 from repro.errors import FlashError
@@ -40,7 +43,8 @@ class ChannelBus:
         # Backfill: the controller's DMA engine serves transfers in
         # readiness order, so a transfer whose data is ready early may use
         # an idle gap left by one booked further in the future.
-        self._bus = FifoResource(self._track, trace_label="xfer", backfill=True)
+        self._bus = FifoResource(self._track, backfill=True)
+        self._durations: Dict[int, int] = {}
         self._tracer = telemetry.tracer
         self._bytes = telemetry.counters.counter(f"flash.ch{channel}.bytes")
         self._busy = telemetry.counters.counter(f"flash.ch{channel}.busy_ns")
@@ -65,12 +69,15 @@ class ChannelBus:
         Returns the completion time. Transfers are granted in call order
         (FIFO arbitration at the flash controller).
         """
-        if nbytes <= 0:
-            raise FlashError("transfer size must be positive")
-        duration = as_ns(nbytes / self.config.channel_bandwidth_bytes_per_ns)
+        duration = self._durations.get(nbytes)
+        if duration is None:
+            if nbytes <= 0:
+                raise FlashError("transfer size must be positive")
+            duration = as_ns(nbytes / self.config.channel_bandwidth_bytes_per_ns)
+            self._durations[nbytes] = duration
         grant = self._bus.acquire(ready_ns, duration)
         self._bytes.inc(nbytes)
-        self._busy.inc(grant.done_ns - grant.start_ns)
+        self._busy.inc(duration)
         self._transfers.inc()
         self._tracer.complete(self._track, "xfer", grant.start_ns, grant.done_ns)
         return grant.done_ns

@@ -9,7 +9,6 @@ multi-GiB arrays cost memory proportional to what was actually written.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro.config import FlashConfig
@@ -23,15 +22,6 @@ class PageState(enum.Enum):
     PROGRAMMED = "programmed"
 
 
-@dataclass
-class PlaneOps:
-    """Operation tallies for one plane (timing lives in the plane pools)."""
-
-    reads: int = 0
-    programs: int = 0
-    erases: int = 0
-
-
 class FlashChip:
     """Geometry + timing + state for one chip of the array.
 
@@ -43,6 +33,10 @@ class FlashChip:
     *suspend* an in-flight program or erase to service a read, so reads
     only queue behind other reads, while programs/erases queue behind
     everything on their plane.
+
+    tR, tPROG and tBERS are fixed at construction as integer nanoseconds
+    (``as_ns`` of the config's values), so a page operation pays no
+    conversion.
     """
 
     def __init__(self, config: FlashConfig, channel: int, index: int) -> None:
@@ -53,10 +47,9 @@ class FlashChip:
         name = f"flash.ch{channel}.chip{index}"
         self._read_lanes = PooledResource(f"{name}.plane_read", units)
         self._write_lanes = PooledResource(f"{name}.plane_write", units)
-        self.planes = [
-            [PlaneOps() for _ in range(config.planes_per_die)]
-            for _ in range(config.dies_per_chip)
-        ]
+        self._read_ns = as_ns(config.read_latency_ns)
+        self._program_ns = as_ns(config.program_latency_ns)
+        self._erase_ns = as_ns(config.erase_latency_ns)
         # Sparse page state: (die, plane, block, page) -> PageState; absent
         # means erased-from-factory. Contents stored only when provided.
         self._state: Dict[Tuple[int, int, int, int], PageState] = {}
@@ -96,11 +89,9 @@ class FlashChip:
     def start_read(self, die: int, plane: int, block: int, page: int, at_ns) -> int:
         self._check(die, plane, block, page)
         # Reads suspend in-flight programs/erases: queue behind reads only.
-        grant = self._read_lanes.acquire(
-            at_ns, as_ns(self.config.read_latency_ns), unit=self._unit(die, plane)
-        )
-        self.planes[die][plane].reads += 1
-        return grant.done_ns
+        return self._read_lanes.acquire(
+            at_ns, self._read_ns, die * self.config.planes_per_die + plane
+        ).done_ns
 
     def check_program(
         self, die: int, plane: int, block: int, page: int, data: Optional[bytes] = None
@@ -140,15 +131,13 @@ class FlashChip:
     ) -> int:
         """:meth:`start_program` after :meth:`check_program` has passed."""
         key = (die, plane, block, page)
-        unit = self._unit(die, plane)
+        unit = die * self.config.planes_per_die + plane
+        if at_ns.__class__ is not int:
+            at_ns = as_ns(at_ns)
         # Programs queue behind everything on the plane: in-flight reads
         # (which would suspend them) and earlier programs/erases.
-        ready = max(as_ns(at_ns), self._read_lanes.free_at(unit))
-        grant = self._write_lanes.acquire(
-            ready, as_ns(self.config.program_latency_ns), unit=unit
-        )
-        done = grant.done_ns
-        self.planes[die][plane].programs += 1
+        ready = max(at_ns, self._read_lanes.free_at(unit))
+        done = self._write_lanes.acquire(ready, self._program_ns, unit).done_ns
         self._state[key] = PageState.PROGRAMMED
         if data is not None:
             stored = bytes(data)
@@ -162,11 +151,7 @@ class FlashChip:
         self._check(die, plane, block, 0)
         unit = self._unit(die, plane)
         ready = max(as_ns(at_ns), self._read_lanes.free_at(unit))
-        grant = self._write_lanes.acquire(
-            ready, as_ns(self.config.erase_latency_ns), unit=unit
-        )
-        done = grant.done_ns
-        self.planes[die][plane].erases += 1
+        done = self._write_lanes.acquire(ready, self._erase_ns, unit).done_ns
         for page in range(self.config.pages_per_block):
             self._state.pop((die, plane, block, page), None)
             self._data.pop((die, plane, block, page), None)
@@ -272,13 +257,3 @@ class FlashChip:
         """
         self._read_lanes.reset()
         self._write_lanes.reset()
-
-    # -- stats -------------------------------------------------------------------
-
-    @property
-    def total_reads(self) -> int:
-        return sum(pl.reads for die in self.planes for pl in die)
-
-    @property
-    def total_programs(self) -> int:
-        return sum(pl.programs for die in self.planes for pl in die)

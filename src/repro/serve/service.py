@@ -173,9 +173,7 @@ class DeviceService:
                 else:
                     page_done = device.array.service_read(ppa, now).done_ns
                 hop = (
-                    device.crossbar.route(
-                        core, ppa.channel, self.page_bytes, at_ns=page_done
-                    )
+                    device.crossbar.route(core, ppa.channel, self.page_bytes)
                     if device.crossbar.enabled
                     else 0
                 )

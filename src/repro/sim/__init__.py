@@ -12,9 +12,9 @@ Three primitives cover the device:
   callbacks, :meth:`Simulator.spawn` for generator *processes* that
   ``yield`` waits (firmware command flows, background IO, GC passes).
 * :class:`FifoResource` — a single greedy FIFO reservation timeline
-  (a channel bus, the host link, a crossbar port): requests are granted
-  in call order, each occupying ``[start, done)``; busy intervals are
-  tracked so utilisation within any window is exact.
+  (a channel bus, the host link): requests are granted in call order,
+  each occupying ``[start, done)``; busy intervals are tracked so
+  utilisation within any window is exact.
 * :class:`PooledResource` — N unit timelines with least-loaded or
   explicit-unit selection (flash planes, the stream-core pool).
 

@@ -107,8 +107,9 @@ class Process:
     """Handle for a generator-based process spawned on a :class:`Simulator`.
 
     The generator *yields waits*: an integer/float delay in nanoseconds, or
-    the sentinel pairs produced by :meth:`Simulator.wait` /
-    :meth:`Simulator.wait_until`.  Between waits the process body runs
+    the requests produced by :meth:`Simulator.wait` (a bare non-negative
+    ``int``, else a sentinel pair) / :meth:`Simulator.wait_until` (a
+    sentinel pair).  Between waits the process body runs
     synchronously at the current simulation instant (issuing resource
     reservations, mutating state, scheduling callbacks).
     """
@@ -229,8 +230,17 @@ class Simulator:
 
     # -- processes ------------------------------------------------------------
 
-    def wait(self, delay_ns: Union[int, float]) -> Tuple[str, Union[int, float]]:
-        """A wait request: resume the yielding process after ``delay_ns``."""
+    def wait(
+        self, delay_ns: Union[int, float]
+    ) -> Union[int, Tuple[str, Union[int, float]]]:
+        """A wait request: resume the yielding process after ``delay_ns``.
+
+        A non-negative ``int`` is already a valid request (a bare delay), so
+        it is returned as it is; anything else is wrapped and checked when
+        the process yields it.
+        """
+        if delay_ns.__class__ is int and delay_ns >= 0:
+            return delay_ns
         return (_WAIT_DELAY, delay_ns)
 
     def wait_until(self, time_ns: Union[int, float]) -> Tuple[str, Union[int, float]]:
@@ -425,10 +435,29 @@ class Simulator:
                         self.processed = processed
                         self._process_error(payload, err)
                     if request is not _STOPPED:
-                        if request.__class__ is int and request >= 0:
+                        # Fast paths: a bare non-negative int delay, and
+                        # wait_until with an int instant. Everything else
+                        # (floats, negatives, malformed requests) is
+                        # decoded and checked by _wake_time.
+                        cls = request.__class__
+                        if cls is int and request >= 0:
                             wake = when + request
+                        elif (
+                            cls is tuple
+                            and len(request) == 2
+                            and request[0] is _WAIT_UNTIL
+                            and request[1].__class__ is int
+                        ):
+                            wake = request[1] if request[1] > when else when
                         else:
-                            wake = self._wake_time(request, when)
+                            try:
+                                wake = self._wake_time(request, when)
+                            except Exception:
+                                # An invalid request: the resume still
+                                # counts, as when a process body raises.
+                                self._size += pushed - pos
+                                self.processed = processed
+                                raise
                         pushed += 1
                         if wake == when:
                             if bucket[-1].priority > 0:

@@ -1,10 +1,14 @@
-"""Typed, telemetry-labelled resource primitives for the simulation kernel.
+"""Typed resource primitives for the simulation kernel.
 
 A *resource* owns a reservation timeline in integer nanoseconds.  Acquiring
 grants the next free slot in strict call order (FIFO arbitration), exactly
 the greedy discipline the per-component ``free_at_ns`` floats used to
-implement — but with the bookkeeping (busy intervals, counters, trace
-spans) centralised and exact.
+implement — but with the bookkeeping (busy intervals, grant counts)
+centralised and exact.
+
+Grants are int-first: an ``int`` argument is used as it is, and only
+other values go through :func:`~repro.sim.kernel.as_ns` (floats round to
+the nearest nanosecond, NaN/inf raise :class:`~repro.sim.SimTimeError`).
 
 Busy intervals are kept **coalesced**: a grant that starts exactly where
 the previous one ended extends it in place, so a saturated bus stores one
@@ -22,6 +26,10 @@ from typing import List, NamedTuple, Optional, Tuple
 
 from repro.sim.kernel import as_ns
 
+#: Grants are built with ``tuple.__new__``: the same object the class call
+#: returns, without the NamedTuple ``__new__`` frame.
+_tuple_new = tuple.__new__
+
 
 class Grant(NamedTuple):
     """One granted reservation on a resource timeline."""
@@ -32,11 +40,16 @@ class Grant(NamedTuple):
 
 
 class _Timeline:
-    """One FIFO reservation lane: free-at pointer plus coalesced intervals."""
+    """One FIFO reservation lane: free-at pointer plus coalesced intervals.
 
-    __slots__ = ("free_at_ns", "busy_ns", "grants", "_starts", "_intervals")
+    ``unit`` is the lane's index in its pool (0 for a lone lane); it is
+    stamped on every grant the lane makes.
+    """
 
-    def __init__(self) -> None:
+    __slots__ = ("unit", "free_at_ns", "busy_ns", "grants", "_starts", "_intervals")
+
+    def __init__(self, unit: int = 0) -> None:
+        self.unit = unit
         self.free_at_ns: int = 0
         self.busy_ns: int = 0
         self.grants: int = 0
@@ -44,18 +57,20 @@ class _Timeline:
         self._intervals: List[Tuple[int, int]] = []
 
     def reserve(self, ready_ns: int, duration_ns: int) -> Grant:
-        start = max(ready_ns, self.free_at_ns)
+        free = self.free_at_ns
+        start = ready_ns if ready_ns > free else free
         done = start + duration_ns
         self.free_at_ns = done
         self.busy_ns += duration_ns
         self.grants += 1
         if duration_ns > 0:
-            if self._intervals and self._intervals[-1][1] == start:
-                self._intervals[-1] = (self._intervals[-1][0], done)
+            intervals = self._intervals
+            if intervals and intervals[-1][1] == start:
+                intervals[-1] = (intervals[-1][0], done)
             else:
                 self._starts.append(start)
-                self._intervals.append((start, done))
-        return Grant(start, done)
+                intervals.append((start, done))
+        return _tuple_new(Grant, (start, done, self.unit))
 
     def reserve_backfill(self, ready_ns: int, duration_ns: int) -> Grant:
         """Reserve the *earliest* idle slot >= ``ready_ns`` that fits.
@@ -68,15 +83,21 @@ class _Timeline:
         behind and only falls back to the tail. When ready times arrive
         non-decreasing (the offload paths), no usable gap ever exists and
         the result is identical to :meth:`reserve`.
+
+        The tail is booked without a scan when ``ready_ns + duration_ns``
+        passes the start of the last booked interval, which covers every
+        ready time at or past ``free_at_ns``: every gap ends at the start of
+        an interval, so no gap can fit.
         """
-        if duration_ns > 0 and self._intervals:
+        intervals = self._intervals
+        if duration_ns > 0 and intervals and ready_ns + duration_ns <= intervals[-1][0]:
             # Candidate gaps: before the first interval, and between
             # consecutive intervals. Coalescing keeps this list short even
             # on saturated lanes, so the scan is cheap.
             idx = max(0, bisect.bisect_right(self._starts, ready_ns) - 1)
-            for i in range(idx, len(self._intervals)):
-                gap_start = self._intervals[i - 1][1] if i > 0 else 0
-                gap_end = self._intervals[i][0]
+            for i in range(idx, len(intervals)):
+                gap_start = intervals[i - 1][1] if i > 0 else 0
+                gap_end = intervals[i][0]
                 start = max(gap_start, ready_ns)
                 if start + duration_ns <= gap_end:
                     done = start + duration_ns
@@ -85,7 +106,7 @@ class _Timeline:
                     self.busy_ns += duration_ns
                     self.grants += 1
                     self._insert_interval(start, done, i)
-                    return Grant(start, done)
+                    return _tuple_new(Grant, (start, done, self.unit))
         return self.reserve(ready_ns, duration_ns)
 
     def _insert_interval(self, start: int, done: int, at: int) -> None:
@@ -124,41 +145,21 @@ class _Timeline:
         return total
 
     def reset(self) -> None:
+        """Forget every grant: the pointer, the intervals and the totals."""
         self.free_at_ns = 0
+        self.busy_ns = 0
+        self.grants = 0
         self._starts.clear()
         self._intervals.clear()
 
 
 class FifoResource:
-    """A single greedy FIFO timeline (channel bus, host link, crossbar port).
+    """A single greedy FIFO timeline (a channel bus, the host link)."""
 
-    With a ``telemetry`` bundle the resource publishes
-    ``<name>.busy_ns``/``<name>.grants`` counters and emits one span per
-    grant on the ``<name>`` trace track; under the default
-    :class:`~repro.telemetry.tracer.NullTracer` both are no-ops.
-    """
-
-    def __init__(
-        self,
-        name: str,
-        telemetry=None,
-        trace_label: str = "busy",
-        backfill: bool = False,
-    ) -> None:
+    def __init__(self, name: str, backfill: bool = False) -> None:
         self.name = name
         self._lane = _Timeline()
-        self._trace_label = trace_label
-        self._backfill = backfill
-        if telemetry is None:
-            from repro.telemetry.tracer import NULL_TRACER
-
-            self._tracer = NULL_TRACER
-            self._busy_counter = None
-            self._grant_counter = None
-        else:
-            self._tracer = telemetry.tracer
-            self._busy_counter = telemetry.counters.counter(f"{name}.busy_ns")
-            self._grant_counter = telemetry.counters.counter(f"{name}.grants")
+        self._reserve = self._lane.reserve_backfill if backfill else self._lane.reserve
 
     @property
     def free_at_ns(self) -> int:
@@ -172,37 +173,15 @@ class FifoResource:
     def grants(self) -> int:
         return self._lane.grants
 
-    def acquire(self, ready_ns, duration_ns, label: Optional[str] = None) -> Grant:
+    def acquire(self, ready_ns, duration_ns) -> Grant:
         """Grant the next FIFO slot of ``duration_ns`` starting >= ``ready_ns``."""
         if duration_ns < 0:
             raise ValueError(f"negative duration {duration_ns} on {self.name}")
-        if self._backfill:
-            grant = self._lane.reserve_backfill(as_ns(ready_ns), as_ns(duration_ns))
-        else:
-            grant = self._lane.reserve(as_ns(ready_ns), as_ns(duration_ns))
-        if self._busy_counter is not None:
-            self._busy_counter.inc(grant.done_ns - grant.start_ns)
-            self._grant_counter.inc()
-        self._tracer.complete(
-            self.name, label or self._trace_label, grant.start_ns, grant.done_ns
-        )
-        return grant
-
-    def occupy(self, start_ns, done_ns, busy_ns=None) -> None:
-        """Record an explicitly timed occupancy (non-queuing components).
-
-        Unlike :meth:`acquire`, the interval is taken as given: the
-        timeline's free-at pointer only moves forward and overlapping
-        occupancies are allowed (a non-blocking fabric port).
-        """
-        start = as_ns(start_ns)
-        done = as_ns(done_ns)
-        if done < start:
-            raise ValueError(f"occupancy on {self.name} ends before it starts")
-        self._lane.occupy(start, done, None if busy_ns is None else as_ns(busy_ns))
-        if self._busy_counter is not None:
-            self._busy_counter.inc(done - start if busy_ns is None else as_ns(busy_ns))
-            self._grant_counter.inc()
+        if ready_ns.__class__ is not int:
+            ready_ns = as_ns(ready_ns)
+        if duration_ns.__class__ is not int:
+            duration_ns = as_ns(duration_ns)
+        return self._reserve(ready_ns, duration_ns)
 
     def busy_within(self, until_ns) -> int:
         return self._lane.busy_within(as_ns(until_ns))
@@ -226,19 +205,11 @@ class PooledResource:
     first core to free up, ties to the lowest index).
     """
 
-    def __init__(self, name: str, units: int, telemetry=None) -> None:
+    def __init__(self, name: str, units: int) -> None:
         if units <= 0:
             raise ValueError(f"pooled resource {name} needs at least one unit")
         self.name = name
-        self._lanes = [_Timeline() for _ in range(units)]
-        if telemetry is None:
-            from repro.telemetry.tracer import NULL_TRACER
-
-            self._tracer = NULL_TRACER
-            self._busy_counter = None
-        else:
-            self._tracer = telemetry.tracer
-            self._busy_counter = telemetry.counters.counter(f"{name}.busy_ns")
+        self._lanes = [_Timeline(unit) for unit in range(units)]
 
     @property
     def units(self) -> int:
@@ -254,25 +225,16 @@ class PooledResource:
         """The unit that frees first; ties break to the lowest index."""
         return min(range(len(self._lanes)), key=lambda i: self._lanes[i].free_at_ns)
 
-    def acquire(
-        self,
-        ready_ns,
-        duration_ns,
-        unit: Optional[int] = None,
-        label: Optional[str] = None,
-    ) -> Grant:
+    def acquire(self, ready_ns, duration_ns, unit: Optional[int] = None) -> Grant:
         """Reserve ``duration_ns`` on ``unit`` (or the least-loaded unit)."""
         if duration_ns < 0:
             raise ValueError(f"negative duration {duration_ns} on {self.name}")
-        index = self.least_loaded() if unit is None else unit
-        grant = self._lanes[index].reserve(as_ns(ready_ns), as_ns(duration_ns))
-        if self._busy_counter is not None:
-            self._busy_counter.inc(grant.done_ns - grant.start_ns)
-        if label is not None:
-            self._tracer.complete(
-                f"{self.name}/{index}", label, grant.start_ns, grant.done_ns
-            )
-        return Grant(grant.start_ns, grant.done_ns, index)
+        lane = self._lanes[self.least_loaded() if unit is None else unit]
+        if ready_ns.__class__ is not int:
+            ready_ns = as_ns(ready_ns)
+        if duration_ns.__class__ is not int:
+            duration_ns = as_ns(duration_ns)
+        return lane.reserve(ready_ns, duration_ns)
 
     def occupy(self, unit: int, start_ns, done_ns, busy_ns=None) -> None:
         """Record an explicitly timed occupancy on ``unit``.
@@ -282,21 +244,14 @@ class PooledResource:
         the grant's start; ``busy_ns`` optionally narrows the utilisation
         accounting to the genuinely productive span.
         """
-        start = as_ns(start_ns)
-        done = as_ns(done_ns)
+        start = start_ns if start_ns.__class__ is int else as_ns(start_ns)
+        done = done_ns if done_ns.__class__ is int else as_ns(done_ns)
         if done < start:
             raise ValueError(f"occupancy on {self.name}/{unit} ends before it starts")
-        self._lanes[unit].occupy(
-            start, done, None if busy_ns is None else as_ns(busy_ns)
-        )
-        if self._busy_counter is not None:
-            self._busy_counter.inc(done - start if busy_ns is None else as_ns(busy_ns))
-
-    def utilisations(self, until_ns) -> List[float]:
-        window = as_ns(until_ns)
-        if window <= 0:
-            return [0.0] * len(self._lanes)
-        return [lane.busy_ns / window for lane in self._lanes]
+        lane = self._lanes[unit]
+        if busy_ns is not None and busy_ns.__class__ is not int:
+            busy_ns = as_ns(busy_ns)
+        lane.occupy(start, done, busy_ns)
 
     def reset(self) -> None:
         for lane in self._lanes:

@@ -13,7 +13,6 @@ from __future__ import annotations
 from typing import List
 
 from repro.errors import DeviceError
-from repro.sim import FifoResource
 
 CROSSBAR_LATENCY_NS = 120  # one traversal: arbitration + wires (integer ns)
 
@@ -22,11 +21,9 @@ class Crossbar:
     """Routes page transfers between channels and cores.
 
     The fabric is non-blocking at flash aggregate bandwidth, so a
-    traversal costs a fixed latency rather than a queued slot; the
-    per-channel ingress ports are still modelled as
-    :class:`repro.sim.FifoResource` timelines so port occupancy shows up
-    in utilisation sweeps (each page holds its ingress port for the
-    traversal latency, which never binds at these rates).
+    traversal costs a fixed latency rather than a queued slot: no port
+    keeps a reservation timeline. The crossbar counts the bytes each core
+    and each channel moved, and the traversals.
     """
 
     def __init__(self, num_channels: int, num_cores: int, enabled: bool = True) -> None:
@@ -42,9 +39,6 @@ class Crossbar:
         self.enabled = enabled
         self.core_bytes: List[int] = [0] * num_cores
         self.channel_bytes: List[int] = [0] * num_channels
-        self.ports: List[FifoResource] = [
-            FifoResource(f"crossbar.port{ch}") for ch in range(num_channels)
-        ]
         self.traversals = 0
 
     def allowed(self, core: int, channel: int) -> bool:
@@ -52,25 +46,17 @@ class Crossbar:
         self._check(core, channel)
         return self.enabled or core == channel
 
-    def route(self, core: int, channel: int, nbytes: int, at_ns=None) -> int:
-        """Account one transfer and return the added latency (ns).
-
-        With ``at_ns`` the traversal's occupancy ``[at_ns, at_ns+latency)``
-        is recorded on the channel's ingress port timeline (overlap
-        allowed — the fabric is non-blocking).
-        """
+    def route(self, core: int, channel: int, nbytes: int) -> int:
+        """Account one transfer and return the added latency (ns)."""
         self._check(core, channel)
-        if not self.allowed(core, channel):
+        if not (self.enabled or core == channel):
             raise DeviceError(
                 f"channel-local architecture: core {core} cannot reach channel {channel}"
             )
         self.core_bytes[core] += nbytes
         self.channel_bytes[channel] += nbytes
         self.traversals += 1
-        latency = CROSSBAR_LATENCY_NS if self.enabled else 0
-        if at_ns is not None:
-            self.ports[channel].occupy(at_ns, at_ns + latency)
-        return latency
+        return CROSSBAR_LATENCY_NS if self.enabled else 0
 
     def _check(self, core: int, channel: int) -> None:
         if not 0 <= core < self.num_cores:

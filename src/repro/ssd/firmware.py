@@ -559,10 +559,7 @@ class Firmware:
         page = self.config.flash.page_bytes
         ppa = self.ftl.lookup(task.lpas[k])
         record = self.array.service_read(ppa, when)
-        hop = self.crossbar.route(
-            task.core_id, ppa.channel, page, at_ns=record.done_ns
-        )
-        return record.done_ns + hop
+        return record.done_ns + self.crossbar.route(task.core_id, ppa.channel, page)
 
 
 # ---------------------------------------------------------------------------

@@ -132,11 +132,6 @@ class HostInterface:
         self._issued_ids.add(command.command_id)
         self.submissions.append(command)
 
-    @property
-    def link_free_at_ns(self) -> int:
-        """When the link next frees (integer ns on the unified clock)."""
-        return self._link.free_at_ns
-
     def transfer(self, nbytes: int, ready_ns, to_host: bool) -> int:
         """Move ``nbytes`` over the link; returns completion time."""
         if nbytes < 0:

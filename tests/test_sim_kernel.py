@@ -121,6 +121,16 @@ def test_process_bare_number_yield_is_a_delay():
     assert marks == [40, 43]
 
 
+def test_wait_of_a_non_negative_int_is_the_bare_delay():
+    sim = Simulator()
+    assert sim.wait(0) == 0 and sim.wait(7) == 7
+    # Everything else stays a request the loop decodes and checks.
+    assert sim.wait(7.0) == ("delay", 7.0)
+    assert sim.wait(-1) == ("delay", -1)
+    assert sim.wait(True) == ("delay", True)
+    assert sim.wait_until(9) == ("until", 9)
+
+
 def test_wait_until_the_past_resumes_now():
     sim = Simulator()
     marks = []

@@ -5,15 +5,23 @@ the campaigns happen to issue.
 Hypothesis generates adversarial mixes of the whole scheduling surface —
 callback events at mixed priorities (including negative), events whose
 actions schedule more events at the current instant (the active-bucket
-append path), cancellations, and generator processes yielding int/float
-delays and ``wait_until`` instants — and asserts both engines produce the
-identical dispatch sequence and final ``(now, processed)``.  A second
+append path), cancellations, and generator processes yielding bare
+int/float delays and the requests ``sim.wait``/``sim.wait_until`` build
+(int, float and zero delays; past, present and future instants, negative
+ones included) — and asserts both engines produce the identical dispatch
+sequence and final ``(now, processed)``.  A second
 property replays the same schedules through ``run(max_events=...)`` slices
 to pin the budgeted re-shelving path, and a third through ``run(until_ns=...)``
 to pin the time-bounded path.  The first two also run with a recording
 tracer, whose ``scheduler`` instants must match the oracle's: tracing and
 budgets are checks inside the one dispatch loop, not separate loops.
+A fourth makes one process yield an invalid request (a negative delay,
+NaN/inf, a malformed request) and asserts both engines raise the same
+exception type after the same dispatches, at the same clock and
+``processed`` count.
 """
+
+import math
 
 import pytest
 
@@ -26,14 +34,38 @@ from repro.telemetry.tracer import Tracer  # noqa: E402
 
 from tests.sim_oracle import HeapSimulator  # noqa: E402
 
-#: One wait a process generator yields: a delay (int, or a float that
-#: exercises as_ns rounding) or an absolute wait_until instant (which may
-#: legitimately lie in the past).
-_waits = st.one_of(
+#: One wait a process generator yields: a bare delay (int, or a float that
+#: exercises as_ns rounding), a ``sim.wait`` delay (a bare int when it is
+#: a non-negative int; -0.4 rounds to a zero delay) or a ``sim.wait_until``
+#: instant (which may legitimately lie in the past, or be negative).
+_delays = st.one_of(
     st.integers(min_value=0, max_value=40),
     st.floats(min_value=0.0, max_value=40.0, allow_nan=False, width=32),
-    st.tuples(st.just("until"), st.integers(min_value=0, max_value=120)),
 )
+_instants = st.one_of(
+    st.integers(min_value=-5, max_value=120),
+    st.floats(min_value=-5.0, max_value=120.0, allow_nan=False, width=32),
+)
+_waits = st.one_of(
+    _delays,
+    st.tuples(st.just("wait"), st.one_of(_delays, st.just(0), st.just(-0.4))),
+    st.tuples(st.just("until"), _instants),
+)
+
+#: Requests both engines must refuse, with the same exception type.
+_invalid_waits = st.sampled_from([
+    ("wait", -1),
+    ("wait", -0.6),
+    ("wait", math.nan),
+    ("wait", math.inf),
+    ("until", math.nan),
+    ("until", -math.inf),
+    ("bare", -2),
+    ("bare", -1.5),
+    ("bare", "soon"),
+    ("bare", None),
+    ("bare", ("until", 5, 6)),
+])
 
 _events = st.fixed_dictionaries(
     {
@@ -69,6 +101,18 @@ _plans = st.fixed_dictionaries(
 )
 
 
+def _request(sim, wait):
+    """The value a process yields for one drawn wait."""
+    if not isinstance(wait, tuple):
+        return wait
+    kind, value = wait
+    if kind == "wait":
+        return sim.wait(value)
+    if kind == "until":
+        return sim.wait_until(value)
+    return value
+
+
 def _build(sim, plan, log):
     """Issue the plan's schedule calls on ``sim``, returning event handles."""
     handles = []
@@ -97,10 +141,7 @@ def _build(sim, plan, log):
             def body(idx=idx, waits=item["waits"]):
                 for wait in waits:
                     log.append(("proc", idx, sim.now))
-                    if isinstance(wait, tuple):
-                        yield sim.wait_until(wait[1])
-                    else:
-                        yield wait
+                    yield _request(sim, wait)
                 log.append(("proc-done", idx, sim.now))
 
             sim.spawn(body(), label=f"p{idx}")
@@ -164,3 +205,33 @@ def test_time_bounded_runs_dispatch_identically(plan, bound):
     reference = _run_plan(HeapSimulator, plan, lambda sim: sim.run(until_ns=bound))
     fast = _run_plan(Simulator, plan, lambda sim: sim.run(until_ns=bound))
     assert fast == reference
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    plan=_plans,
+    invalid=_invalid_waits,
+    at=st.integers(min_value=0, max_value=99),
+    slot=st.integers(min_value=0, max_value=4),
+)
+def test_invalid_wait_requests_raise_identically(plan, invalid, at, slot):
+    """One process yields an invalid request: both engines dispatch the
+    same entries, then raise the same exception type with the same clock
+    and ``processed`` (the refused resume counts, as a raising body does)."""
+    items = list(plan["items"])
+    waits = [("wait", 1)] * 4
+    waits.insert(slot, invalid)
+    items.insert(at % (len(items) + 1), {"kind": "proc", "waits": waits})
+    plan = {"items": items, "cancels": plan["cancels"]}
+
+    def outcome(make_sim):
+        sim = make_sim(None)
+        log = []
+        _build(sim, plan, log)
+        try:
+            sim.run()
+        except Exception as err:
+            return log, type(err), sim.now, sim.processed
+        raise AssertionError("the invalid request was accepted")
+
+    assert outcome(Simulator) == outcome(HeapSimulator)
