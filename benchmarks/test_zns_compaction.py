@@ -36,9 +36,10 @@ DURATION_NS = 4_000_000.0 if SMOKE else 8_000_000.0
 SEED = 7
 
 # Conservative floors for BENCH_zns.json — tuned to catch a collapse, not a
-# wobble (observed: ~10 Mops/s simulated, ~100k events/s wall).
+# wobble (observed: ~10 Mops/s simulated; ~194k events/s wall under
+# ZNS_SMOKE=1 on a 2-vCPU host, so the wall floor is about a quarter of it).
 MIN_OPS_PER_SEC_SIMULATED = 1_000_000.0
-MIN_SIM_EVENTS_PER_SEC_WALL = 5_000.0
+MIN_SIM_EVENTS_PER_SEC_WALL = 50_000.0
 #: The offload headline: >= 2x fewer compaction bytes over the host link
 #: (the ISSUE floor; the observed ratio is ~3500x) and a >= 5% get-p99 win.
 MIN_COMPACTION_LINK_CUT = 2.0

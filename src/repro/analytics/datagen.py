@@ -9,11 +9,12 @@ seeded RNG, so runs are reproducible; monetary values are integer cents.
 from __future__ import annotations
 
 import random
-from typing import Dict, List
+from typing import Callable, Dict, List
 
 from repro.analytics.relalg import Table
 from repro.analytics.schema import DATE_DAYS, SCHEMA, date_to_day
 from repro.errors import AnalyticsError
+from repro.utils.draws import below_draws
 
 REGIONS = ["AFRICA", "AMERICA", "ASIA", "EUROPE", "MIDDLE EAST"]
 NATIONS = [
@@ -38,19 +39,40 @@ _WORDS = ("special", "pending", "unusual", "express", "furious", "sly", "careful
           "blithe", "quick", "deposits", "packages", "foxes", "accounts", "requests")
 
 
-def _comment(rng: random.Random, words: int = 4) -> str:
-    return " ".join(rng.choice(_WORDS) for _ in range(words))
-
-
-def _phone(rng: random.Random, nationkey: int) -> str:
-    return f"{nationkey + 10}-{rng.randint(100, 999)}-{rng.randint(100, 999)}-{rng.randint(1000, 9999)}"
-
-
 def generate_database(scale_factor: float = 0.01, seed: int = 7) -> Dict[str, Table]:
-    """Generate all eight tables; keys are referentially consistent."""
+    """Generate all eight tables; keys are referentially consistent.
+
+    Every bounded draw comes from a stream bound once per value domain
+    (:mod:`repro.utils.draws`) over the one seeded generator, in the order
+    the ``randrange``/``randint``/``choice`` calls it stands for made them,
+    so the tables are those of the method calls. ``rng.random()`` and
+    ``rng.sample`` are called as they are.
+    """
     if scale_factor <= 0:
         raise AnalyticsError("scale factor must be positive")
     rng = random.Random(seed)
+    draw = rng.random
+
+    # With s = below(high - low + 1), low + s() is rng.randint(low, high);
+    # with s = below(len(seq)), seq[s()] is rng.choice(seq).
+    def below(n: int) -> Callable[[], int]:
+        return below_draws(rng, n).__next__
+
+    word = below(len(_WORDS))
+    nation = below(len(NATIONS))
+    phone_part, phone_tail = below(999 - 100 + 1), below(9999 - 1000 + 1)
+    acctbal = below(999_999 + 99_999 + 1)
+
+    def comment() -> str:
+        return f"{_WORDS[word()]} {_WORDS[word()]} {_WORDS[word()]} {_WORDS[word()]}"
+
+    def short_comment() -> str:
+        return f"{_WORDS[word()]} {_WORDS[word()]}"
+
+    def phone() -> str:
+        # The nation key is drawn first, then the three number groups.
+        return f"{nation() + 10}-{100 + phone_part()}-{100 + phone_part()}-{1000 + phone_tail()}"
+
     db: Dict[str, Table] = {}
 
     db["region"] = Table(
@@ -58,7 +80,7 @@ def generate_database(scale_factor: float = 0.01, seed: int = 7) -> Dict[str, Ta
         {
             "r_regionkey": list(range(5)),
             "r_name": list(REGIONS),
-            "r_comment": [_comment(rng) for _ in range(5)],
+            "r_comment": [comment() for _ in range(5)],
         },
     )
     db["nation"] = Table(
@@ -67,7 +89,7 @@ def generate_database(scale_factor: float = 0.01, seed: int = 7) -> Dict[str, Ta
             "n_nationkey": list(range(25)),
             "n_name": [n for n, _ in NATIONS],
             "n_regionkey": [r for _, r in NATIONS],
-            "n_comment": [_comment(rng) for _ in range(25)],
+            "n_comment": [comment() for _ in range(25)],
         },
     )
 
@@ -77,35 +99,39 @@ def generate_database(scale_factor: float = 0.01, seed: int = 7) -> Dict[str, Ta
         {
             "s_suppkey": list(range(1, n_supp + 1)),
             "s_name": [f"Supplier#{i:09d}" for i in range(1, n_supp + 1)],
-            "s_address": [_comment(rng, 2) for _ in range(n_supp)],
-            "s_nationkey": [rng.randrange(25) for _ in range(n_supp)],
-            "s_phone": [_phone(rng, rng.randrange(25)) for _ in range(n_supp)],
-            "s_acctbal": [rng.randint(-99_999, 999_999) for _ in range(n_supp)],
+            "s_address": [short_comment() for _ in range(n_supp)],
+            "s_nationkey": [nation() for _ in range(n_supp)],
+            "s_phone": [phone() for _ in range(n_supp)],
+            "s_acctbal": [-99_999 + acctbal() for _ in range(n_supp)],
             "s_comment": [
-                (_comment(rng) + (" Customer Complaints" if rng.random() < 0.01 else ""))
+                (comment() + (" Customer Complaints" if draw() < 0.01 else ""))
                 for _ in range(n_supp)
             ],
         },
     )
 
     n_cust = SCHEMA["customer"].rows_at(scale_factor)
+    segment = below(len(MKT_SEGMENTS))
     db["customer"] = Table(
         "customer",
         {
             "c_custkey": list(range(1, n_cust + 1)),
             "c_name": [f"Customer#{i:09d}" for i in range(1, n_cust + 1)],
-            "c_address": [_comment(rng, 2) for _ in range(n_cust)],
-            "c_nationkey": [rng.randrange(25) for _ in range(n_cust)],
-            "c_phone": [_phone(rng, rng.randrange(25)) for _ in range(n_cust)],
-            "c_acctbal": [rng.randint(-99_999, 999_999) for _ in range(n_cust)],
-            "c_mktsegment": [rng.choice(MKT_SEGMENTS) for _ in range(n_cust)],
-            "c_comment": [_comment(rng) for _ in range(n_cust)],
+            "c_address": [short_comment() for _ in range(n_cust)],
+            "c_nationkey": [nation() for _ in range(n_cust)],
+            "c_phone": [phone() for _ in range(n_cust)],
+            "c_acctbal": [-99_999 + acctbal() for _ in range(n_cust)],
+            "c_mktsegment": [MKT_SEGMENTS[segment()] for _ in range(n_cust)],
+            "c_comment": [comment() for _ in range(n_cust)],
         },
     )
 
     n_part = SCHEMA["part"].rows_at(scale_factor)
+    syll1, syll2, syll3 = (below(len(s)) for s in (TYPE_SYLL1, TYPE_SYLL2, TYPE_SYLL3))
+    mfgr, brand, size = below(5), below(len(BRANDS)), below(50)
+    container, retail = below(len(CONTAINERS)), below(210_000 - 90_000 + 1)
     part_types = [
-        f"{rng.choice(TYPE_SYLL1)} {rng.choice(TYPE_SYLL2)} {rng.choice(TYPE_SYLL3)}"
+        f"{TYPE_SYLL1[syll1()]} {TYPE_SYLL2[syll2()]} {TYPE_SYLL3[syll3()]}"
         for _ in range(n_part)
     ]
     db["part"] = Table(
@@ -117,13 +143,13 @@ def generate_database(scale_factor: float = 0.01, seed: int = 7) -> Dict[str, Ta
                                      "chocolate", "metallic", "almond"), 3))
                 for _ in range(n_part)
             ],
-            "p_mfgr": [f"Manufacturer#{rng.randint(1, 5)}" for _ in range(n_part)],
-            "p_brand": [rng.choice(BRANDS) for _ in range(n_part)],
+            "p_mfgr": [f"Manufacturer#{1 + mfgr()}" for _ in range(n_part)],
+            "p_brand": [BRANDS[brand()] for _ in range(n_part)],
             "p_type": part_types,
-            "p_size": [rng.randint(1, 50) for _ in range(n_part)],
-            "p_container": [rng.choice(CONTAINERS) for _ in range(n_part)],
-            "p_retailprice": [rng.randint(90_000, 210_000) for _ in range(n_part)],
-            "p_comment": [_comment(rng, 2) for _ in range(n_part)],
+            "p_size": [1 + size() for _ in range(n_part)],
+            "p_container": [CONTAINERS[container()] for _ in range(n_part)],
+            "p_retailprice": [90_000 + retail() for _ in range(n_part)],
+            "p_comment": [short_comment() for _ in range(n_part)],
         },
     )
 
@@ -135,60 +161,68 @@ def generate_database(scale_factor: float = 0.01, seed: int = 7) -> Dict[str, Ta
             ps_part.append(pk)
             ps_supp.append((pk + j * (n_supp // 4 + 1)) % n_supp + 1)
     n_ps = len(ps_part)
+    availqty, supplycost = below(9999), below(100_000 - 100 + 1)
     db["partsupp"] = Table(
         "partsupp",
         {
             "ps_partkey": ps_part,
             "ps_suppkey": ps_supp,
-            "ps_availqty": [rng.randint(1, 9999) for _ in range(n_ps)],
-            "ps_supplycost": [rng.randint(100, 100_000) for _ in range(n_ps)],
-            "ps_comment": [_comment(rng) for _ in range(n_ps)],
+            "ps_availqty": [1 + availqty() for _ in range(n_ps)],
+            "ps_supplycost": [100 + supplycost() for _ in range(n_ps)],
+            "ps_comment": [comment() for _ in range(n_ps)],
         },
     )
 
     n_orders = SCHEMA["orders"].rows_at(scale_factor)
-    order_dates = [rng.randrange(DATE_DAYS - 151) for _ in range(n_orders)]
+    order_day, custkey, status = below(DATE_DAYS - 151), below(n_cust), below(3)
+    totalprice = below(50_000_000 - 100_000 + 1)
+    priority, clerk = below(len(ORDER_PRIORITIES)), below(1000)
+    order_dates = [order_day() for _ in range(n_orders)]
     db["orders"] = Table(
         "orders",
         {
             "o_orderkey": list(range(1, n_orders + 1)),
-            "o_custkey": [rng.randint(1, n_cust) for _ in range(n_orders)],
-            "o_orderstatus": [rng.choice("OFP") for _ in range(n_orders)],
-            "o_totalprice": [rng.randint(100_000, 50_000_000) for _ in range(n_orders)],
+            "o_custkey": [1 + custkey() for _ in range(n_orders)],
+            "o_orderstatus": ["OFP"[status()] for _ in range(n_orders)],
+            "o_totalprice": [100_000 + totalprice() for _ in range(n_orders)],
             "o_orderdate": order_dates,
-            "o_orderpriority": [rng.choice(ORDER_PRIORITIES) for _ in range(n_orders)],
-            "o_clerk": [f"Clerk#{rng.randint(1, 1000):09d}" for _ in range(n_orders)],
+            "o_orderpriority": [ORDER_PRIORITIES[priority()] for _ in range(n_orders)],
+            "o_clerk": [f"Clerk#{1 + clerk():09d}" for _ in range(n_orders)],
             "o_shippriority": [0] * n_orders,
-            "o_comment": [_comment(rng) for _ in range(n_orders)],
+            "o_comment": [comment() for _ in range(n_orders)],
         },
     )
 
     # lineitem: 1..7 lines per order (avg 4).
+    lines, ship_lag, commit_lag, receipt_lag = below(7), below(121), below(90 - 30 + 1), below(30)
+    quantity_of, partkey, suppkey = below(50), below(n_part), below(n_supp)
+    discount, tax, flag = below(11), below(9), below(2)
+    instruct, mode = below(len(SHIP_INSTRUCTS)), below(len(SHIP_MODES))
+    cutoff = date_to_day(1995, 6, 17)
     cols: Dict[str, List] = {name: [] for name in SCHEMA["lineitem"].columns}
     for okey, odate in zip(db["orders"].column("o_orderkey"), order_dates):
-        for line in range(1, rng.randint(1, 7) + 1):
-            shipdate = min(odate + rng.randint(1, 121), DATE_DAYS - 31)
-            commitdate = min(odate + rng.randint(30, 90), DATE_DAYS - 1)
-            receiptdate = min(shipdate + rng.randint(1, 30), DATE_DAYS - 1)
-            quantity = rng.randint(1, 50)
+        for line in range(1, 2 + lines()):
+            shipdate = min(odate + 1 + ship_lag(), DATE_DAYS - 31)
+            commitdate = min(odate + 30 + commit_lag(), DATE_DAYS - 1)
+            receiptdate = min(shipdate + 1 + receipt_lag(), DATE_DAYS - 1)
+            quantity = 1 + quantity_of()
             cols["l_orderkey"].append(okey)
-            cols["l_partkey"].append(rng.randint(1, n_part))
-            cols["l_suppkey"].append(rng.randint(1, n_supp))
+            cols["l_partkey"].append(1 + partkey())
+            cols["l_suppkey"].append(1 + suppkey())
             cols["l_linenumber"].append(line)
             cols["l_quantity"].append(quantity)
-            cols["l_extendedprice"].append(quantity * rng.randint(90_000, 210_000) // 100)
-            cols["l_discount"].append(rng.randint(0, 10))
-            cols["l_tax"].append(rng.randint(0, 8))
+            cols["l_extendedprice"].append(quantity * (90_000 + retail()) // 100)
+            cols["l_discount"].append(discount())
+            cols["l_tax"].append(tax())
             cols["l_returnflag"].append(
-                "R" if receiptdate <= date_to_day(1995, 6, 17) and rng.random() < 0.5
-                else rng.choice("AN")
+                "R" if receiptdate <= cutoff and draw() < 0.5 else "AN"[flag()]
             )
-            cols["l_linestatus"].append("F" if shipdate <= date_to_day(1995, 6, 17) else "O")
+            cols["l_linestatus"].append("F" if shipdate <= cutoff else "O")
             cols["l_shipdate"].append(shipdate)
             cols["l_commitdate"].append(commitdate)
             cols["l_receiptdate"].append(receiptdate)
-            cols["l_shipinstruct"].append(rng.choice(SHIP_INSTRUCTS))
-            cols["l_shipmode"].append(rng.choice(SHIP_MODES))
-            cols["l_comment"].append(_comment(rng, 2))
+            cols["l_shipinstruct"].append(SHIP_INSTRUCTS[instruct()])
+            cols["l_shipmode"].append(SHIP_MODES[mode()])
+            cols["l_comment"].append(short_comment())
     db["lineitem"] = Table("lineitem", cols)
     return db

@@ -48,7 +48,7 @@ from repro.serve.service import DeviceService
 from repro.serve.workload import WorkloadGenerator
 from repro.sim import Simulator
 from repro.ssd.host_interface import ScompCommand
-from repro.utils.stats import percentile
+from repro.utils.stats import percentiles
 
 #: Minimum completed same-kind commands before hedge projections engage;
 #: below this the rolling quantile is too noisy to act on.
@@ -330,16 +330,13 @@ class FleetRouter:
         window = self._windows[kind]
         if len(window) < HEDGE_WARMUP_SAMPLES:
             return None
-        samples = list(window)
         # Clamp the trigger at 1.5x the rolling median: a straggler device
         # pollutes the upper quantiles of its own window, and an unclamped
         # p95 would rise until the straggler's commands no longer qualify
         # for hedging. The median stays anchored to healthy service, and
         # 1.5x is a typical healthy p95/p50 ratio for this service mix.
-        quantile = min(
-            percentile(samples, self.cfg.hedge_quantile),
-            1.5 * percentile(samples, 50.0),
-        )
+        tail, median = percentiles(window, (self.cfg.hedge_quantile, 50.0))
+        quantile = min(tail, 1.5 * median)
         return max(self.cfg.hedge_min_delay_ns, quantile)
 
     def _rebuild_estimate_ns(self, cmd: ServeCommand) -> float:

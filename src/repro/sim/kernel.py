@@ -44,7 +44,8 @@ from repro.errors import ReproError
 
 
 class SimTimeError(ReproError, ValueError):
-    """An invalid simulation instant (non-finite, or in the past)."""
+    """An invalid simulation time: non-finite, an instant before now, a
+    negative delay or duration, or an occupancy that ends before it starts."""
 
 
 class SimProcessError(ReproError, RuntimeError):
@@ -192,7 +193,7 @@ class Simulator:
         if isinstance(delay_ns, float) and not math.isfinite(delay_ns):
             raise SimTimeError(f"cannot schedule a non-finite delay ({delay_ns!r})")
         if delay_ns < 0:
-            raise ValueError(f"cannot schedule into the past (delay={delay_ns})")
+            raise SimTimeError(f"cannot schedule into the past (delay={delay_ns})")
         return self.schedule_at(self.now + delay_ns, action, label, priority)
 
     def schedule_at(
@@ -205,7 +206,7 @@ class Simulator:
         """Schedule ``action`` at an absolute time, which must not precede now."""
         when = as_ns(time_ns)
         if when < self.now:
-            raise ValueError(f"cannot schedule at {time_ns} before now={self.now}")
+            raise SimTimeError(f"cannot schedule at {time_ns} before now={self.now}")
         event = Event(when, next(self._counter), action, label, priority)
         self._push(when, priority, event)
         return event
@@ -351,7 +352,7 @@ class Simulator:
         else:
             when = now + as_ns(request)
         if when < now:
-            raise ValueError(f"cannot schedule at {when} before now={now}")
+            raise SimTimeError(f"cannot schedule at {when} before now={now}")
         return when
 
     def run(

@@ -24,7 +24,7 @@ from __future__ import annotations
 import bisect
 from typing import List, NamedTuple, Optional, Tuple
 
-from repro.sim.kernel import as_ns
+from repro.sim.kernel import SimTimeError, as_ns
 
 #: Grants are built with ``tuple.__new__``: the same object the class call
 #: returns, without the NamedTuple ``__new__`` frame.
@@ -176,7 +176,7 @@ class FifoResource:
     def acquire(self, ready_ns, duration_ns) -> Grant:
         """Grant the next FIFO slot of ``duration_ns`` starting >= ``ready_ns``."""
         if duration_ns < 0:
-            raise ValueError(f"negative duration {duration_ns} on {self.name}")
+            raise SimTimeError(f"negative duration {duration_ns} on {self.name}")
         if ready_ns.__class__ is not int:
             ready_ns = as_ns(ready_ns)
         if duration_ns.__class__ is not int:
@@ -228,7 +228,7 @@ class PooledResource:
     def acquire(self, ready_ns, duration_ns, unit: Optional[int] = None) -> Grant:
         """Reserve ``duration_ns`` on ``unit`` (or the least-loaded unit)."""
         if duration_ns < 0:
-            raise ValueError(f"negative duration {duration_ns} on {self.name}")
+            raise SimTimeError(f"negative duration {duration_ns} on {self.name}")
         lane = self._lanes[self.least_loaded() if unit is None else unit]
         if ready_ns.__class__ is not int:
             ready_ns = as_ns(ready_ns)
@@ -247,7 +247,7 @@ class PooledResource:
         start = start_ns if start_ns.__class__ is int else as_ns(start_ns)
         done = done_ns if done_ns.__class__ is int else as_ns(done_ns)
         if done < start:
-            raise ValueError(f"occupancy on {self.name}/{unit} ends before it starts")
+            raise SimTimeError(f"occupancy on {self.name}/{unit} ends before it starts")
         lane = self._lanes[unit]
         if busy_ns is not None and busy_ns.__class__ is not int:
             busy_ns = as_ns(busy_ns)

@@ -25,13 +25,19 @@ def percentile(values: Sequence[float], pct: float) -> float:
     requests finished within X); it always returns an actual sample, never an
     interpolated one.
     """
+    return percentiles(values, (pct,))[0]
+
+
+def percentiles(values: Sequence[float], pcts: Sequence[float]) -> List[float]:
+    """:func:`percentile` at each of ``pcts``, read from one sort of ``values``."""
     if not values:
         raise ValueError("percentile of empty sequence")
-    if not 0.0 < pct <= 100.0:
-        raise ValueError(f"percentile must be in (0, 100], got {pct}")
-    ordered = sorted(float(v) for v in values)
-    rank = math.ceil(pct / 100.0 * len(ordered))
-    return ordered[rank - 1]
+    for pct in pcts:
+        if not 0.0 < pct <= 100.0:
+            raise ValueError(f"percentile must be in (0, 100], got {pct}")
+    ordered = sorted(map(float, values))
+    n = len(ordered)
+    return [ordered[math.ceil(pct / 100.0 * n) - 1] for pct in pcts]
 
 
 def weighted_mean(values: Sequence[float], weights: Sequence[float]) -> float:

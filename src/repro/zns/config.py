@@ -10,7 +10,8 @@ within a few simulated milliseconds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 
 from repro.config import FlashConfig, SSDConfig, assasin_sb_config
 from repro.errors import ConfigError
@@ -78,14 +79,34 @@ class ZnsConfig:
             raise ConfigError("compaction_runs must match the merge kernel's 2..4")
         if self.l0_runs_trigger < 2 or self.fanout < 1:
             raise ConfigError("need l0_runs_trigger >= 2 and fanout >= 1")
+        # L0 compacts into level 1, so the tree needs at least two levels.
+        if self.max_levels < 2:
+            raise ConfigError(f"max_levels must be >= 2, got {self.max_levels!r}")
         if self.num_tenants <= 0 or self.memtable_records <= 0:
             raise ConfigError("ZnsConfig needs tenants and a positive memtable")
         if not 0.0 <= self.put_fraction <= 1.0:
             raise ConfigError("put_fraction must be a fraction")
+        if not (math.isfinite(self.duration_ns) and self.duration_ns > 0):
+            raise ConfigError(f"duration_ns must be finite and > 0, got {self.duration_ns!r}")
+        if not (math.isfinite(self.mean_interarrival_ns) and self.mean_interarrival_ns > 0):
+            raise ConfigError(
+                f"mean_interarrival_ns must be finite and > 0, got {self.mean_interarrival_ns!r}"
+            )
+        # The compaction manager re-wakes every check interval; one that
+        # rounds to 0 ns would re-wake at its own instant forever.
+        if not (math.isfinite(self.compaction_check_ns) and round(self.compaction_check_ns) >= 1):
+            raise ConfigError(
+                f"compaction_check_ns must round to >= 1 ns, got {self.compaction_check_ns!r}"
+            )
+        if not (math.isfinite(self.probe_ns) and self.probe_ns >= 0):
+            raise ConfigError(f"probe_ns must be finite and >= 0, got {self.probe_ns!r}")
+        if not isinstance(self.key_space, int) or self.key_space < 1:
+            raise ConfigError(f"key_space must be an integer >= 1, got {self.key_space!r}")
+        if not isinstance(self.run_segment_pages, int) or self.run_segment_pages < 1:
+            raise ConfigError(
+                f"run_segment_pages must be an integer >= 1, got {self.run_segment_pages!r}"
+            )
 
     def ssd(self) -> SSDConfig:
         """The AssasinSb device, re-geometried for small zones."""
         return assasin_sb_config(flash=zns_flash_config())
-
-    def with_policy(self, compaction: str) -> "ZnsConfig":
-        return replace(self, compaction=compaction)

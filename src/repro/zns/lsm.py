@@ -125,12 +125,10 @@ class LsmTree:
         return entries
 
     def new_run(self, level: int, entries: Iterable[Tuple[int, int]]) -> SortedRun:
-        """Build a run from sorted (key, seq) entries (segments added later)."""
-        keys = []
-        seqs = {}
-        for key, seq in entries:
-            keys.append(key)
-            seqs[key] = seq
+        """Build a run from sorted, unique-key (key, seq) entries (segments
+        added later)."""
+        seqs = dict(entries)
+        keys = list(seqs)
         run = SortedRun(
             run_id=self._next_run_id,
             level=level,

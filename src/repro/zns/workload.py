@@ -30,9 +30,10 @@ from typing import Dict, List
 from repro.analytics.cost import StaticCostSource
 from repro.errors import ZnsError
 from repro.ftl.zoned import ZoneState
-from repro.sim import Simulator
+from repro.sim import Simulator, as_ns
 from repro.ssd.device import ComputationalSSD
 from repro.ssd.host_interface import ReadCommand, ScompCommand, ZoneAppendCommand, ZoneResetCommand
+from repro.utils.draws import below_draws, expovariate_draws
 from repro.zns.config import ZnsConfig
 from repro.zns.firmware import ZnsFirmware
 from repro.zns.lsm import RECORD_BYTES, CompactionPick, LsmTree, Segment, SortedRun
@@ -76,6 +77,7 @@ class ZnsCampaign:
         self._flushing: List[Dict[int, int]] = []
         self._compacting = False
         self._seq = 0
+        self._probe_ns = as_ns(config.probe_ns)
         #: Device rates sampled from the simulator itself (merge kernel).
         self.cost = StaticCostSource.calibrate(self.device, kernels=("merge",))
         self.report = ZnsReport(
@@ -141,24 +143,38 @@ class ZnsCampaign:
     # -- foreground --------------------------------------------------------------
 
     def _tenant(self, index: int):
+        """Open-loop arrivals: a gap, a key, then the put/get coin.
+
+        The draws come from streams over the tenant's own generator, in the
+        order ``expovariate``, ``randrange``, ``random`` would make them, and
+        each gap is yielded as a bare int of at least 1 ns. A put goes
+        straight into the memtable; a get runs as its own process.
+        """
         cfg = self.cfg
         rng = random.Random((cfg.seed + 1) * 1_000_003 + index * 7_919)
+        next_gap = expovariate_draws(rng, 1.0 / cfg.mean_interarrival_ns).__next__
+        next_key = below_draws(rng, cfg.key_space).__next__
+        coin = rng.random
+        put_fraction = cfg.put_fraction
+        label = f"get-{index}"
+        lsm = self.lsm
+        report = self.report
+        spawn = self.sim.spawn
+        get = self._get
         while True:
-            yield self.sim.wait(max(1, round(rng.expovariate(1.0 / cfg.mean_interarrival_ns))))
-            key = rng.randrange(cfg.key_space)
-            if rng.random() < cfg.put_fraction:
-                self._put(key)
+            gap = round(next_gap())
+            yield gap if gap > 1 else 1
+            key = next_key()
+            if coin() < put_fraction:
+                self._seq += 1
+                report.puts += 1
+                if lsm.put(key, self._seq):
+                    entries = lsm.take_memtable()
+                    snapshot = dict(entries)
+                    self._flushing.append(snapshot)
+                    spawn(self._flush(entries, snapshot), "flush")
             else:
-                self.sim.spawn(self._get(key), label=f"get-{index}")
-
-    def _put(self, key: int) -> None:
-        self._seq += 1
-        self.report.puts += 1
-        if self.lsm.put(key, self._seq):
-            entries = self.lsm.take_memtable()
-            snapshot = dict(entries)
-            self._flushing.append(snapshot)
-            self.sim.spawn(self._flush(entries, snapshot), label="flush")
+                spawn(get(key), label)
 
     def _get(self, key: int):
         start = self.sim.now
@@ -166,12 +182,12 @@ class ZnsCampaign:
         kind, run = self.lsm.locate(key)
         if kind == "memtable" or any(key in snap for snap in self._flushing):
             self.report.get_memtable_hits += 1
-            yield self.sim.wait(self.cfg.probe_ns)
+            yield self._probe_ns
             self.report.get_latencies_ns.append(self.sim.now - start)
             return
         if run is None:
             self.report.get_misses += 1
-            yield self.sim.wait(self.cfg.probe_ns)
+            yield self._probe_ns
             self.report.get_latencies_ns.append(self.sim.now - start)
             return
         self.report.get_run_hits += 1

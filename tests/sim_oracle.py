@@ -25,7 +25,7 @@ import bisect
 import heapq
 from typing import List, Optional, Tuple, Union
 
-from repro.sim import Event, Grant, Process, Simulator, as_ns
+from repro.sim import Event, Grant, Process, SimTimeError, Simulator, as_ns
 from repro.sim.kernel import _WAIT_DELAY, _WAIT_UNTIL
 
 
@@ -39,7 +39,7 @@ class HeapSimulator(Simulator):
     def schedule_at(self, time_ns, action, label: str = "", priority: int = 0) -> Event:
         when = as_ns(time_ns)
         if when < self.now:
-            raise ValueError(f"cannot schedule at {time_ns} before now={self.now}")
+            raise SimTimeError(f"cannot schedule at {time_ns} before now={self.now}")
         seq = next(self._counter)
         event = Event(when, seq, action, label, priority)
         heapq.heappush(self._heap, (when, priority, seq, event))
@@ -269,7 +269,7 @@ class OracleFifoResource:
     def acquire(self, ready_ns, duration_ns, label: Optional[str] = None) -> Grant:
         """Grant the next FIFO slot of ``duration_ns`` starting >= ``ready_ns``."""
         if duration_ns < 0:
-            raise ValueError(f"negative duration {duration_ns} on {self.name}")
+            raise SimTimeError(f"negative duration {duration_ns} on {self.name}")
         if self._backfill:
             grant = self._lane.reserve_backfill(as_ns(ready_ns), as_ns(duration_ns))
         else:
@@ -292,7 +292,7 @@ class OracleFifoResource:
         start = as_ns(start_ns)
         done = as_ns(done_ns)
         if done < start:
-            raise ValueError(f"occupancy on {self.name} ends before it starts")
+            raise SimTimeError(f"occupancy on {self.name} ends before it starts")
         self._lane.occupy(start, done, None if busy_ns is None else as_ns(busy_ns))
         if self._busy_counter is not None:
             self._busy_counter.inc(done - start if busy_ns is None else as_ns(busy_ns))
@@ -357,7 +357,7 @@ class OraclePooledResource:
     ) -> Grant:
         """Reserve ``duration_ns`` on ``unit`` (or the least-loaded unit)."""
         if duration_ns < 0:
-            raise ValueError(f"negative duration {duration_ns} on {self.name}")
+            raise SimTimeError(f"negative duration {duration_ns} on {self.name}")
         index = self.least_loaded() if unit is None else unit
         grant = self._lanes[index].reserve(as_ns(ready_ns), as_ns(duration_ns))
         if self._busy_counter is not None:
@@ -379,7 +379,7 @@ class OraclePooledResource:
         start = as_ns(start_ns)
         done = as_ns(done_ns)
         if done < start:
-            raise ValueError(f"occupancy on {self.name}/{unit} ends before it starts")
+            raise SimTimeError(f"occupancy on {self.name}/{unit} ends before it starts")
         self._lanes[unit].occupy(
             start, done, None if busy_ns is None else as_ns(busy_ns)
         )

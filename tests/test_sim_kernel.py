@@ -40,7 +40,7 @@ def test_schedule_rejects_non_finite_delay(bad):
 
 def test_schedule_rejects_negative_delay():
     sim = Simulator()
-    with pytest.raises(ValueError):
+    with pytest.raises(SimTimeError):
         sim.schedule(-1, lambda: None)
 
 
@@ -49,8 +49,19 @@ def test_schedule_at_rejects_the_past():
     sim.schedule_at(10, lambda: None)
     sim.run()
     assert sim.now == 10
-    with pytest.raises(ValueError):
+    with pytest.raises(SimTimeError):
         sim.schedule_at(5, lambda: None)
+
+
+def test_process_wait_into_the_past_is_a_time_error():
+    sim = Simulator()
+
+    def flow():
+        yield sim.wait(-1)
+
+    sim.spawn(flow())
+    with pytest.raises(SimTimeError, match="before now"):
+        sim.run()
 
 
 # -- deterministic ordering -------------------------------------------------
@@ -180,7 +191,7 @@ def test_fifo_resource_grants_in_call_order():
 
 def test_fifo_resource_rejects_bad_times():
     bus = FifoResource("bus")
-    with pytest.raises(ValueError):
+    with pytest.raises(SimTimeError):
         bus.acquire(0, -1)
     with pytest.raises(SimTimeError):
         bus.acquire(float("nan"), 10)
@@ -253,8 +264,10 @@ def test_pooled_resource_validates():
     with pytest.raises(ValueError):
         PooledResource("empty", 0)
     pool = PooledResource("cores", 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(SimTimeError):
         pool.acquire(0, -5)
+    with pytest.raises(SimTimeError, match="ends before it starts"):
+        pool.occupy(1, 20, 10)
 
 
 # -- cross-subsystem composition -------------------------------------------

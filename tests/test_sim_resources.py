@@ -303,7 +303,7 @@ def test_non_finite_and_negative_arguments_raise():
     bus = FifoResource("bus")
     with pytest.raises(SimTimeError):
         bus.acquire(math.inf, 1)
-    with pytest.raises(ValueError, match="negative duration -1 on bus"):
+    with pytest.raises(SimTimeError, match="negative duration -1 on bus"):
         bus.acquire(0, -1)
     pool = PooledResource("cores", 1)
     with pytest.raises(SimTimeError):

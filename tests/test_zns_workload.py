@@ -142,5 +142,42 @@ def test_config_validation():
         ZnsConfig(compaction_runs=9)
     with pytest.raises(ConfigError):
         ZnsConfig(l0_runs_trigger=1)
+    # The smallest values each bound admits.
+    ZnsConfig(
+        compaction_check_ns=0.6, mean_interarrival_ns=1e-3, key_space=1,
+        probe_ns=0.0, duration_ns=1.0, run_segment_pages=1, max_levels=2,
+    )
     flash = ZnsConfig().ssd().flash
     assert flash.channels * flash.chips_per_channel * flash.blocks_per_plane == 512
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        # Each hung or crashed a campaign: compaction_check_ns 0 (or one that
+        # rounds to 0 ns) re-wakes the compaction manager at its own instant
+        # forever; the others fail inside a tenant, flush or compaction, or
+        # run nothing.
+        ("compaction_check_ns", 0.0),
+        ("compaction_check_ns", 0.4),
+        ("compaction_check_ns", float("inf")),
+        ("mean_interarrival_ns", 0),
+        ("mean_interarrival_ns", -400.0),
+        ("mean_interarrival_ns", float("nan")),
+        ("mean_interarrival_ns", float("inf")),
+        ("key_space", 0),
+        ("key_space", 20_000.5),
+        ("probe_ns", -5),
+        ("probe_ns", float("nan")),
+        ("duration_ns", -1),
+        ("duration_ns", 0.0),
+        ("duration_ns", float("inf")),
+        ("run_segment_pages", 0),
+        ("max_levels", 1),
+        ("max_levels", 0),
+    ],
+)
+def test_config_rejects_values_that_hang_or_crash_a_campaign(field, value):
+    # Construction only: the campaign itself is never run.
+    with pytest.raises(ConfigError, match=field):
+        ZnsConfig(**{field: value})
