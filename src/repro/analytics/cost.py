@@ -87,7 +87,8 @@ class CostSource:
         raise NotImplementedError
 
     def scan_selectivity(self, table, predicate, at_ns: float = 0.0) -> float:
-        """Expected fraction of rows surviving a pushed predicate.
+        """Expected fraction of rows surviving a pushed predicate, given as
+        a compiled ``(columns, fn)`` pair (:func:`repro.sql.exprs.compile_expr`).
 
         Sources without row data answer 1.0 — the conservative bound where
         the column fraction alone caps a device scan's output. The

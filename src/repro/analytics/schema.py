@@ -149,10 +149,3 @@ SCHEMA: Dict[str, TableSchema] = {
 }
 
 TABLE_NAMES = tuple(SCHEMA)
-
-
-def table_schema(name: str) -> TableSchema:
-    try:
-        return SCHEMA[name]
-    except KeyError:
-        raise AnalyticsError(f"unknown table {name!r}; known: {TABLE_NAMES}") from None

@@ -20,7 +20,7 @@ from __future__ import annotations
 import random
 import struct
 from dataclasses import dataclass
-from typing import Iterator, List
+from typing import Iterator
 
 TUPLE_BYTES = 32
 F_QUANTITY = 0
@@ -71,7 +71,3 @@ def random_tuples(n: int, seed: int = 1) -> bytes:
             payload=rng.randbytes(PAYLOAD_BYTES),
         ).pack()
     return bytes(out)
-
-
-def tuples_bytes(tuples: List[Tuple]) -> bytes:
-    return b"".join(t.pack() for t in tuples)

@@ -24,6 +24,7 @@ from __future__ import annotations
 import bisect
 from typing import List, NamedTuple, Optional, Tuple
 
+from repro.errors import ConfigError
 from repro.sim.kernel import SimTimeError, as_ns
 
 #: Grants are built with ``tuple.__new__``: the same object the class call
@@ -206,8 +207,10 @@ class PooledResource:
     """
 
     def __init__(self, name: str, units: int) -> None:
-        if units <= 0:
-            raise ValueError(f"pooled resource {name} needs at least one unit")
+        if not isinstance(units, int) or units < 1:
+            raise ConfigError(
+                f"pooled resource {name} needs a whole number of units >= 1, got {units!r}"
+            )
         self.name = name
         self._lanes = [_Timeline(unit) for unit in range(units)]
 

@@ -144,8 +144,9 @@ class LiveCostSource(StaticCostSource):
     # -- placement estimates ---------------------------------------------------
 
     def scan_selectivity(self, table, predicate, at_ns: float = 0.0) -> float:
-        """Sampled-predicate selectivity: evaluate the pushed predicate on
-        an evenly-strided row sample of the actual table.
+        """Sampled-predicate selectivity: evaluate the pushed predicate, a
+        compiled ``(columns, fn)`` pair, on an evenly-strided row sample of
+        the actual table.
 
         The static bound prices a device scan's output by column fraction
         alone, which wildly over-states what a highly selective filter
@@ -153,23 +154,24 @@ class LiveCostSource(StaticCostSource):
         way. Sampling the real rows (the session holds the table the
         device would scan) fixes the estimate for the price of a few
         hundred predicate evaluations. Un-evaluable predicates (e.g.
-        scalar-subquery references) fall back to the conservative 1.0;
-        the estimate is floored at one surviving sample row so a
-        zero-match sample never prices the output at exactly nothing.
+        scalar-subquery references, columns the table lacks) fall back to
+        the conservative 1.0; the estimate is floored at one surviving
+        sample row so a zero-match sample never prices the output at
+        exactly nothing.
         """
         nrows = getattr(table, "nrows", 0)
         if predicate is None or nrows <= 0:
             return 1.0
         stride = max(1, nrows // SELECTIVITY_SAMPLE_ROWS)
-        sampled = survived = 0
-        for i in range(0, nrows, stride):
-            sampled += 1
-            try:
-                if predicate(table.row(i)):
-                    survived += 1
-            except Exception:
-                return 1.0  # no estimate beats a wrong one
-        estimate = max(survived, 1) / sampled
+        columns, fn = predicate
+        try:
+            # A predicate that reads no column still needs a column to
+            # carry the sample's rows.
+            sample = table.take(range(0, nrows, stride), columns or list(table.columns)[:1])
+            survived = sample.filter_by(columns, fn).nrows
+        except Exception:
+            return 1.0  # no estimate beats a wrong one
+        estimate = max(survived, 1) / sample.nrows
         self._g_selectivity.set(estimate)
         return estimate
 

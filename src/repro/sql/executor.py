@@ -18,16 +18,23 @@ Site semantics:
   columns with pushed predicates already applied, modelling the PSF
   kernel emitting filtered, projected binary tuples. Its stats start at
   zero: the host CPU never touched those rows.
+
+Every expression is compiled to ``(columns, fn)``
+(:func:`repro.sql.exprs.compile_expr`) and bound to the table it runs on
+before any row is evaluated: a column that table lacks is a
+:class:`~repro.errors.SqlError` naming it. The relalg column-wise cores
+then map ``fn`` over the referenced columns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.analytics.relalg import Table
+from repro.analytics.relalg import Compiled, Table
 from repro.errors import SqlError
-from repro.sql.ast_nodes import Column
+from repro.sql.ast_nodes import Column, Expr
 from repro.sql.exprs import compile_expr
 from repro.sql.planner import (
     DistinctNode,
@@ -46,6 +53,18 @@ from repro.sql.planner import (
 )
 
 SITES = ("host", "device")
+
+
+def bind_expr(table: Table, expr: Expr, scalars: Dict[int, object]) -> Compiled:
+    """Compile ``expr`` for rows of ``table``; a column the table lacks is
+    an :class:`SqlError` before any row is evaluated."""
+    compiled = compile_expr(expr, scalars)
+    for name in compiled[0]:
+        if name not in table.columns:
+            raise SqlError(
+                f"unknown column {name!r}; the input has {', '.join(table.columns)}"
+            )
+    return compiled
 
 
 @dataclass
@@ -118,23 +137,23 @@ class SqlExecutor:
             return left.join(right, node.left_key, node.right_key, how=node.how)
         if isinstance(node, FilterNode):
             child = self._exec(node.child, scalars, scans)
-            return child.filter(compile_expr(node.predicate, scalars))
+            return child.filter_by(*bind_expr(child, node.predicate, scalars))
         if isinstance(node, ExtendNode):
             child = self._exec(node.child, scalars, scans)
-            return child.extend(node.name, compile_expr(node.expr, scalars))
+            return child.extend_by(node.name, *bind_expr(child, node.expr, scalars))
         if isinstance(node, GroupNode):
             child = self._exec(node.child, scalars, scans)
             aggs = {
-                name: (op, compile_expr(arg, scalars) if arg is not None else None)
+                name: (op, bind_expr(child, arg, scalars) if arg is not None else None)
                 for name, op, arg in node.aggregates
             }
-            return child.group_by(node.keys, aggs)
+            return child.aggregate(node.keys, aggs)
         if isinstance(node, ProjectNode):
             child = self._exec(node.child, scalars, scans)
             for name, expr in node.items:
                 if isinstance(expr, Column) and expr.name == name:
                     continue
-                child = child.extend(name, compile_expr(expr, scalars))
+                child = child.extend_by(name, *bind_expr(child, expr, scalars))
             return child.project([name for name, _ in node.items])
         if isinstance(node, DistinctNode):
             child = self._exec(node.child, scalars, scans)
@@ -160,25 +179,21 @@ class SqlExecutor:
         if site not in SITES:
             raise SqlError(f"scan chooser returned {site!r}; want one of {SITES}")
         kernel = "psf" if node.predicates else "parse"
+        predicate = (
+            bind_expr(base, and_fold(node.predicates), scalars)
+            if node.predicates
+            else None
+        )
         if site == "host":
-            if node.predicates:
-                predicate = compile_expr(and_fold(node.predicates), scalars)
-                out = base.filter(predicate)
-            else:
-                out = base
+            out = base.filter_by(*predicate) if predicate else base
         else:
             # The device streams raw pages through parse (+ filter when
             # predicates pushed) and emits only the planned columns.
-            cols: Dict[str, list] = {c: [] for c in node.columns}
-            if node.predicates:
-                predicate = compile_expr(and_fold(node.predicates), scalars)
-                for row in base.iter_rows():
-                    if predicate(row):
-                        for c in node.columns:
-                            cols[c].append(row[c])
+            if predicate:
+                flags = base.compute(*predicate)
+                cols = {c: list(compress(base.column(c), flags)) for c in node.columns}
             else:
-                for c in node.columns:
-                    cols[c] = list(base.column(c))
+                cols = {c: list(base.column(c)) for c in node.columns}
             out = Table(f"{node.table}@dev", cols)
         scans.append(
             ScanExecution(

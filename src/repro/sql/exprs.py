@@ -1,19 +1,22 @@
-"""Expression analysis and compilation to row closures.
+"""Expression analysis and compilation to positional Python functions.
 
 The planner needs three static analyses (which columns an expression
 touches, whether it contains an aggregate, which scalar subqueries it
 embeds) and one code generator: :func:`compile_expr` turns an AST
-expression into a ``row -> value`` closure over relalg's dict-per-row
-representation. Scalar subqueries compile to lookups in a mutable
-``scalars`` dict keyed by AST node identity — the executor resolves every
-subquery into that dict before the closures run.
+expression into ``(columns, fn)``, one generated Python function whose
+parameters are the columns the expression reads, so relalg can ``map`` it
+over those column lists without building a row. Scalar subqueries compile
+to lookups in a mutable ``scalars`` dict keyed by AST node identity, read
+at call time — the executor resolves every subquery into that dict before
+the functions run.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, Iterator, List, Set
+from typing import Callable, Dict, Iterator, List, Set, Tuple
 
+from repro.analytics.relalg import Compiled
 from repro.errors import SqlError
 from repro.sql.ast_nodes import (
     BinaryOp,
@@ -122,126 +125,205 @@ def like_matcher(pattern: str) -> Callable[[str], bool]:
     return match
 
 
+# Python binding levels of generated source, loosest first: ``x if c else
+# y``, ``or``, ``and``, ``not``, comparisons and ``in``, ``+``/``-``,
+# ``*``/``/``, unary minus, atoms (names, calls, subscripts, displays).
+_COND, _OR, _AND, _NOT, _CMP, _ADD, _MUL, _NEG, _ATOM = range(9)
+
+#: SQL binary operator -> (Python operator, its binding level).
 _BINOPS = {
-    "+": lambda a, b: a + b,
-    "-": lambda a, b: a - b,
-    "*": lambda a, b: a * b,
-    "/": lambda a, b: a / b,
-    "=": lambda a, b: a == b,
-    "<>": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
+    "+": ("+", _ADD),
+    "-": ("-", _ADD),
+    "*": ("*", _MUL),
+    "/": ("/", _MUL),
+    "=": ("==", _CMP),
+    "<>": ("!=", _CMP),
+    "<": ("<", _CMP),
+    "<=": ("<=", _CMP),
+    ">": (">", _CMP),
+    ">=": (">=", _CMP),
 }
 
+#: Operators whose result is already a bool for every value SQL produces
+#: (int, float, str, None, bool and tuples of them), so AND/OR need no
+#: ``bool()`` around them.
+_BOOL_OPS = frozenset(("and", "or", "=", "<>", "<", "<=", ">", ">="))
 
-def compile_expr(
-    expr: Expr, scalars: Dict[int, object]
-) -> Callable[[Dict[str, object]], object]:
-    """Compile ``expr`` to a ``row -> value`` closure.
 
-    ``scalars`` maps ``id(ScalarSubquery node) -> resolved value``; the
-    closure reads it at call time, so the executor may fill it after
-    compilation but before the first row is evaluated.
+def _level(op: str) -> int:
+    if op == "and":
+        return _AND
+    if op == "or":
+        return _OR
+    return _BINOPS[op][1]
+
+
+def compile_expr(expr: Expr, scalars: Dict[int, object]) -> Compiled:
+    """Compile ``expr`` to ``(columns, fn)``: ``fn(*values)`` evaluates it on
+    one row whose ``columns`` hold ``values``.
+
+    The body is the expression's own operators, in its evaluation order:
+    AND/OR short-circuit as ``bool(l) and bool(r)``; CASE, COALESCE, IN,
+    LIKE, FLOOR and SUBSTRING keep their SQL-layer meaning. Literals,
+    IN-sets and LIKE matchers are bound in the function's namespace, and
+    column names only pick parameters, so no value reaches the source
+    text. IN values are evaluated here, once; ``scalars`` maps
+    ``id(ScalarSubquery node) -> resolved value`` and is read when ``fn``
+    runs, so the executor may fill it after compilation but before the
+    first row is evaluated.
     """
-    if isinstance(expr, Literal):
-        value = expr.value
-        return lambda row: value
-    if isinstance(expr, Column):
-        name = expr.name
-        return lambda row: row[name]
-    if isinstance(expr, ScalarSubquery):
-        key = id(expr)
-        return lambda row: scalars[key]
-    if isinstance(expr, BinaryOp):
-        if expr.op == "and":
-            left = compile_expr(expr.left, scalars)
-            right = compile_expr(expr.right, scalars)
-            return lambda row: bool(left(row)) and bool(right(row))
-        if expr.op == "or":
-            left = compile_expr(expr.left, scalars)
-            right = compile_expr(expr.right, scalars)
-            return lambda row: bool(left(row)) or bool(right(row))
-        fn = _BINOPS[expr.op]
-        left = compile_expr(expr.left, scalars)
-        right = compile_expr(expr.right, scalars)
-        return lambda row: fn(left(row), right(row))
-    if isinstance(expr, UnaryOp):
-        operand = compile_expr(expr.operand, scalars)
-        if expr.op == "-":
-            return lambda row: -operand(row)
-        return lambda row: not operand(row)
-    if isinstance(expr, TupleExpr):
-        fns = [compile_expr(item, scalars) for item in expr.items]
-        return lambda row: tuple(fn(row) for fn in fns)
-    if isinstance(expr, InList):
-        operand = compile_expr(expr.operand, scalars)
-        values = frozenset(compile_expr(v, scalars)({}) for v in expr.values)
-        if expr.negated:
-            return lambda row: operand(row) not in values
-        return lambda row: operand(row) in values
-    if isinstance(expr, Like):
-        operand = compile_expr(expr.operand, scalars)
-        match = like_matcher(expr.pattern)
-        return lambda row: match(operand(row))
-    if isinstance(expr, CaseExpr):
-        whens = [
-            (compile_expr(cond, scalars), compile_expr(result, scalars))
-            for cond, result in expr.whens
-        ]
-        default = (
-            compile_expr(expr.default, scalars)
-            if expr.default is not None
-            else (lambda row: None)
+    codegen = _Codegen(scalars)
+    try:
+        source, _ = codegen.emit(expr)
+        params = ", ".join(codegen.params.values())
+        code = compile(
+            f"def sql_expr({params}):\n    return {source}\n",
+            "<sql expression>",
+            "exec",
         )
-
-        def case(row):
-            for cond, result in whens:
-                if cond(row):
-                    return result(row)
-            return default(row)
-
-        return case
-    if isinstance(expr, FuncCall):
-        return _compile_func(expr, scalars)
-    if isinstance(expr, Star):
-        raise SqlError("'*' is only valid in COUNT(*) or as a select item")
-    raise SqlError(f"cannot compile expression {expr!r}")
+    except (SyntaxError, RecursionError) as exc:
+        raise SqlError(f"expression too deeply nested to compile ({exc})") from None
+    exec(code, codegen.namespace)
+    return tuple(codegen.params), codegen.namespace["sql_expr"]
 
 
-def _compile_func(expr: FuncCall, scalars: Dict[int, object]):
-    if expr.name in AGGREGATE_FUNCS:
-        raise SqlError(
-            f"aggregate {expr.name.upper()} outside a grouped select item"
-        )
-    if expr.name == "coalesce":
-        fns = [compile_expr(arg, scalars) for arg in expr.args]
+class _Codegen:
+    """Emits one expression as Python source over positional parameters."""
 
-        def coalesce(row):
-            for fn in fns:
-                value = fn(row)
-                if value is not None:
-                    return value
-            return None
+    def __init__(self, scalars: Dict[int, object]) -> None:
+        self.scalars = scalars
+        self.params: Dict[str, str] = {}  # column name -> parameter name
+        self.namespace: Dict[str, object] = {"_S": scalars, "floor": math.floor}
+        self.temps = 0
 
-        return coalesce
-    if expr.name == "floor":
-        if len(expr.args) != 1:
-            raise SqlError("FLOOR takes one argument")
-        operand = compile_expr(expr.args[0], scalars)
-        return lambda row: math.floor(operand(row))
-    if expr.name == "substring":
-        if len(expr.args) != 3:
-            raise SqlError("SUBSTRING takes (string, start, length)")
-        base = compile_expr(expr.args[0], scalars)
-        start = compile_expr(expr.args[1], scalars)
-        length = compile_expr(expr.args[2], scalars)
+    def bind(self, value: object) -> str:
+        name = f"_k{len(self.namespace)}"
+        self.namespace[name] = value
+        return name
 
-        def substring(row):
-            s = base(row)
-            i = start(row) - 1  # SQL is 1-indexed
-            return s[i : i + length(row)]
+    def temp(self) -> str:
+        self.temps += 1
+        return f"_t{self.temps}"
 
-        return substring
-    raise SqlError(f"unknown function {expr.name!r}")  # pragma: no cover
+    def operand(self, expr: Expr, level: int) -> str:
+        """Source of ``expr``, parenthesised if it binds looser than ``level``."""
+        source, own = self.emit(expr)
+        return source if own >= level else f"({source})"
+
+    def truth(self, expr: Expr, level: int) -> str:
+        """Source of ``bool(expr)``; the call is left out where ``expr``
+        already yields a bool."""
+        yields_bool = isinstance(expr, (InList, Like)) or (
+            isinstance(expr, UnaryOp) and expr.op != "-"
+        ) or (isinstance(expr, BinaryOp) and expr.op in _BOOL_OPS)
+        if yields_bool:
+            return self.operand(expr, level)
+        return f"bool({self.emit(expr)[0]})"
+
+    def constant(self, expr: Expr) -> object:
+        """Value of an IN-list item, which may read no column."""
+        if isinstance(expr, Literal):
+            return expr.value
+        columns, fn = compile_expr(expr, self.scalars)
+        if columns:
+            raise SqlError(
+                f"IN list item reads column {columns[0]!r}; IN takes constants"
+            )
+        return fn()
+
+    def emit(self, expr: Expr) -> Tuple[str, int]:
+        """``(source, binding level)`` of ``expr``."""
+        if isinstance(expr, Literal):
+            return self.bind(expr.value), _ATOM
+        if isinstance(expr, Column):
+            param = self.params.get(expr.name)
+            if param is None:
+                param = self.params[expr.name] = f"c{len(self.params)}"
+            return param, _ATOM
+        if isinstance(expr, ScalarSubquery):
+            return f"_S[{self.bind(id(expr))}]", _ATOM
+        if isinstance(expr, BinaryOp):
+            return self.binary(expr)
+        if isinstance(expr, UnaryOp):
+            if expr.op == "-":
+                return "-" + self.operand(expr.operand, _NEG), _NEG
+            return "not " + self.operand(expr.operand, _NOT), _NOT
+        if isinstance(expr, TupleExpr):
+            items = [self.operand(item, _COND) for item in expr.items]
+            if len(items) == 1:
+                return f"({items[0]},)", _ATOM
+            return f"({', '.join(items)})", _ATOM
+        if isinstance(expr, InList):
+            operand = self.operand(expr.operand, _CMP + 1)
+            values = frozenset(self.constant(v) for v in expr.values)
+            op = "not in" if expr.negated else "in"
+            return f"{operand} {op} {self.bind(values)}", _CMP
+        if isinstance(expr, Like):
+            operand = self.operand(expr.operand, _COND)
+            return f"{self.bind(like_matcher(expr.pattern))}({operand})", _ATOM
+        if isinstance(expr, CaseExpr):
+            whens = [
+                (self.operand(cond, _OR), self.operand(result, _OR))
+                for cond, result in expr.whens
+            ]
+            source = (
+                self.operand(expr.default, _COND)
+                if expr.default is not None
+                else self.bind(None)
+            )
+            for cond, result in reversed(whens):
+                source = f"{result} if {cond} else {source}"
+            return source, _COND
+        if isinstance(expr, FuncCall):
+            return self.function(expr)
+        if isinstance(expr, Star):
+            raise SqlError("'*' is only valid in COUNT(*) or as a select item")
+        raise SqlError(f"cannot compile expression {expr!r}")
+
+    def binary(self, expr: BinaryOp) -> Tuple[str, int]:
+        # The parser builds AND/OR/+/* chains left-deep; a run of one
+        # binding level down the left spine is emitted in a loop, so a long
+        # chain costs no recursion. Comparisons must not chain: both their
+        # sides bind tighter.
+        level = _level(expr.op)
+        spine = [expr]
+        if level != _CMP:
+            while isinstance(spine[-1].left, BinaryOp) and _level(spine[-1].left.op) == level:
+                spine.append(spine[-1].left)
+        if level in (_AND, _OR):
+            source = self.truth(spine[-1].left, level)
+            for node in reversed(spine):
+                source = f"{source} {node.op} {self.truth(node.right, level + 1)}"
+        else:
+            source = self.operand(spine[-1].left, level + (level == _CMP))
+            for node in reversed(spine):
+                op = _BINOPS[node.op][0]
+                source = f"{source} {op} {self.operand(node.right, level + 1)}"
+        return source, level
+
+    def function(self, expr: FuncCall) -> Tuple[str, int]:
+        if expr.name in AGGREGATE_FUNCS:
+            raise SqlError(
+                f"aggregate {expr.name.upper()} outside a grouped select item"
+            )
+        if expr.name == "coalesce":
+            # The first non-NULL argument; later ones are not evaluated.
+            args = [self.operand(arg, _COND) for arg in expr.args]
+            source = self.bind(None)
+            for arg in reversed(args):
+                t = self.temp()
+                source = f"{t} if ({t} := {arg}) is not None else {source}"
+            return source, _COND
+        if expr.name == "floor":
+            if len(expr.args) != 1:
+                raise SqlError("FLOOR takes one argument")
+            return f"floor({self.operand(expr.args[0], _COND)})", _ATOM
+        if expr.name == "substring":
+            if len(expr.args) != 3:
+                raise SqlError("SUBSTRING takes (string, start, length)")
+            base = self.operand(expr.args[0], _ATOM)
+            start = self.operand(expr.args[1], _ADD)
+            length = self.operand(expr.args[2], _ADD + 1)
+            t = self.temp()  # SQL is 1-indexed
+            return f"{base}[({t} := {start} - 1):{t} + {length}]", _ATOM
+        raise SqlError(f"unknown function {expr.name!r}")

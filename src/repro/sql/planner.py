@@ -19,7 +19,7 @@ split never changes row order, so results are byte-identical whichever
 site each scan runs on.
 
 Scalar subqueries are planned inner-first into ``PlannedStatement.scalars``;
-the executor resolves them in that order before evaluating any closure.
+the executor resolves them in that order before evaluating any expression.
 """
 
 from __future__ import annotations

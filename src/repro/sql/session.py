@@ -287,7 +287,7 @@ class SqlSession:
             try:
                 predicate = compile_expr(and_fold(node.predicates), {})
             except Exception:
-                predicate = None  # scalar-subquery refs etc.: no estimate
+                predicate = None  # IN over a scalar subquery etc.: no estimate
             selectivity = self.cost.scan_selectivity(
                 self.db[node.table], predicate, at_ns=now
             )

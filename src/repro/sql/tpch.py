@@ -394,13 +394,3 @@ ANTI JOIN (SELECT o_custkey FROM orders) ON c_custkey = o_custkey
 GROUP BY cntrycode
 ORDER BY cntrycode
 """
-
-
-def tpch_sql(number: int) -> str:
-    """The SQL text of TPC-H query ``number`` (1..22)."""
-    from repro.errors import SqlError
-
-    try:
-        return TPCH_SQL[number].strip()
-    except KeyError:
-        raise SqlError(f"query {number} out of range 1..22") from None

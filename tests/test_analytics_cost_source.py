@@ -112,24 +112,28 @@ def _auto_session():
 def test_sampled_selectivity_estimates_the_surviving_fraction():
     session, live = _auto_session()
     table = session.db["lineitem"]
-    estimate = live.scan_selectivity(table, lambda row: row["l_quantity"] <= 2)
+    quantity = ("l_quantity",)
+    estimate = live.scan_selectivity(table, (quantity, lambda q: q <= 2))
     assert 0.0 < estimate < 0.15  # ~4% of a uniform 1..50 column
     gauge = session.layer.telemetry.counters.gauge("sql.cost.scan_selectivity")
     assert gauge.value == pytest.approx(estimate)
     # Conservative fallbacks: no predicate, un-evaluable predicate.
     assert live.scan_selectivity(table, None) == 1.0
 
-    def explodes(row):
-        raise KeyError("no such column")
+    def explodes(q):
+        raise KeyError("no such scalar")
 
-    assert live.scan_selectivity(table, explodes) == 1.0
+    assert live.scan_selectivity(table, (quantity, explodes)) == 1.0
+    assert live.scan_selectivity(table, (("nosuch",), lambda v: True)) == 1.0
     # Floored at one surviving sample row, never exactly zero.
-    assert live.scan_selectivity(table, lambda row: False) > 0.0
+    assert live.scan_selectivity(table, (quantity, lambda q: False)) > 0.0
+    # A predicate that reads no column keeps or drops every sampled row.
+    assert live.scan_selectivity(table, ((), lambda: True)) == 1.0
 
 
 def test_static_source_keeps_the_conservative_bound():
     src = StaticCostSource(host=FLIP_HOST, device_ns_per_page=FLIP_DEVICE_RATES)
-    assert src.scan_selectivity(object(), lambda row: False) == 1.0
+    assert src.scan_selectivity(object(), (("x",), lambda x: False)) == 1.0
 
 
 def test_sampled_selectivity_flips_placement_on_selective_filter():

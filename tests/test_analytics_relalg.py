@@ -55,6 +55,22 @@ def test_inner_join():
     assert j.stats.build_rows == 2
 
 
+def test_inner_join_keeps_left_order_then_right_order():
+    left = Table("l", {"k": [2, 1, 2], "i": [0, 1, 2]})
+    right = Table("r", {"k2": [2, 3, 2, 1], "j": [0, 1, 2, 3]})
+    j = left.join(right, "k", "k2")
+    assert list(zip(j.column("i"), j.column("j"))) == [(0, 0), (0, 2), (1, 3), (2, 0), (2, 2)]
+    assert j.stats.rows_joined == 3 + 5
+
+
+def test_groups_keep_first_row_order_and_fold_in_row_order():
+    t = Table("t", {"k": ["b", "a", "b", "c", "a"], "v": [2, 1.0, 5, 3, 1]})
+    g = t.group_by(["k"], {"low": ("min", lambda r: r["v"]), "n": ("count", None)})
+    assert g.column("k") == ["b", "a", "c"]
+    assert repr(g.column("low")) == "[2, 1.0, 3]"  # the first of equal values
+    assert g.column("n") == [2, 2, 1]
+
+
 def test_semi_and_anti_join():
     semi = people().join(cities(), "city", "city", how="semi")
     assert sorted(semi.column("id")) == [1, 2, 3]

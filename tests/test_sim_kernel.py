@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from repro.errors import ConfigError
 from repro.sim import (
     FifoResource,
     PooledResource,
@@ -261,8 +262,9 @@ def test_pooled_occupy_moves_free_at_forward_only():
 
 
 def test_pooled_resource_validates():
-    with pytest.raises(ValueError):
-        PooledResource("empty", 0)
+    for units in (0, -1, 2.5, "2", None):
+        with pytest.raises(ConfigError):
+            PooledResource("bad", units)
     pool = PooledResource("cores", 2)
     with pytest.raises(SimTimeError):
         pool.acquire(0, -5)

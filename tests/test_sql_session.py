@@ -133,6 +133,20 @@ def test_repl_reports_errors_without_raising():
     assert "error:" in out.getvalue()
 
 
+def test_repl_batch_reports_unknown_columns_and_runs_on():
+    shell, out = repl()
+    code = shell.run_batch(
+        "SELECT n_name FROM nation WHERE n_nationkey > nosuch;\n"
+        "SELECT l_orderkey FROM lineitem WHERE l_orderkey IN (l_partkey, 3);\n"
+        "SELECT COUNT(*) AS n FROM region;\n"
+    )
+    text = out.getvalue()
+    assert code == 0
+    assert "error: unknown column 'nosuch'" in text
+    assert "error: IN list item reads column 'l_partkey'" in text
+    assert "| 5 |" in text
+
+
 def test_repl_backslash_commands():
     shell, out = repl()
     assert shell.run_statement("\\tables")
