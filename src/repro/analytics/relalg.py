@@ -107,11 +107,15 @@ class Table:
         the row's entries in ``columns``."""
         return list(starmap(fn, self._row_tuples(columns)))
 
-    def filter_by(self, columns: Sequence[str], fn: Callable[..., Any]) -> "Table":
-        """Keep the rows whose ``fn(*values of columns)`` is true, in order."""
+    def filter_by(
+        self, columns: Sequence[str], fn: Callable[..., Any], keep: Optional[Sequence[str]] = None
+    ) -> "Table":
+        """Keep the rows whose ``fn(*values of columns)`` is true, in order,
+        with the columns in ``keep`` (default: all)."""
         flags = self.compute(columns, fn)
+        names = self.columns if keep is None else keep
         out = self._derive(
-            self.name, {n: list(compress(col, flags)) for n, col in self.columns.items()}
+            self.name, {n: list(compress(self.column(n), flags)) for n in names}
         )
         out.stats.rows_scanned += self.nrows
         out.stats.rows_filtered_in += out.nrows

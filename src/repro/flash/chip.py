@@ -4,17 +4,25 @@ The chip enforces NAND's physical rules — program only into erased pages,
 erase whole blocks, reads/programs occupy a plane — and keeps per-block
 wear counters. Page *contents* are stored sparsely (only programmed pages), so
 multi-GiB arrays cost memory proportional to what was actually written.
+
+A plane's timing is two lanes, each a free-at and a busy-ns int in flat
+lists. A chip built on its own owns lists for its planes; the chips of a
+:class:`~repro.flash.array.FlashArray` book the array's lists. Programs
+and erases book the program/erase lane here (:meth:`FlashChip.book_program`,
+:meth:`FlashChip.erase_block`); page reads are timed by
+:meth:`~repro.flash.array.FlashArray.service_read` alone, which indexes
+the read lanes directly.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.config import FlashConfig
 from repro.errors import FlashError
 from repro.flash import ecc
-from repro.sim import PooledResource, as_ns
+from repro.sim import SimTimeError, as_ns
 
 
 class PageState(enum.Enum):
@@ -22,34 +30,46 @@ class PageState(enum.Enum):
     PROGRAMMED = "programmed"
 
 
+def plane_latencies(config: FlashConfig) -> Tuple[int, int, int]:
+    """tR, tPROG and tBERS as integer ns; a negative one is a :class:`SimTimeError`."""
+    latencies = (
+        as_ns(config.read_latency_ns),
+        as_ns(config.program_latency_ns),
+        as_ns(config.erase_latency_ns),
+    )
+    if min(latencies) < 0:
+        raise SimTimeError(f"negative flash latency in (tR, tPROG, tBERS) = {latencies}")
+    return latencies
+
+
 class FlashChip:
     """Geometry + timing + state for one chip of the array.
 
     Planes within a die operate concurrently (multi-plane read/program with
     cache operations), the standard technique SSDs use to hide NAND's long
-    tPROG behind channel transfers.  Each chip therefore owns two
-    :class:`repro.sim.PooledResource` pools with one unit per plane —
-    reads and program/erase are separate lanes: modern controllers
-    *suspend* an in-flight program or erase to service a read, so reads
-    only queue behind other reads, while programs/erases queue behind
-    everything on their plane.
+    tPROG behind channel transfers. Each plane therefore has two lanes —
+    reads and program/erase are separate: modern controllers *suspend* an
+    in-flight program or erase to service a read, so reads only queue
+    behind other reads, while programs/erases queue behind everything on
+    their plane. A lane is a free-at instant and a busy total (integer ns)
+    at index ``_base + die * planes_per_die + plane`` of the lane lists.
 
     tR, tPROG and tBERS are fixed at construction as integer nanoseconds
-    (``as_ns`` of the config's values), so a page operation pays no
-    conversion.
+    (:func:`plane_latencies`), so a page operation pays no conversion.
     """
 
     def __init__(self, config: FlashConfig, channel: int, index: int) -> None:
         self.config = config
         self.channel = channel
         self.index = index
+        #: (dies, planes per die, blocks per plane, pages per block).
+        self._shape = (
+            config.dies_per_chip, config.planes_per_die,
+            config.blocks_per_plane, config.pages_per_block,
+        )
         units = config.dies_per_chip * config.planes_per_die
-        name = f"flash.ch{channel}.chip{index}"
-        self._read_lanes = PooledResource(f"{name}.plane_read", units)
-        self._write_lanes = PooledResource(f"{name}.plane_write", units)
-        self._read_ns = as_ns(config.read_latency_ns)
-        self._program_ns = as_ns(config.program_latency_ns)
-        self._erase_ns = as_ns(config.erase_latency_ns)
+        self._attach_lanes(([0] * units, [0] * units, [0] * units, [0] * units), 0)
+        self._read_ns, self._program_ns, self._erase_ns = plane_latencies(config)
         # Sparse page state: (die, plane, block, page) -> PageState; absent
         # means erased-from-factory. Contents stored only when provided.
         self._state: Dict[Tuple[int, int, int, int], PageState] = {}
@@ -60,15 +80,20 @@ class FlashChip:
         self.ecc_corrections = 0
         self.ecc_failures = 0
 
+    def _attach_lanes(self, lanes: Tuple[List[int], List[int], List[int], List[int]],
+                      base: int) -> None:
+        """Book the plane lanes in ``lanes`` (read free-at, read busy,
+        program free-at, program busy) from index ``base`` on."""
+        self._read_free, self._read_busy, self._program_free, self._program_busy = lanes
+        self._base = base
+
     # -- address checks --------------------------------------------------------
 
     def _check(self, die: int, plane: int, block: int, page: int) -> None:
-        c = self.config
+        dies, planes, blocks, pages = self._shape
         if not (
-            0 <= die < c.dies_per_chip
-            and 0 <= plane < c.planes_per_die
-            and 0 <= block < c.blocks_per_plane
-            and 0 <= page < c.pages_per_block
+            0 <= die < dies and 0 <= plane < planes
+            and 0 <= block < blocks and 0 <= page < pages
         ):
             raise FlashError(
                 f"page address (die={die}, plane={plane}, block={block}, page={page}) "
@@ -80,18 +105,8 @@ class FlashChip:
         return self._state.get((die, plane, block, page), PageState.ERASED)
 
     # -- timed operations ------------------------------------------------------
-    # Each returns the time the *array* operation completes (page register
-    # ready for reads); the channel transfer is handled by the array level.
-
-    def _unit(self, die: int, plane: int) -> int:
-        return die * self.config.planes_per_die + plane
-
-    def start_read(self, die: int, plane: int, block: int, page: int, at_ns) -> int:
-        self._check(die, plane, block, page)
-        # Reads suspend in-flight programs/erases: queue behind reads only.
-        return self._read_lanes.acquire(
-            at_ns, self._read_ns, die * self.config.planes_per_die + plane
-        ).done_ns
+    # Each returns the time the plane operation completes; the channel
+    # transfer and page reads are timed by the array.
 
     def check_program(
         self, die: int, plane: int, block: int, page: int, data: Optional[bytes] = None
@@ -118,40 +133,47 @@ class FlashChip:
         data: Optional[bytes] = None,
     ) -> int:
         self.check_program(die, plane, block, page, data)
+        if at_ns.__class__ is not int:
+            at_ns = as_ns(at_ns)
         return self.book_program(die, plane, block, page, at_ns, data)
 
     def book_program(
-        self,
-        die: int,
-        plane: int,
-        block: int,
-        page: int,
-        at_ns,
+        self, die: int, plane: int, block: int, page: int, at_ns: int,
         data: Optional[bytes] = None,
     ) -> int:
-        """:meth:`start_program` after :meth:`check_program` has passed."""
+        """:meth:`start_program` at an integer instant, after
+        :meth:`check_program` has passed."""
+        done = self._book_busy_plane(die, plane, at_ns, self._program_ns)
         key = (die, plane, block, page)
-        unit = die * self.config.planes_per_die + plane
-        if at_ns.__class__ is not int:
-            at_ns = as_ns(at_ns)
-        # Programs queue behind everything on the plane: in-flight reads
-        # (which would suspend them) and earlier programs/erases.
-        ready = max(at_ns, self._read_lanes.free_at(unit))
-        done = self._write_lanes.acquire(ready, self._program_ns, unit).done_ns
         self._state[key] = PageState.PROGRAMMED
         if data is not None:
-            stored = bytes(data)
-            self._data[key] = stored
-            # Spare-area ECC over the 8-byte-aligned prefix of the page.
-            aligned = stored + b"\x00" * (-len(stored) % 8)
-            self._spare[key] = ecc.encode_page(aligned)
+            self._store(key, data)
         return done
+
+    def _book_busy_plane(self, die: int, plane: int, at_ns: int, duration_ns: int) -> int:
+        """Book a program or erase: it queues behind everything on the
+        plane, in-flight reads (which would suspend it) and earlier
+        programs/erases."""
+        unit = self._base + die * self._shape[1] + plane
+        read_free = self._read_free[unit]
+        ready = at_ns if at_ns > read_free else read_free
+        free = self._program_free[unit]
+        done = (ready if ready > free else free) + duration_ns
+        self._program_free[unit] = done
+        self._program_busy[unit] += duration_ns
+        return done
+
+    def _store(self, key: Tuple[int, int, int, int], data: bytes) -> None:
+        """Keep a programmed page's contents and its spare-area ECC, computed
+        over the 8-byte-aligned prefix of the page."""
+        stored = bytes(data)
+        self._data[key] = stored
+        aligned = stored + b"\x00" * (-len(stored) % 8)
+        self._spare[key] = ecc.encode_page(aligned)
 
     def erase_block(self, die: int, plane: int, block: int, at_ns) -> int:
         self._check(die, plane, block, 0)
-        unit = self._unit(die, plane)
-        ready = max(as_ns(at_ns), self._read_lanes.free_at(unit))
-        done = self._write_lanes.acquire(ready, self._erase_ns, unit).done_ns
+        done = self._book_busy_plane(die, plane, as_ns(at_ns), self._erase_ns)
         for page in range(self.config.pages_per_block):
             self._state.pop((die, plane, block, page), None)
             self._data.pop((die, plane, block, page), None)
@@ -247,13 +269,3 @@ class FlashChip:
         if status is ecc.ECCStatus.UNCORRECTABLE:
             self.ecc_failures += 1
         return decoded[: len(raw)], status
-
-    def reset_timelines(self) -> None:
-        """Rewind every plane lane to t=0 (manufacturing-state preloads).
-
-        Page *state* is untouched: only the reservation timelines rewind,
-        so data programmed during a preload is present without occupying
-        the planes the run is about to contend on.
-        """
-        self._read_lanes.reset()
-        self._write_lanes.reset()

@@ -43,7 +43,7 @@ from repro.fleet.config import FleetConfig
 from repro.fleet.metrics import DeviceStats, FleetReport
 from repro.fleet.placement import HashRing, Placement
 from repro.fleet.replication import CrossDeviceRaidMap, PageAddr, xor_pages
-from repro.serve.queues import ServeCommand
+from repro.serve.queues import ServeCommand, TenantLabels
 from repro.serve.service import DeviceService
 from repro.serve.workload import WorkloadGenerator
 from repro.sim import Simulator
@@ -113,6 +113,10 @@ class FleetRouter:
         self.raid = raid_map
         self.golden = golden
         self.generators = list(generators)
+        self._gen_by_name: Dict[str, WorkloadGenerator] = {}
+        for gen in self.generators:
+            self._gen_by_name.setdefault(gen.spec.name, gen)
+        self._labels = {name: TenantLabels.of(name) for name in self._gen_by_name}
         #: Per-device :class:`~repro.ssd.firmware.RecoveryController`
         #: (within-device ladder); absent devices read the raw array.
         self.recoveries = dict(recoveries or {})
@@ -167,17 +171,14 @@ class FleetRouter:
             raise FleetError("fleet run duration must be positive")
         self._duration_ns = duration_ns
         for gen in self.generators:
+            labels = self._labels[gen.spec.name]
             if gen.spec.closed_loop:
                 for _ in range(gen.spec.outstanding):
-                    self.sim.schedule_at(
-                        0.0, lambda g=gen: self._submit(g), label=f"submit:{gen.spec.name}"
-                    )
+                    self.sim.schedule_at(0.0, lambda g=gen: self._submit(g), label=labels.submit)
             else:
                 first = gen.next_interarrival_ns()
                 if first < duration_ns:
-                    self.sim.schedule_at(
-                        first, lambda g=gen: self._arrive(g), label=f"arrive:{gen.spec.name}"
-                    )
+                    self.sim.schedule_at(first, lambda g=gen: self._arrive(g), label=labels.arrive)
         if self.cfg.kill_device >= 0:
             self.sim.schedule_at(self.cfg.kill_at_ns, self._kill, label="kill-device")
         self.sim.run()
@@ -191,7 +192,7 @@ class FleetRouter:
         next_ns = now + gen.next_interarrival_ns()
         if next_ns < self._duration_ns:
             self.sim.schedule_at(
-                next_ns, lambda: self._arrive(gen), label=f"arrive:{gen.spec.name}"
+                next_ns, lambda: self._arrive(gen), label=self._labels[gen.spec.name].arrive
             )
 
     def _submit(self, gen: WorkloadGenerator) -> None:
@@ -265,7 +266,7 @@ class FleetRouter:
             self.stats[device].max_inflight, self.inflight[device]
         )
         self.sim.schedule_at(
-            done, lambda: self._complete(device, cmd), label=f"complete:{cmd.tenant}"
+            done, lambda: self._complete(device, cmd), label=self._labels[cmd.tenant].complete
         )
 
     def _serve_primary(self, device: int, cmd: ServeCommand, now: float) -> float:
@@ -528,10 +529,10 @@ class FleetRouter:
             self.recovered += 1
             stats.recovered += 1
         self._windows[cmd.kind].append(service_ns)
-        gen = next(g for g in self.generators if g.spec.name == cmd.tenant)
+        gen = self._gen_by_name[cmd.tenant]
         if gen.spec.closed_loop:
             self.sim.schedule(
-                gen.spec.think_ns, lambda: self._submit(gen), label=f"think:{gen.spec.name}"
+                gen.spec.think_ns, lambda: self._submit(gen), label=self._labels[cmd.tenant].think
             )
         self._pump(device)
 

@@ -17,7 +17,11 @@ from typing import List, Optional, Set
 from repro.config import FlashConfig
 from repro.errors import FTLError
 from repro.flash.array import PhysicalPageAddress
-from repro.ftl.wear import BlockKey
+from repro.ftl.wear import BlockKey, UnitKey
+
+#: Pages are built with ``tuple.__new__``: the same object the class call
+#: returns, without the NamedTuple ``__new__`` frame.
+_tuple_new = tuple.__new__
 
 
 def skew_shares(channels: int, skew: float) -> List[float]:
@@ -46,6 +50,11 @@ def measured_skew(channel_bytes: List[float]) -> float:
     return (max(channel_bytes) / avg - 1.0) / (n - 1)
 
 
+#: Channel picks worked out at a time; the first batch also looks for
+#: the picks' cycle (:meth:`PageAllocator._more_picks`).
+PICK_CHUNK = 256
+
+
 class PageAllocator:
     """Hands out physical pages channel by channel, wear-aware.
 
@@ -53,6 +62,12 @@ class PageAllocator:
     in round-robin; when a write point opens a new block it picks the
     least-erased free block (wear leveling). A block is only reused after
     the garbage collector erases it.
+
+    The write points are flat state, one entry per (channel, chip, die,
+    plane) unit, channel-major: the unit's free blocks, its current
+    block's key, and the next page to hand out. Each channel keeps a
+    round-robin cursor over its units. :meth:`allocate` reads them
+    directly.
 
     The write points keep :meth:`open_blocks` current as they open, fill
     and retire blocks. A block whose last page has been handed out is
@@ -63,40 +78,217 @@ class PageAllocator:
         self.config = config
         self.shares = skew_shares(config.channels, skew)
         self.wear = wear
-        self._deficit: List[float] = [0.0] * config.channels
         self._open: Set[BlockKey] = set()
-        self._cursors: List[_ChannelCursor] = [
-            _ChannelCursor(config, ch, wear, self._open) for ch in range(config.channels)
+        self._attempts = range(config.channels)
+        self._pages = config.pages_per_block
+        #: ``(page,)`` for every page number: a page address is its block's
+        #: key plus one of these.
+        self._page_suffix = [(page,) for page in range(config.pages_per_block)]
+        #: The channel deficits, the picks worked out from them and the
+        #: index of the next one, and whether those picks are a cycle.
+        self._deficit: List[float] = [0.0] * config.channels
+        self._picks: List[int] = []
+        self._pick = 0
+        self._cycle = False
+        span = config.chips_per_channel * config.dies_per_chip * config.planes_per_die
+        self._span = span
+        self._units: List[UnitKey] = [
+            (channel, chip, die, plane)
+            for channel in range(config.channels)
+            for chip in range(config.chips_per_channel)
+            for die in range(config.dies_per_chip)
+            for plane in range(config.planes_per_die)
+        ]
+        units = len(self._units)
+        self._free: List[List[int]] = [
+            list(range(config.blocks_per_plane - 1, -1, -1)) for _ in range(units)
+        ]
+        self._retired: List[Set[int]] = [set() for _ in range(units)]
+        self._block_key: List[Optional[BlockKey]] = [None] * units
+        self._next: List[int] = [config.pages_per_block] * units  # forces opening a block
+        #: Each channel's round-robin cursor (a unit number), and the unit
+        #: after each unit in its channel's round.
+        self._cursor: List[int] = [channel * span for channel in range(config.channels)]
+        self._after: List[int] = [
+            unit + 1 if (unit + 1) % span else unit + 1 - span for unit in range(units)
         ]
         self.allocated = 0
         self.retired_blocks: set = set()
 
-    def _pick_channel(self) -> int:
-        """Weighted round-robin by share (largest accumulated deficit wins;
-        the lowest channel among equals)."""
-        deficit = self._deficit
-        deficit[:] = map(add, deficit, self.shares)
-        best = deficit.index(max(deficit))
-        deficit[best] -= 1.0
-        return best
-
     def allocate(self) -> PhysicalPageAddress:
-        """Allocate the next physical page according to the share policy."""
-        first_error = None
-        for _ in range(self.config.channels):
-            channel = self._pick_channel()
+        """Allocate the next physical page according to the share policy.
+
+        The channel is a weighted round-robin by share (see
+        :meth:`_more_picks`). A channel with no free page costs a pick, and
+        the next pick is tried, up to one per channel.
+        """
+        picks, pick = self._picks, self._pick
+        pages, cursors, next_page = self._pages, self._cursor, self._next
+        for _ in self._attempts:
             try:
-                ppa = self._cursors[channel].next_page()
-            except FTLError as exc:
-                first_error = exc
-                continue
+                channel = picks[pick]
+            except IndexError:
+                self._more_picks()
+                picks, pick = self._picks, 0
+                channel = picks[0]
+            pick += 1
+            unit = cursors[channel]
+            page = next_page[unit]
+            if page < pages:
+                cursors[channel] = self._after[unit]
+            else:
+                unit = self._open_next(channel)
+                if unit < 0:
+                    continue
+                page = next_page[unit]
+            self._pick = pick
+            next_page[unit] = page + 1
+            key = self._block_key[unit]
+            if page + 1 == pages:
+                self._open.discard(key)  # full: closed from now on
             self.allocated += 1
-            return ppa
-        raise first_error or FTLError("flash array is full")
+            return _tuple_new(PhysicalPageAddress, key + self._page_suffix[page])
+        self._pick = pick
+        raise FTLError(f"channel {channel} has no free pages")
+
+    def _more_picks(self) -> None:
+        """Work out the next channel picks into ``_picks`` and restart at 0.
+
+        Each pick adds every channel's share to its deficit; the largest
+        deficit wins (the lowest channel among equals) and gives up 1.0.
+        The picks follow from the deficits alone, so once the deficits are
+        all back at zero the picks so far repeat for ever. With shares that
+        are short binary fractions, such as the even split over a
+        power-of-two channel count, that happens within a few rounds: the
+        first batch, which starts from zero deficits, stops there and keeps
+        its picks as the cycle. Otherwise each call works out the next
+        :data:`PICK_CHUNK` picks.
+        """
+        self._pick = 0
+        if self._cycle:
+            return
+        deficit, shares = self._deficit, self.shares
+        first = not self._picks
+        picks = self._picks = []
+        for _ in range(PICK_CHUNK):
+            deficit[:] = map(add, deficit, shares)
+            best = deficit.index(max(deficit))
+            deficit[best] -= 1.0
+            picks.append(best)
+            if first and not any(deficit):
+                # Repeated to a batch's length, the cycle is still one.
+                picks *= -(-PICK_CHUNK // len(picks))
+                self._cycle = True
+                return
+
+    def _open_next(self, channel: int) -> int:
+        """Advance the channel's cursor to the first unit with a page left,
+        opening a fresh block where the current one is used up; -1 if none."""
+        pages, after = self._pages, self._after
+        unit = self._cursor[channel]
+        for _ in range(self._span):
+            following = after[unit]
+            if self._next[unit] < pages:
+                self._cursor[channel] = following
+                return unit
+            if self._free[unit]:
+                self._cursor[channel] = following
+                block = self._pick_block(unit)
+                key = self._units[unit] + (block,)
+                self._block_key[unit] = key
+                self._next[unit] = 0
+                self._open.add(key)
+                return unit
+            unit = following
+        return -1
+
+    def _pick_block(self, unit: int) -> int:
+        """Open the least-worn free block of ``unit`` (wear leveling).
+
+        Among equally worn blocks the last one in the free list wins (the
+        natural pop order). A unit with no erases has every block at 0.
+        """
+        free = self._free[unit]
+        counts = None
+        if self.wear is not None:
+            counts = self.wear.units.get(self._units[unit])
+        if not counts:
+            return free.pop()
+        erases = [counts.get(block, 0) for block in reversed(free)]
+        return free.pop(len(free) - 1 - erases.index(min(erases)))
+
+    def allocate_many(self, count: int) -> List[PhysicalPageAddress]:
+        """:meth:`allocate` ``count`` times: all the pages, or none.
+
+        A request that does not fit raises :class:`FTLError` with the
+        allocator as it was. The free pages are counted first; when a
+        channel has fewer free pages than the request, the share policy
+        may still run a pick into full channels only, so the write points
+        are saved and restored on failure.
+        """
+        pages, span = self._pages, self._span
+        per_unit = [
+            len(free) * pages + max(0, pages - page) for free, page in zip(self._free, self._next)
+        ]
+        free = sum(per_unit)
+        if count > free:
+            raise FTLError(f"mount of {count} pages does not fit: {free} pages are free")
+        least = min(sum(per_unit[unit:unit + span]) for unit in range(0, len(per_unit), span))
+        saved = self._save() if count > least else None
+        allocate = self.allocate
+        try:
+            return [allocate() for _ in range(count)]
+        except FTLError as exc:
+            self._restore(saved)
+            raise FTLError(
+                f"mount of {count} pages does not fit the placement: {exc} "
+                f"({free} pages are free)"
+            ) from None
+
+    def _save(self):
+        # A batch of picks is never changed, only replaced: keep the list.
+        return (
+            self._deficit[:], self._picks, self._pick, self._cycle,
+            self._cursor[:], self._next[:], self._block_key[:],
+            [free[:] for free in self._free], set(self._open), self.allocated,
+        )
+
+    def _restore(self, saved) -> None:
+        (deficit, picks, pick, cycle,
+         cursor, next_page, block_key, free, open_blocks, allocated) = saved
+        self._deficit[:] = deficit
+        self._picks, self._pick, self._cycle = picks, pick, cycle
+        self._cursor[:] = cursor
+        self._next[:] = next_page
+        self._block_key[:] = block_key
+        self._free[:] = free
+        self._open.clear()
+        self._open.update(open_blocks)
+        self.allocated = allocated
+
+    def _unit_of(self, ppa: PhysicalPageAddress) -> int:
+        c = self.config
+        channel, chip, die, plane = ppa[:4]
+        if not (
+            0 <= channel < c.channels and 0 <= chip < c.chips_per_channel
+            and 0 <= die < c.dies_per_chip and 0 <= plane < c.planes_per_die
+        ):
+            raise FTLError(f"no write point for {ppa!r}")
+        return ((channel * c.chips_per_channel + chip) * c.dies_per_chip + die) \
+            * c.planes_per_die + plane
 
     def free_block(self, ppa: PhysicalPageAddress) -> None:
-        """Return an erased block to its channel's free pool (GC path)."""
-        self._cursors[ppa.channel].release_block(ppa)
+        """Return an erased block to its unit's free pool (GC path)."""
+        unit = self._unit_of(ppa)
+        block = ppa.block
+        if self._block_key[unit] == ppa[:5]:
+            if self._next[unit] < self._pages:
+                raise FTLError("cannot release the open write block")
+            # Full, so closed: the next page opens a fresh one.
+            self._block_key[unit] = None
+        if block in self._retired[unit]:
+            return  # grown bad blocks never rejoin the pool
+        self._free[unit].insert(0, block)
 
     def retire_block(self, ppa: PhysicalPageAddress) -> bool:
         """Permanently remove a block from service (grown bad block).
@@ -110,7 +302,17 @@ class PageAllocator:
         if key in self.retired_blocks:
             return False
         self.retired_blocks.add(key)
-        self._cursors[ppa.channel].retire_block(ppa)
+        unit = self._unit_of(ppa)
+        block = ppa.block
+        self._retired[unit].add(block)
+        free = self._free[unit]
+        if block in free:
+            free.remove(block)
+        if self._block_key[unit] == key:
+            # Close the write point; the next allocation opens a fresh block.
+            self._open.discard(key)
+            self._block_key[unit] = None
+            self._next[unit] = self._pages
         return True
 
     def open_blocks(self) -> Set[BlockKey]:
@@ -119,128 +321,3 @@ class PageAllocator:
         The live set the write points maintain: read it, do not mutate it.
         """
         return self._open
-
-
-class _ChannelCursor:
-    """Round-robin write points across a channel's chips/dies/planes."""
-
-    def __init__(
-        self, config: FlashConfig, channel: int, wear, open_blocks: Set[BlockKey]
-    ) -> None:
-        self.config = config
-        self.channel = channel
-        self._units: List[_UnitCursor] = []
-        for chip in range(config.chips_per_channel):
-            for die in range(config.dies_per_chip):
-                for plane in range(config.planes_per_die):
-                    self._units.append(
-                        _UnitCursor(config, channel, chip, die, plane, wear, open_blocks)
-                    )
-        self._rr = 0
-
-    def next_page(self) -> PhysicalPageAddress:
-        for _ in range(len(self._units)):
-            unit = self._units[self._rr]
-            self._rr = (self._rr + 1) % len(self._units)
-            page = unit.next_page()
-            if page is not None:
-                return page
-        raise FTLError(f"channel {self.channel} has no free pages")
-
-    def release_block(self, ppa: PhysicalPageAddress) -> None:
-        for unit in self._units:
-            if (unit.chip, unit.die, unit.plane) == (ppa.chip, ppa.die, ppa.plane):
-                unit.release_block(ppa.block)
-                return
-        raise FTLError("release_block: unit not found")
-
-    def retire_block(self, ppa: PhysicalPageAddress) -> None:
-        for unit in self._units:
-            if (unit.chip, unit.die, unit.plane) == (ppa.chip, ppa.die, ppa.plane):
-                unit.retire_block(ppa.block)
-                return
-        raise FTLError("retire_block: unit not found")
-
-
-class _UnitCursor:
-    """Write point within one (chip, die, plane).
-
-    Adds its current block to ``open_blocks`` when it opens it, and removes
-    it when the last page is handed out or the block is retired.
-    """
-
-    def __init__(
-        self,
-        config: FlashConfig,
-        channel: int,
-        chip: int,
-        die: int,
-        plane: int,
-        wear=None,
-        open_blocks: Optional[Set[BlockKey]] = None,
-    ):
-        self.config = config
-        self.channel = channel
-        self.chip = chip
-        self.die = die
-        self.plane = plane
-        self.wear = wear
-        self._open: Set[BlockKey] = set() if open_blocks is None else open_blocks
-        self._free_blocks = list(range(config.blocks_per_plane - 1, -1, -1))
-        self._retired: set = set()
-        self._current_block: int = -1
-        self._next_page = config.pages_per_block  # forces opening a block
-
-    def _pick_block(self) -> int:
-        """Open the least-worn free block (wear leveling).
-
-        Among equally worn blocks the last one in the free list wins (the
-        natural pop order). A unit with no erases has every block at 0.
-        """
-        free = self._free_blocks
-        counts = None
-        if self.wear is not None:
-            counts = self.wear.units.get((self.channel, self.chip, self.die, self.plane))
-        if not counts:
-            return free.pop()
-        erases = [counts.get(block, 0) for block in reversed(free)]
-        return free.pop(len(free) - 1 - erases.index(min(erases)))
-
-    def _key(self, block: int) -> BlockKey:
-        return (self.channel, self.chip, self.die, self.plane, block)
-
-    def next_page(self):
-        pages = self.config.pages_per_block
-        if self._next_page >= pages:
-            if not self._free_blocks:
-                return None
-            self._current_block = self._pick_block()
-            self._next_page = 0
-            self._open.add(self._key(self._current_block))
-        page = self._next_page
-        ppa = PhysicalPageAddress(
-            self.channel, self.chip, self.die, self.plane, self._current_block, page
-        )
-        self._next_page = page + 1
-        if page + 1 == pages:
-            self._open.discard(ppa[:5])  # full: closed from now on
-        return ppa
-
-    def release_block(self, block: int) -> None:
-        if block == self._current_block:
-            if self._next_page < self.config.pages_per_block:
-                raise FTLError("cannot release the open write block")
-            self._current_block = -1  # full, so closed: the next page opens a fresh one
-        if block in self._retired:
-            return  # grown bad blocks never rejoin the pool
-        self._free_blocks.insert(0, block)
-
-    def retire_block(self, block: int) -> None:
-        self._retired.add(block)
-        if block in self._free_blocks:
-            self._free_blocks.remove(block)
-        if block == self._current_block:
-            # Close the write point; the next allocation opens a fresh block.
-            self._open.discard(self._key(block))
-            self._current_block = -1
-            self._next_page = self.config.pages_per_block

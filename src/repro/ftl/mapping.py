@@ -2,8 +2,9 @@
 
 Implements the mapping responsibilities of Section II-A: page-granular
 LPA -> PPA translation, out-of-place updates (old pages invalidated for the
-garbage collector), and bulk ``populate`` used to mount datasets before an
-offload run.
+garbage collector), and ``populate`` used to mount datasets before an
+offload run: one allocation per page through the same allocator as
+``write``, then the maps updated in bulk.
 
 Beside the L2P map the FTL keeps the per-block state a greedy collector
 reads, as MQSim does: a P2L map, the invalid page numbers grouped per
@@ -69,8 +70,36 @@ class PageMapFTL:
         return ppa
 
     def populate(self, lpas: Iterable[int]) -> List[PhysicalPageAddress]:
-        """Mount a dataset: map each LPA to a page per the placement policy."""
-        return [self.write(lpa) for lpa in lpas]
+        """Mount a dataset: map each LPA to a page per the placement policy.
+
+        The same pages and map as one :meth:`write` per LPA, in order. A
+        mount that does not fit raises :class:`FTLError` and changes
+        nothing: the pages are allocated before the maps are touched, and
+        :meth:`PageAllocator.allocate_many` hands out all of them or none.
+        """
+        lpas = list(lpas)
+        if lpas and min(lpas) < 0:
+            raise FTLError("LPA must be non-negative")
+        ppas = self.allocator.allocate_many(len(lpas))
+        mapping = self._map
+        before = len(mapping)
+        if not before or mapping.keys().isdisjoint(lpas):
+            # Fresh LPAs: no page to invalidate, unless one repeats.
+            mapping.update(zip(lpas, ppas))
+            if len(mapping) == before + len(lpas):
+                self._p2l.update(zip(ppas, lpas))
+                return ppas
+            for lpa in lpas:
+                mapping.pop(lpa, None)
+        p2l = self._p2l
+        for lpa, ppa in zip(lpas, ppas):
+            old = mapping.get(lpa)
+            if old is not None:
+                self._invalidate(old)
+                self.updates += 1
+            mapping[lpa] = ppa
+            p2l[ppa] = lpa
+        return ppas
 
     def trim(self, lpa: int) -> None:
         """Host discard: unmap and invalidate."""

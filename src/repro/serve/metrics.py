@@ -12,7 +12,7 @@ under ``serve.<tenant>.*`` instead of private per-module lists.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.telemetry.counters import CounterRegistry, Histogram
 from repro.utils.stats import percentile
@@ -70,16 +70,16 @@ class TenantMetrics:
     # -- latency -------------------------------------------------------------
 
     @property
-    def latencies_ns(self) -> List[float]:
-        """Raw latency samples (the histogram's backing list)."""
+    def latencies_ns(self) -> Sequence[float]:
+        """Raw latency samples (the histogram's backing store)."""
         return self.latency.values
 
     @property
-    def wait_ns(self) -> List[float]:
+    def wait_ns(self) -> Sequence[float]:
         return self.wait.values
 
     @property
-    def queue_depth_samples(self) -> List[float]:
+    def queue_depth_samples(self) -> Sequence[float]:
         return self.queue_depth.values
 
     @property

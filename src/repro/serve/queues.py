@@ -12,10 +12,28 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, List, Optional
+from typing import Deque, List, NamedTuple, Optional
 
 from repro.errors import ServeError
 from repro.ssd.host_interface import Completion, NVMeCommand, ReadCommand, ScompCommand, WriteCommand
+
+
+class TenantLabels(NamedTuple):
+    """One tenant's event labels and trace names, built once per run."""
+
+    submit: str
+    arrive: str
+    complete: str
+    think: str
+    queue: str  # the tenant's queue track
+    dispatch: str
+
+    @classmethod
+    def of(cls, tenant: str) -> "TenantLabels":
+        return cls(
+            f"submit:{tenant}", f"arrive:{tenant}", f"complete:{tenant}",
+            f"think:{tenant}", f"queue/{tenant}", f"dispatch:{tenant}",
+        )
 
 
 @dataclass

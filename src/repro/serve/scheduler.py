@@ -37,7 +37,7 @@ from repro.config import ServeConfig
 from repro.errors import ServeError
 from repro.serve.arbiter import make_arbiter
 from repro.serve.metrics import ServeReport, TenantMetrics, build_tenant_metrics
-from repro.serve.queues import QueuePair, ServeCommand, make_queue_pairs
+from repro.serve.queues import QueuePair, ServeCommand, TenantLabels, make_queue_pairs
 from repro.serve.service import DeviceService
 from repro.serve.workload import TenantSpec, WorkloadGenerator
 from repro.sim import Simulator
@@ -67,11 +67,13 @@ class ServingLayer:
         #: live in the device's counter registry (``serve.<tenant>.*``).
         self.telemetry = device.telemetry
         self._tracer = self.telemetry.tracer
+        self._tracing = self._tracer.enabled
         self.events = Simulator(tracer=self._tracer)
         self.pairs: List[QueuePair] = make_queue_pairs(
             self.specs, self.config.queue_depth, self.config.weights or None
         )
         self._pair_by_name = {p.tenant: p for p in self.pairs}
+        self._labels = {spec.name: TenantLabels.of(spec.name) for spec in self.specs}
         self._gen_by_name: Dict[str, WorkloadGenerator] = {}
         self.arbiter = make_arbiter(self.config.arbitration, self.config.quantum_pages)
         self.metrics: Dict[str, TenantMetrics] = build_tenant_metrics(
@@ -147,16 +149,17 @@ class ServingLayer:
         for gen in self.generators:
             if gen.spec.kind == "sql":
                 continue
+            labels = self._labels[gen.spec.name]
             if gen.spec.closed_loop:
                 for _ in range(gen.spec.outstanding):
                     self.events.schedule_at(
-                        0.0, lambda g=gen: self._submit(g), label=f"submit:{gen.spec.name}"
+                        0.0, lambda g=gen: self._submit(g), label=labels.submit
                     )
             else:
                 first = gen.next_arrival_ns(0.0)
                 if first < duration_ns:
                     self.events.schedule_at(
-                        first, lambda g=gen: self._arrive(g), label=f"arrive:{gen.spec.name}"
+                        first, lambda g=gen: self._arrive(g), label=labels.arrive
                     )
 
     def finish(self) -> ServeReport:
@@ -174,7 +177,7 @@ class ServingLayer:
         next_ns = gen.next_arrival_ns(now)
         if next_ns < self._duration_ns:
             self.events.schedule_at(
-                next_ns, lambda: self._arrive(gen), label=f"arrive:{gen.spec.name}"
+                next_ns, lambda: self._arrive(gen), label=self._labels[gen.spec.name].arrive
             )
 
     def _submit(self, gen: WorkloadGenerator) -> None:
@@ -187,10 +190,12 @@ class ServingLayer:
         cmd = gen.make_command(self.device.host, now)
         if not pair.sq.push(cmd):
             metrics.dropped += 1
-            self._tracer.instant(f"queue/{gen.spec.name}", "drop", now)
+            if self._tracing:
+                self._tracer.instant(self._labels[gen.spec.name].queue, "drop", now)
         else:
             self.device.host.submit(cmd.command)
-            self._tracer.instant(f"queue/{gen.spec.name}", "submit", now)
+            if self._tracing:
+                self._tracer.instant(self._labels[gen.spec.name].queue, "submit", now)
         metrics.queue_depth.observe(len(pair.sq))
         self._pump()
 
@@ -225,9 +230,10 @@ class ServingLayer:
         pair = self._pair_by_name[tenant]
         if not pair.sq.push(cmd):
             self._backlog.setdefault(tenant, deque()).append(cmd)
-            self._tracer.instant(f"queue/{tenant}", "backlog", now)
-        else:
-            self._tracer.instant(f"queue/{tenant}", "submit", now)
+            if self._tracing:
+                self._tracer.instant(self._labels[tenant].queue, "backlog", now)
+        elif self._tracing:
+            self._tracer.instant(self._labels[tenant].queue, "submit", now)
         metrics.queue_depth.observe(len(pair.sq))
         self._pump()
         return cmd
@@ -260,8 +266,10 @@ class ServingLayer:
     def _dispatch(self, cmd: ServeCommand) -> None:
         now = self.events.now
         cmd.dispatched_ns = now
-        # Time spent sitting in the tenant submission queue.
-        self._tracer.complete(f"queue/{cmd.tenant}", "wait", cmd.submitted_ns, now)
+        labels = self._labels[cmd.tenant]
+        if self._tracing:
+            # Time spent sitting in the tenant submission queue.
+            self._tracer.complete(labels.queue, "wait", cmd.submitted_ns, now)
         timeout = self.config.command_timeout_ns
         issue = now
         while True:
@@ -280,20 +288,19 @@ class ServingLayer:
             self.metrics[cmd.tenant].cmd_retries += 1
             issue += timeout
         cmd.completed_ns = done_ns
-        if isinstance(cmd.command, ScompCommand):
-            kind = "scomp"
-        elif isinstance(cmd.command, ReadCommand):
-            kind = "read"
-        else:
-            kind = "write"
-        self._tracer.complete("scheduler", f"dispatch:{cmd.tenant}", now, now)
-        # One firmware track per command kind: spans of in-flight commands
-        # overlap freely, and same-named spans keep the B/E pairing valid.
-        self._tracer.complete(f"firmware/{kind}", f"service:{kind}", now, done_ns)
+        if self._tracing:
+            if isinstance(cmd.command, ScompCommand):
+                kind = "scomp"
+            elif isinstance(cmd.command, ReadCommand):
+                kind = "read"
+            else:
+                kind = "write"
+            self._tracer.complete("scheduler", labels.dispatch, now, now)
+            # One firmware track per command kind: spans of in-flight commands
+            # overlap freely, and same-named spans keep the B/E pairing valid.
+            self._tracer.complete(f"firmware/{kind}", f"service:{kind}", now, done_ns)
         self._inflight += 1
-        self.events.schedule_at(
-            done_ns, lambda: self._complete(cmd), label=f"complete:{cmd.tenant}"
-        )
+        self.events.schedule_at(done_ns, lambda: self._complete(cmd), label=labels.complete)
 
     def _complete(self, cmd: ServeCommand) -> None:
         self._inflight -= 1
@@ -316,7 +323,7 @@ class ServingLayer:
         gen = self._gen_by_name[cmd.tenant]
         if gen.spec.closed_loop:
             self.events.schedule(
-                gen.spec.think_ns, lambda: self._submit(gen), label=f"think:{gen.spec.name}"
+                gen.spec.think_ns, lambda: self._submit(gen), label=self._labels[cmd.tenant].think
             )
         backlog = self._backlog.get(cmd.tenant)
         if backlog:

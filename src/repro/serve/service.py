@@ -53,6 +53,7 @@ class DeviceService:
         #: ladder and commands complete with degraded/failed statuses.
         self.recovery = recovery
         self._tracer = device.telemetry.tracer
+        self._tracing = self._tracer.enabled
 
         # Core-phase price per scomp kernel (compute ns per page, output
         # ratio); identical devices share one sampled run through the
@@ -188,7 +189,8 @@ class DeviceService:
         # lane is held to the command's completion but only the compute
         # span counts toward the core's utilisation.
         done = max(start + compute_ns, flash_done)
-        self._tracer.complete(f"core/{core}", f"scomp:{kernel_name}", start, done)
+        if self._tracing:
+            self._tracer.complete(f"core/{core}", f"scomp:{kernel_name}", start, done)
         self.cores.occupy(core, start, done, busy_ns=compute_ns)
         cmd.bytes_in = cmd.pages * self.page_bytes
         cmd.bytes_out = int(cmd.bytes_in * self.out_ratio(kernel_name))

@@ -12,11 +12,15 @@ Three primitives cover the device:
   callbacks, :meth:`Simulator.spawn` for generator *processes* that
   ``yield`` waits (firmware command flows, background IO, GC passes).
 * :class:`FifoResource` — a single greedy FIFO reservation timeline
-  (a channel bus, the host link): requests are granted in call order,
+  (the host link): requests are granted in call order,
   each occupying ``[start, done)``; busy intervals are tracked so
   utilisation within any window is exact.
 * :class:`PooledResource` — N unit timelines with least-loaded or
-  explicit-unit selection (flash planes, the stream-core pool).
+  explicit-unit selection (the stream-core pool).
+
+The flash planes and channel buses follow the same greedy discipline as
+flat int state on :class:`repro.flash.FlashArray`, which books a page in
+one call.
 
 Resources grant *reservations* synchronously — acquiring returns the
 grant's start/done instants immediately, in issue order — while processes

@@ -10,13 +10,15 @@ Grants are int-first: an ``int`` argument is used as it is, and only
 other values go through :func:`~repro.sim.kernel.as_ns` (floats round to
 the nearest nanosecond, NaN/inf raise :class:`~repro.sim.SimTimeError`).
 
-Busy intervals are kept **coalesced**: a grant that starts exactly where
-the previous one ended extends it in place, so a saturated bus stores one
-interval, not one per transfer.  :meth:`FifoResource.busy_within` computes
-the exact overlap of the busy set with ``[0, until_ns]`` — the fix for the
-historical ``ChannelBus.utilisation`` over-count, where a transfer
-straddling the window's end was counted in full and the over-count then
-hidden by a ``min(1.0, ...)`` clamp.
+Busy intervals are kept **coalesced**, as a list of starts and a list of
+ends: a grant that starts exactly where the previous one ended extends it
+in place, so a saturated bus stores one interval, not one per transfer.
+:func:`busy_within` computes the exact overlap of the busy set with
+``[0, until_ns]`` — the fix for the historical channel-bus utilisation
+over-count, where a transfer straddling the window's end was counted in
+full and the over-count then hidden by a ``min(1.0, ...)`` clamp.
+:func:`book_gap` first-fits a transfer into an idle gap (backfill). The
+flash array's channel buses keep the same interval lists and use both.
 """
 
 from __future__ import annotations
@@ -40,14 +42,60 @@ class Grant(NamedTuple):
     unit: int = 0
 
 
+def book_gap(starts: List[int], ends: List[int], ready_ns: int, duration_ns: int) -> Optional[int]:
+    """Book the earliest idle gap at or after ``ready_ns`` that fits.
+
+    ``starts`` and ``ends`` are a timeline's busy intervals, sorted,
+    disjoint and coalesced. Returns the booked start, or None when no gap
+    before the last interval fits (the caller then books the tail). The
+    new interval merges with a neighbour it touches.
+    """
+    if duration_ns <= 0:
+        return None
+    at = max(0, bisect.bisect_right(starts, ready_ns) - 1)
+    for i in range(at, len(starts)):
+        gap_start = ends[i - 1] if i > 0 else 0
+        start = gap_start if gap_start > ready_ns else ready_ns
+        done = start + duration_ns
+        if done <= starts[i]:
+            merge_prev = i > 0 and ends[i - 1] == start
+            if starts[i] == done:
+                if merge_prev:
+                    ends[i - 1] = ends[i]
+                    del starts[i], ends[i]
+                else:
+                    starts[i] = start
+            elif merge_prev:
+                ends[i - 1] = done
+            else:
+                starts.insert(i, start)
+                ends.insert(i, done)
+            return start
+    return None
+
+
+def busy_within(starts: List[int], ends: List[int], until_ns: int) -> int:
+    """Exact overlap of the busy intervals with ``[0, until_ns]``."""
+    if until_ns <= 0:
+        return 0
+    # Intervals are sorted and disjoint; count whole ones before the cut,
+    # then the clipped part of the one straddling it.
+    cut = bisect.bisect_right(starts, until_ns)
+    total = 0
+    for start, done in zip(starts[:cut], ends[:cut]):
+        total += (done if done < until_ns else until_ns) - start
+    return total
+
+
 class _Timeline:
     """One FIFO reservation lane: free-at pointer plus coalesced intervals.
 
     ``unit`` is the lane's index in its pool (0 for a lone lane); it is
-    stamped on every grant the lane makes.
+    stamped on every grant the lane makes. The busy intervals are two int
+    lists, their starts and their ends.
     """
 
-    __slots__ = ("unit", "free_at_ns", "busy_ns", "grants", "_starts", "_intervals")
+    __slots__ = ("unit", "free_at_ns", "busy_ns", "grants", "_starts", "_ends")
 
     def __init__(self, unit: int = 0) -> None:
         self.unit = unit
@@ -55,7 +103,12 @@ class _Timeline:
         self.busy_ns: int = 0
         self.grants: int = 0
         self._starts: List[int] = []
-        self._intervals: List[Tuple[int, int]] = []
+        self._ends: List[int] = []
+
+    @property
+    def _intervals(self) -> List[Tuple[int, int]]:
+        """The busy intervals as ``(start, end)`` pairs."""
+        return list(zip(self._starts, self._ends))
 
     def reserve(self, ready_ns: int, duration_ns: int) -> Grant:
         free = self.free_at_ns
@@ -65,12 +118,12 @@ class _Timeline:
         self.busy_ns += duration_ns
         self.grants += 1
         if duration_ns > 0:
-            intervals = self._intervals
-            if intervals and intervals[-1][1] == start:
-                intervals[-1] = (intervals[-1][0], done)
+            ends = self._ends
+            if ends and ends[-1] == start:
+                ends[-1] = done
             else:
                 self._starts.append(start)
-                intervals.append((start, done))
+                ends.append(done)
         return _tuple_new(Grant, (start, done, self.unit))
 
     def reserve_backfill(self, ready_ns: int, duration_ns: int) -> Grant:
@@ -81,51 +134,25 @@ class _Timeline:
         every later call queues behind it even though the lane sits idle
         in between. A DMA engine serves transfers in readiness order, so
         this variant first-fits into the idle gaps the FIFO pointer left
-        behind and only falls back to the tail. When ready times arrive
-        non-decreasing (the offload paths), no usable gap ever exists and
-        the result is identical to :meth:`reserve`.
+        behind (:func:`book_gap`) and only falls back to the tail. When
+        ready times arrive non-decreasing (the offload paths), no usable
+        gap ever exists and the result is identical to :meth:`reserve`.
 
         The tail is booked without a scan when ``ready_ns + duration_ns``
         passes the start of the last booked interval, which covers every
         ready time at or past ``free_at_ns``: every gap ends at the start of
         an interval, so no gap can fit.
         """
-        intervals = self._intervals
-        if duration_ns > 0 and intervals and ready_ns + duration_ns <= intervals[-1][0]:
-            # Candidate gaps: before the first interval, and between
-            # consecutive intervals. Coalescing keeps this list short even
-            # on saturated lanes, so the scan is cheap.
-            idx = max(0, bisect.bisect_right(self._starts, ready_ns) - 1)
-            for i in range(idx, len(intervals)):
-                gap_start = intervals[i - 1][1] if i > 0 else 0
-                gap_end = intervals[i][0]
-                start = max(gap_start, ready_ns)
-                if start + duration_ns <= gap_end:
-                    done = start + duration_ns
-                    # The tail pointer is untouched: this grant consumes
-                    # idle time strictly before the last booked interval.
-                    self.busy_ns += duration_ns
-                    self.grants += 1
-                    self._insert_interval(start, done, i)
-                    return _tuple_new(Grant, (start, done, self.unit))
+        starts = self._starts
+        if starts and ready_ns + duration_ns <= starts[-1]:
+            start = book_gap(starts, self._ends, ready_ns, duration_ns)
+            if start is not None:
+                # The tail pointer is untouched: this grant consumes idle
+                # time strictly before the last booked interval.
+                self.busy_ns += duration_ns
+                self.grants += 1
+                return _tuple_new(Grant, (start, start + duration_ns, self.unit))
         return self.reserve(ready_ns, duration_ns)
-
-    def _insert_interval(self, start: int, done: int, at: int) -> None:
-        """Insert [start, done) before interval ``at``, coalescing edges."""
-        merge_prev = at > 0 and self._intervals[at - 1][1] == start
-        merge_next = self._intervals[at][0] == done
-        if merge_prev and merge_next:
-            self._intervals[at - 1] = (self._intervals[at - 1][0], self._intervals[at][1])
-            del self._intervals[at]
-            del self._starts[at]
-        elif merge_prev:
-            self._intervals[at - 1] = (self._intervals[at - 1][0], done)
-        elif merge_next:
-            self._intervals[at] = (start, self._intervals[at][1])
-            self._starts[at] = start
-        else:
-            self._intervals.insert(at, (start, done))
-            self._starts.insert(at, start)
 
     def occupy(self, start_ns: int, done_ns: int, busy_ns: Optional[int] = None) -> None:
         """Record an explicitly timed occupancy (start may precede free_at)."""
@@ -135,15 +162,7 @@ class _Timeline:
 
     def busy_within(self, until_ns: int) -> int:
         """Exact busy overlap with ``[0, until_ns]``."""
-        if until_ns <= 0:
-            return 0
-        # Intervals are sorted and disjoint; count whole ones before the
-        # cut, then the clipped part of the one straddling it.
-        idx = bisect.bisect_right(self._starts, until_ns)
-        total = 0
-        for start, done in self._intervals[:idx]:
-            total += min(done, until_ns) - start
-        return total
+        return busy_within(self._starts, self._ends, until_ns)
 
     def reset(self) -> None:
         """Forget every grant: the pointer, the intervals and the totals."""
@@ -151,11 +170,11 @@ class _Timeline:
         self.busy_ns = 0
         self.grants = 0
         self._starts.clear()
-        self._intervals.clear()
+        self._ends.clear()
 
 
 class FifoResource:
-    """A single greedy FIFO timeline (a channel bus, the host link)."""
+    """A single greedy FIFO timeline (the host link, a write-path ingress)."""
 
     def __init__(self, name: str, backfill: bool = False) -> None:
         self.name = name
@@ -200,10 +219,10 @@ class FifoResource:
 class PooledResource:
     """N unit timelines with explicit-unit or least-loaded selection.
 
-    Models pooled hardware where a request occupies one unit of many:
-    flash planes within a die (explicit unit — the address picks the
-    plane) or the stream-core pool (least-loaded — the firmware picks the
-    first core to free up, ties to the lowest index).
+    Models pooled hardware where a request occupies one unit of many,
+    either a unit the request names or the least-loaded one: the
+    stream-core pool (the firmware picks the first core to free up, ties
+    to the lowest index).
     """
 
     def __init__(self, name: str, units: int) -> None:

@@ -10,10 +10,10 @@ what the differential suite pins down.
 
 Site semantics:
 
-* **host** — the scan returns the shared database table itself; pushed
-  predicates are applied as one combined filter (the host parses the raw
-  text stream, so the table keeps its full width mid-pipeline — harmless,
-  since operators never mutate sources and the final project normalises).
+* **host** — without pushed predicates the scan returns the shared
+  database table itself (operators never mutate sources, and the final
+  project normalises its width); pushed predicates are applied as one
+  combined filter that keeps only the planned columns, as the device does.
 * **device** — the scan builds a fresh table holding only the planned
   columns with pushed predicates already applied, modelling the PSF
   kernel emitting filtered, projected binary tuples. Its stats start at
@@ -185,7 +185,7 @@ class SqlExecutor:
             else None
         )
         if site == "host":
-            out = base.filter_by(*predicate) if predicate else base
+            out = base.filter_by(*predicate, keep=node.columns) if predicate else base
         else:
             # The device streams raw pages through parse (+ filter when
             # predicates pushed) and emits only the planned columns.

@@ -66,8 +66,8 @@ class BackgroundIO:
     latency: Histogram = field(default_factory=lambda: Histogram("bg_latency_ns"))
 
     @property
-    def latencies_ns(self) -> List[float]:
-        """Raw latency samples (the histogram's backing list)."""
+    def latencies_ns(self) -> Sequence[float]:
+        """Raw latency samples (the histogram's backing store)."""
         return self.latency.values
 
     @property
@@ -93,9 +93,12 @@ class _CoreTask:
     out_pages_written: int = 0
     last_write_done_ns: float = 0.0
 
-    def issue_ns(self) -> float:
+    def issue_ns(self) -> int:
+        """When the next page's read is issued, rounded to the nearest
+        nanosecond as the kernel would round it (an int wait needs no
+        decoding)."""
         k = self.next_k
-        return max(0.0, (k - EAGER_WINDOW_PAGES) * self.cpp_ns) + self.shift_ns
+        return round(max(0.0, (k - EAGER_WINDOW_PAGES) * self.cpp_ns) + self.shift_ns)
 
     def needed_ns(self, k: int) -> float:
         return k * self.cpp_ns + self.shift_ns
@@ -507,6 +510,7 @@ class Firmware:
     def _engine_flow(self, sim: Simulator, task: _CoreTask, serve_input, stall):
         """One engine's command flow: issue, stall-shift, emit results."""
         page = self.config.flash.page_bytes
+        write_label = f"engine{task.core_id}.write"
         while task.next_k < len(task.lpas):
             # Always yield, even when the issue instant is the current one:
             # the kernel's insertion-order tie-break then round-robins
@@ -527,7 +531,7 @@ class Firmware:
                 sim.schedule_at(
                     ready,
                     lambda sim=sim, task=task: self._flush_result_page(sim, task),
-                    label=f"engine{task.core_id}.write",
+                    label=write_label,
                 )
             task.next_k += 1
 
@@ -636,8 +640,8 @@ class RecoveryController:
         self.corruption_events = 0
 
     @property
-    def reconstruction_ns(self) -> List[float]:
-        """Latency of every RAID rebuild (the histogram's backing list)."""
+    def reconstruction_ns(self) -> Sequence[float]:
+        """Latency of every RAID rebuild (the histogram's backing store)."""
         return self._reconstruction.values
 
     # -- public entry ---------------------------------------------------------

@@ -27,6 +27,7 @@ from repro.telemetry.counters import (
     Counter,
     CounterGroup,
     CounterRegistry,
+    CounterView,
     Gauge,
     Histogram,
 )
@@ -43,6 +44,7 @@ __all__ = [
     "Counter",
     "CounterGroup",
     "CounterRegistry",
+    "CounterView",
     "Gauge",
     "Histogram",
     "IsaProfiler",

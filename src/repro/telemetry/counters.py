@@ -4,7 +4,9 @@ Three metric kinds cover everything the simulators tally:
 
 * :class:`Counter` — a monotonically growing total (pages served, bytes
   moved, retries). Fractional increments are allowed so time totals
-  (busy nanoseconds) fit the same primitive.
+  (busy nanoseconds) fit the same primitive. A :class:`CounterView` is a
+  counter whose total a component keeps as plain ints on its hot path;
+  the registry reads them when a value is asked for.
 * :class:`Gauge` — a point-in-time level (inflight commands, queue depth
   high-water mark via :meth:`Gauge.set_max`).
 * :class:`Histogram` — raw-sample distribution with nearest-rank
@@ -21,8 +23,9 @@ onto registry counters without changing its call sites.
 from __future__ import annotations
 
 import math
+from array import array
 from collections.abc import Mapping
-from typing import Dict, Iterator, List, Optional, Union
+from typing import Callable, Dict, Iterator, List, Optional, Union
 
 from repro.utils.stats import percentile
 
@@ -42,6 +45,26 @@ class Counter:
         if amount < 0:
             raise ValueError(f"counter {self.name!r} cannot decrease (inc {amount})")
         self.value += amount
+
+
+class CounterView(Counter):
+    """A counter read from its sources: ``value`` is the sum of their
+    current totals, so the components keep plain ints and pay nothing per
+    increment. Every source registered under the name counts, as every
+    component incrementing one shared :class:`Counter` would."""
+
+    __slots__ = ("sources",)
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+        self.sources: List[Callable[[], MetricValue]] = []
+
+    @property
+    def value(self) -> float:
+        return float(sum(read() for read in self.sources))
+
+    def inc(self, amount: float = 1.0) -> None:
+        raise TypeError(f"counter {self.name!r} is read from its sources")
 
 
 class Gauge:
@@ -68,19 +91,35 @@ class Histogram:
     Samples are kept verbatim (the serve runs observe at most a few
     thousand latencies), so p50/p95/p99 are bit-identical to what the
     previous per-module tallies computed from their private lists.
+
+    While every sample is an int that fits 64 bits (the serve layer's
+    latencies, waits and queue depths), ``values`` is an ``array('q')``:
+    8 bytes a sample instead of a list slot and a boxed int, which
+    matters because a run's report keeps every sample. The first other
+    sample turns ``values`` into a list of the same samples, in order.
     """
 
     __slots__ = ("name", "values")
 
     def __init__(self, name: str) -> None:
         self.name = name
-        self.values: List[float] = []
+        self.values: Union["array[int]", List[float]] = array("q")
 
     def observe(self, value: float) -> None:
-        self.values.append(value)
+        if value.__class__ is int:
+            try:
+                self.values.append(value)
+                return
+            except OverflowError:
+                pass
+        values = self.values
+        if values.__class__ is array:
+            values = self.values = values.tolist()
+        values.append(value)
 
     def extend(self, values) -> None:
-        self.values.extend(values)
+        for value in values:
+            self.observe(value)
 
     @property
     def count(self) -> int:
@@ -188,6 +227,12 @@ class CounterRegistry:
 
     def counter(self, name: str) -> Counter:
         return self._get_or_create(name, Counter)
+
+    def counter_view(self, name: str, read: Callable[[], MetricValue]) -> CounterView:
+        """Add ``read`` to the sources of the :class:`CounterView` ``name``."""
+        view = self._get_or_create(name, CounterView)
+        view.sources.append(read)
+        return view
 
     def gauge(self, name: str) -> Gauge:
         return self._get_or_create(name, Gauge)

@@ -213,6 +213,27 @@ def test_trace_command_writes_valid_chrome_json(tmp_path, capsys):
     assert validate_chrome_trace(trace) == []
 
 
+#: sha256 of the trace file and of the counter dump that
+#: ``trace --duration-us 120 --counters`` writes (default tenants, seed 42).
+#: The flash ``xfer`` spans and ``flash.*`` counters are in both, so a
+#: change to the page path's timing or tallies shows here.
+TRACE_SHA256 = "aca18354971b0f44bfaac8a000ced0967d5abbdb51c83deab833a08009e2c6a0"
+COUNTERS_SHA256 = "19aba43617659ebd864ca638ad555e053ea43fbc8a17e26f62789bb621f3c71f"
+
+
+def test_trace_command_output_is_pinned(tmp_path, capsys):
+    import hashlib
+
+    out_file = tmp_path / "trace.json"
+    code, out = run_cli(
+        capsys, "trace", "--duration-us", "120", "--counters", "--out", str(out_file)
+    )
+    assert code == 0
+    counters = out[out.index("\nflash.") + 1:]
+    assert hashlib.sha256(out_file.read_bytes()).hexdigest() == TRACE_SHA256
+    assert hashlib.sha256(counters.encode()).hexdigest() == COUNTERS_SHA256
+
+
 def test_trace_command_is_deterministic(tmp_path, capsys):
     first = tmp_path / "a.json"
     second = tmp_path / "b.json"

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.config import FlashConfig
-from repro.errors import FlashError
+from repro.errors import ConfigError, FlashError
+from repro.sim import SimTimeError
 from repro.flash.array import FlashArray, PhysicalPageAddress
 from repro.flash.chip import FlashChip, PageState
 from repro.flash.onfi import ONFI_PROFILES
@@ -113,32 +114,56 @@ def test_rejected_program_books_nothing():
     array = FlashArray(CFG)
     target = ppa(block=1, page=2)
     chip = array.chips[0][0]
-    bus = array.channels[0]
-    lane = chip._write_lanes
-    unit = chip._unit(target.die, target.plane)
-    before = (bus.free_at_ns, bus.bytes_transferred, lane.free_at(unit))
+
+    def booked():
+        return (
+            array.bus_free_at_ns(0),
+            array.channel_bytes()[0],
+            array.plane_lanes(target).program_free_ns,
+        )
+
+    before = booked()
     with pytest.raises(FlashError):
         array.service_write(target, 0, data=b"x" * (CFG.page_bytes + 8))
     assert chip.page_state(0, 0, 1, 2) is PageState.ERASED
-    assert (bus.free_at_ns, bus.bytes_transferred, lane.free_at(unit)) == before
+    assert booked() == before
     assert array.writes_served == 0
     # The page is still writable: a valid retry programs it.
     rec = array.service_write(target, 0, data=b"y" * CFG.page_bytes)
     assert rec.done_ns == CFG.page_transfer_ns + CFG.program_latency_ns
     assert chip.read_data(0, 0, 1, 2) == b"y" * CFG.page_bytes
     # Programming it again is refused the same way.
-    booked = (bus.free_at_ns, bus.bytes_transferred, lane.free_at(unit))
+    programmed = booked()
     with pytest.raises(FlashError):
         array.service_write(target, 0, data=b"z")
-    assert (bus.free_at_ns, bus.bytes_transferred, lane.free_at(unit)) == booked
+    assert booked() == programmed
 
 
 def test_geometry_bounds_checked():
-    chip = FlashChip(CFG, 0, 0)
+    array = FlashArray(CFG)
     with pytest.raises(FlashError):
-        chip.start_read(0, 0, 0, CFG.pages_per_block, 0.0)
+        array.service_read(ppa(page=CFG.pages_per_block), 0.0)
     with pytest.raises(FlashError):
-        chip.start_read(CFG.dies_per_chip, 0, 0, 0, 0.0)
+        array.service_read(ppa(die=CFG.dies_per_chip), 0.0)
+    assert array.reads_served == 0
+
+
+@pytest.mark.parametrize(
+    "field, value, error",
+    [
+        ("read_latency_ns", -1.0, SimTimeError),
+        ("erase_latency_ns", -5.0, SimTimeError),
+        ("channel_bandwidth_bytes_per_ns", 0.0, ConfigError),
+        ("channel_bandwidth_bytes_per_ns", float("nan"), ConfigError),
+    ],
+)
+def test_bad_timing_is_refused_when_the_array_is_built(field, value, error):
+    """The lanes and buses keep no per-grant check: a negative duration or
+    a bus that moves no bytes fails at construction, typed."""
+    from dataclasses import replace
+
+    with pytest.raises(error):
+        FlashArray(replace(CFG, **{field: value}))
 
 
 def test_program_latency_dominates_write():

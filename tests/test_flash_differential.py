@@ -1,4 +1,4 @@
-"""Differential suite: the flash write path against ``tests/flash_oracle.py``.
+"""Differential suite: the flash page path, write path and FTL against ``tests/flash_oracle.py``.
 
 * **Codec.** :func:`repro.flash.ecc.encode_page` / ``decode_page`` (eight
   byte-lane passes, a clean-page shortcut) must equal the per-word loops
@@ -6,6 +6,15 @@
   input type, with flips scattered over the page or packed into one
   codeword, in the data and in the spare bytes: same spare bytes, decoded
   bytes, worst status and correction count.
+* **Page path.** :class:`~repro.flash.FlashArray` (flat plane lanes and
+  bus intervals, one function per page read and program, counters read
+  at snapshot) must behave like :class:`LaneFlashArray` (pooled plane
+  lanes, a backfilling FIFO bus, a counter increment per transfer) under
+  random reads, programs with and without data (some refused), erases
+  and rewinds, issued at int, float, non-finite and out-of-order instants
+  to addresses in and out of the geometry: the same service records or
+  errors, lane and bus state, bytes, utilisations, horizon, page state,
+  counter snapshot and trace.
 * **Block pick and GC.** A :class:`~repro.ftl.PageMapFTL` on the per-unit
   :class:`~repro.ftl.WearTracker`, collected by
   :class:`~repro.ftl.GarbageCollector` from its per-block state, must
@@ -29,15 +38,16 @@ import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import given, seed, settings, strategies as st  # noqa: E402
 
 from repro.config import FlashConfig  # noqa: E402
 from repro.errors import FlashError, FTLError  # noqa: E402
 from repro.flash import ecc  # noqa: E402
 from repro.flash.array import FlashArray, PhysicalPageAddress  # noqa: E402
 from repro.ftl import GarbageCollector, PageMapFTL, WearTracker  # noqa: E402
-from repro.ftl.allocator import _UnitCursor  # noqa: E402
+from repro.ftl.allocator import PICK_CHUNK, PageAllocator  # noqa: E402
 from repro.sim import Simulator  # noqa: E402
+from repro.telemetry import Telemetry  # noqa: E402
 
 from tests import flash_oracle as oracle  # noqa: E402
 
@@ -109,6 +119,151 @@ def test_misaligned_pages_rejected_like_oracle(length):
             encode(data)
     with pytest.raises(FlashError):
         ecc.decode_page(data, bytes(length // 8))
+
+
+# -- timed page path ---------------------------------------------------------------
+
+PATH_CFG = FlashConfig(
+    channels=2,
+    chips_per_channel=2,
+    dies_per_chip=1,
+    planes_per_die=2,
+    blocks_per_plane=2,
+    pages_per_block=4,
+    page_bytes=512,
+    read_latency_ns=3_000.0,
+    program_latency_ns=9_000.0,
+    erase_latency_ns=40_000.0,
+)
+PLANES = [
+    PhysicalPageAddress(channel, chip, 0, plane, 0, 0)
+    for channel in range(PATH_CFG.channels)
+    for chip in range(PATH_CFG.chips_per_channel)
+    for plane in range(PATH_CFG.planes_per_die)
+]
+
+#: Mostly valid addresses; each field is sometimes one past either end.
+_addresses = st.builds(
+    PhysicalPageAddress,
+    *(
+        st.one_of(
+            st.integers(0, limit - 1), st.integers(0, limit - 1), st.sampled_from((-1, limit))
+        )
+        for limit in (
+            PATH_CFG.channels,
+            PATH_CFG.chips_per_channel,
+            PATH_CFG.dies_per_chip,
+            PATH_CFG.planes_per_die,
+            PATH_CFG.blocks_per_plane,
+            PATH_CFG.pages_per_block,
+        )
+    ),
+)
+_instants = st.one_of(
+    st.integers(-50, 60_000),
+    st.integers(-50, 60_000),
+    st.floats(-50.0, 60_000.0),
+    st.sampled_from((float("nan"), float("inf"))),
+)
+_payloads = st.one_of(
+    st.none(),
+    st.binary(min_size=1, max_size=40),
+    st.just(b"\xee" * (PATH_CFG.page_bytes + 8)),  # refused: larger than a page
+)
+_path_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("read"), _addresses, _instants),
+        st.tuples(st.just("read"), _addresses, _instants),
+        st.tuples(st.just("write"), _addresses, _instants, _payloads),
+        st.tuples(st.just("erase"), _addresses, _instants),
+        st.tuples(st.just("reset")),
+    ),
+    max_size=60,
+)
+
+
+def _path_apply(array, op):
+    try:
+        if op[0] == "read":
+            return array.service_read(op[1], op[2])
+        if op[0] == "write":
+            return array.service_write(op[1], op[2], data=op[3])
+        if op[0] == "erase":
+            return array.erase(op[1], op[2])
+        return array.reset_timelines()
+    except Exception as exc:  # noqa: BLE001 - the error is the outcome compared
+        return type(exc), str(exc)
+
+
+def _path_state(array, telemetry):
+    horizon = array.horizon_ns
+    return (
+        [array.plane_lanes(ppa) for ppa in PLANES],
+        [(array.bus_free_at_ns(ch), array.bus_busy_ns(ch)) for ch in range(PATH_CFG.channels)],
+        array.channel_bytes(),
+        [array.channel_utilisations(until) for until in (horizon, horizon // 3 + 0.4, 0)],
+        horizon,
+        (array.reads_served, array.writes_served),
+        [
+            (chip._state, chip._data, chip._spare, chip.erase_counts)
+            for row in array.chips
+            for chip in row
+        ],
+        telemetry.counters.snapshot(),
+    )
+
+
+def run_page_paths(ops, traced):
+    """Both arrays through ``ops``; returns each op's outcome."""
+    make = Telemetry.tracing if traced else Telemetry
+    fast_telemetry, lane_telemetry = make(), make()
+    fast = FlashArray(PATH_CFG, telemetry=fast_telemetry)
+    lanes = oracle.LaneFlashArray(PATH_CFG, telemetry=lane_telemetry)
+    outcomes = []
+    for step, op in enumerate(ops):
+        outcomes.append(_path_apply(fast, op))
+        assert outcomes[-1] == _path_apply(lanes, op), (step, op)
+        assert _path_state(fast, fast_telemetry) == _path_state(lanes, lane_telemetry), (step, op)
+    assert fast_telemetry.tracer.to_json() == lane_telemetry.tracer.to_json()
+    return outcomes
+
+
+@seed(21)
+@settings(max_examples=300, deadline=None)
+@given(_path_ops, st.booleans())
+def test_page_path_matches_lane_oracle(ops, traced):
+    run_page_paths(ops, traced)
+
+
+def test_long_page_path_backfills_like_the_oracle():
+    """Reads and programs issued out of order over a long run: transfers
+    land in idle gaps before the bus's tail, as the oracle's do."""
+    rng = random.Random(21)
+    ops = []
+    for _ in range(3000):
+        ppa = PhysicalPageAddress.from_flat(rng.randrange(PATH_CFG.total_pages), PATH_CFG)
+        issue = rng.choice((rng.randrange(400_000), rng.uniform(0, 400_000)))
+        roll = rng.random()
+        if roll < 0.6:
+            ops.append(("read", ppa, issue))
+        elif roll < 0.9:
+            ops.append(("write", ppa, issue, rng.choice((None, b"\x5a" * 64))))
+        elif roll < 0.99:
+            ops.append(("erase", ppa, issue))
+        else:
+            ops.append(("reset",))
+    outcomes = run_page_paths(ops, traced=False)
+    records = [out for out in outcomes if isinstance(out, tuple) and len(out) == 4]
+    assert len(records) > 1500
+    refused = [out for out in outcomes if isinstance(out, tuple) and out[0] is FlashError]
+    assert len(refused) > 100  # programs into programmed pages
+    # A transfer that ends before the previous one was issued backfilled.
+    backfilled = sum(
+        1
+        for prev, rec in zip(records, records[1:])
+        if rec.done_ns < prev.array_done_ns and rec.ppa.channel == prev.ppa.channel
+    )
+    assert backfilled > 50
 
 
 # -- wear map and block pick ---------------------------------------------------
@@ -292,6 +447,28 @@ def _random_ops(seed, count):
     return ops
 
 
+@pytest.mark.parametrize(
+    "channels, skew, cycle",
+    [(8, 0.0, True), (4, 0.25, True), (5, 1.0, True), (8, 0.3, False), (3, 0.0, False)],
+)
+def test_allocator_picks_match_the_chain_over_many_batches(channels, skew, cycle):
+    """Shares whose deficits come back to zero keep one cycle of picks;
+    the others work the picks out a batch at a time. Either way the pages
+    are the chain allocator's over several batches."""
+    config = FlashConfig(
+        channels=channels, chips_per_channel=2, dies_per_chip=1, planes_per_die=2,
+        blocks_per_plane=8, pages_per_block=64,
+    )
+    fast = PageAllocator(config, skew=skew)
+    chain = oracle.ChainAllocator(
+        config, skew=skew, pick_channel=oracle.deficit_pick_channel,
+        pick_block=oracle.unit_pick_block,
+    )
+    count = 3 * PICK_CHUNK + 7
+    assert [fast.allocate() for _ in range(count)] == [chain.allocate() for _ in range(count)]
+    assert fast._cycle is cycle
+
+
 @pytest.mark.parametrize("skew", [0.0, 0.3])
 def test_long_write_gc_sequence_matches_scan_oracle(skew):
     """Hundreds of overwrites between GC passes: blocks wear unevenly."""
@@ -350,16 +527,18 @@ def test_tied_victims_go_to_the_first_block_in_invalid_set_order():
 )
 def test_pick_block_matches_scan(free, erases):
     """Any free list and wear map: same block, same remaining free list."""
-    picked = []
-    for pick in (_UnitCursor._pick_block, oracle.scan_pick_block):
-        wear = oracle.FlatWearTracker() if pick is oracle.scan_pick_block else WearTracker()
-        for block, count in erases.items():
-            for _ in range(count):
-                wear.record_erase((1, 0, 0, 1, block))
-        unit = _UnitCursor(CFG, 1, 0, 0, 1, wear)
-        unit._free_blocks = list(free)
-        picked.append((pick(unit), unit._free_blocks))
-    assert picked[0] == picked[1]
+    wear, flat = WearTracker(), oracle.FlatWearTracker()
+    for block, count in erases.items():
+        for _ in range(count):
+            wear.record_erase((1, 0, 0, 1, block))
+            flat.record_erase((1, 0, 0, 1, block))
+    allocator = PageAllocator(CFG, wear=wear)
+    unit = allocator._units.index((1, 0, 0, 1))
+    allocator._free[unit] = list(free)
+    scan = oracle.UnitCursor(CFG, 1, 0, 0, 1, flat)
+    scan._free_blocks = list(free)
+    picked = allocator._pick_block(unit), allocator._free[unit]
+    assert picked == (oracle.scan_pick_block(scan), scan._free_blocks)
 
 
 @settings(max_examples=100, deadline=None)

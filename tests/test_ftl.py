@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from repro.config import FlashConfig
 from repro.errors import FTLError
 from repro.flash.array import FlashArray, PhysicalPageAddress
-from repro.ftl.allocator import PageAllocator, measured_skew, skew_shares
+from repro.ftl.allocator import PICK_CHUNK, PageAllocator, measured_skew, skew_shares
 from repro.ftl.gc import GarbageCollector
 from repro.ftl.mapping import PageMapFTL
 
@@ -213,7 +213,7 @@ def test_gc_reclaims_a_full_write_point_block():
     assert (result.victim, result.relocated, result.reclaimed) == ((0, 0, 0, 0, 0), 1, 1)
     assert gc.collections == 1 and gc.last_result is result
     assert ftl.wear.erase_count((0, 0, 0, 0, 0)) == 1
-    assert ftl.allocator._cursors[0]._units[0]._free_blocks == [0, 3, 2, 1]
+    assert ftl.allocator._free[0] == [0, 3, 2, 1]  # channel 0's only unit
     assert ftl.invalid_pages == set()
     assert ftl.lookup(2) == PhysicalPageAddress(1, 0, 0, 0, 0, 1)  # relocated
 
@@ -248,3 +248,66 @@ def test_allocator_without_wear_tracker_still_works():
     alloc = PageAllocator(CFG, skew=0.0, wear=None)
     pages = [alloc.allocate() for _ in range(32)]
     assert len(set(pages)) == 32
+
+
+def _mount_state(ftl):
+    return dict(ftl._map), dict(ftl._p2l), set(ftl.allocator.open_blocks()), ftl.updates
+
+
+@pytest.mark.parametrize(
+    "skew, mounted, asked, match",
+    [
+        # 6 pages are free: the mount is refused before any page moves.
+        (0.0, 10, 10, r"mount of 10 pages does not fit: 6 pages are free"),
+        # 10 pages are free, but skew 1 places only on channel 0, which
+        # fills after 2: the pages already handed out go back.
+        (1.0, 6, 4, r"mount of 4 pages does not fit the placement: channel 0 .*10 pages"),
+    ],
+)
+def test_mount_that_does_not_fit_changes_nothing(skew, mounted, asked, match):
+    """Like a refused write, a refused mount leaves the map, the P2L map,
+    the open blocks and the allocator as they were."""
+    tiny = _geometry(2, 2, 4)
+    ftl, twin = PageMapFTL(tiny, skew=skew), PageMapFTL(tiny, skew=skew)
+    ftl.populate(range(mounted))
+    twin.populate(range(mounted))
+    before = _mount_state(ftl)
+    with pytest.raises(FTLError, match=match):
+        ftl.populate(range(100, 100 + asked))
+    assert _mount_state(ftl) == before == _mount_state(twin)
+    assert not any(ftl.is_mapped(lpa) for lpa in range(100, 100 + asked))
+    # The allocator hands out what the twin's does, up to the last page
+    # the placement reaches (channel 0's 8 at skew 1).
+    fits = (8 if skew else 16) - mounted
+    assert ftl.populate(range(100, 100 + fits)) == twin.populate(range(100, 100 + fits))
+    assert ftl._p2l == twin._p2l
+
+
+def test_mount_refused_after_a_batch_of_picks_changes_nothing():
+    """At skew 0.3 the channel deficits never come back to zero, so the
+    picks come in batches; a mount refused after more than one batch
+    puts the deficits and the picks back too."""
+    tiny = _geometry(2, 4, 64)
+    ftl, twin = PageMapFTL(tiny, skew=0.3), PageMapFTL(tiny, skew=0.3)
+    # 512 pages are free; channel 0 takes 0.65 of the picks and fills
+    # after about 394 of them, past the first batch.
+    assert PICK_CHUNK < 394
+    with pytest.raises(FTLError, match="does not fit the placement"):
+        ftl.populate(range(480))
+    assert _mount_state(ftl) == _mount_state(twin)
+    assert ftl.populate(range(300)) == twin.populate(range(300))
+    assert ftl.populate(range(300, 390)) == [twin.write(lpa) for lpa in range(300, 390)]
+
+
+def test_populate_matches_one_write_per_lpa():
+    """Fresh, repeated and already-mapped LPAs: the same pages, maps,
+    invalid pages (in order) and update count as writing them one by one."""
+    lpas = [5, 1, 9, 1, 3, 5, 20, 21]
+    ftl, twin = PageMapFTL(CFG, skew=0.3), PageMapFTL(CFG, skew=0.3)
+    for batch in ([0, 1, 2], lpas, range(30, 40), [2, 30, 2]):
+        assert ftl.populate(batch) == [twin.write(lpa) for lpa in batch]
+        assert _mount_state(ftl) == _mount_state(twin)
+        assert list(ftl.invalid_pages) == list(twin.invalid_pages)
+    with pytest.raises(FTLError):
+        ftl.populate([4, -1])
+    assert not ftl.is_mapped(4)

@@ -216,15 +216,15 @@ def test_utilisation_clips_transfer_straddling_the_window():
 
 def test_channel_bus_utilisation_uses_exact_overlap():
     from repro.config import FlashConfig
-    from repro.flash.channel import ChannelBus
+    from repro.flash import FlashArray, PhysicalPageAddress
 
     cfg = FlashConfig()
-    bus = ChannelBus(cfg, 0)  # 1 B/ns default bandwidth
-    bus.transfer(4096, 0)  # [0, 4096)
-    bus.transfer(4096, 6000)  # [6000, 10096)
+    array = FlashArray(cfg)  # 1 B/ns default bandwidth
+    array.service_write(PhysicalPageAddress(0, 0, 0, 0, 0, 0), 0)  # bus [0, 4096)
+    array.service_write(PhysicalPageAddress(0, 0, 0, 0, 0, 1), 6000)  # bus [6000, 10096)
     expected = (4096 + 2000) / 8000
-    assert bus.utilisation(8000) == pytest.approx(expected)
-    assert bus.utilisation(8000) < 1.0
+    assert array.channel_utilisations(8000)[0] == pytest.approx(expected)
+    assert array.channel_utilisations(8000)[0] < 1.0
 
 
 def test_back_to_back_grants_coalesce():

@@ -279,14 +279,14 @@ def test_flash_reset_timelines_forgets_preload_totals():
     array.service_write(ppa, 0, data=b"\x5a" * 64)
     array.service_read(ppa, 200_000)
     array.reset_timelines()
-    chip = array.chips[0][0]
-    assert array.channels[0].busy_ns == 0
-    assert (chip._read_lanes.busy_ns(0), chip._write_lanes.busy_ns(0)) == (0, 0)
+    lanes = array.plane_lanes(ppa)
+    assert array.bus_busy_ns(0) == 0
+    assert (lanes.read_busy_ns, lanes.program_busy_ns) == (0, 0)
     assert array.horizon_ns == 0
     # The preload's page survives the rewind; only the timelines forgot.
     record = array.service_read(ppa, 0)
     assert record.done_ns == cfg.read_latency_ns + cfg.page_transfer_ns
-    assert array.channels[0].busy_ns == cfg.page_bytes
+    assert array.bus_busy_ns(0) == cfg.page_bytes
 
 
 def test_grants_are_int_and_stamped_with_their_unit():

@@ -50,6 +50,32 @@ def test_histogram_percentiles_match_shared_helper():
     assert h.minimum == 1 and h.maximum == 10
 
 
+def test_histogram_packs_int_samples_and_keeps_every_sample_in_order():
+    """Int samples sit in a typed array; the first float, bool or int past
+    64 bits turns the store into a list of the same samples, in order."""
+    h = Histogram("ns")
+    ints = [5, 2**62, 0, -3, 5]
+    h.extend(ints[:2])
+    for v in ints[2:]:
+        h.observe(v)
+    assert h.values.itemsize == 8 and list(h.values) == ints
+    assert (h.total, h.maximum, h.percentile(50.0)) == (sum(ints), 2**62, 5.0)
+    tail = [2.5, True, 2**70, 7]
+    h.extend(tail[:2])
+    for v in tail[2:]:
+        h.observe(v)
+    samples = ints + tail
+    assert isinstance(h.values, list)
+    assert [(type(v), v) for v in h.values] == [(type(v), v) for v in samples]
+    assert h.total == sum(samples) and h.count == len(samples)
+    for pct in (50.0, 99.0):
+        assert h.percentile(pct) == percentile(samples, pct)
+    big = Histogram("big")
+    big.observe(2**63)
+    big.observe(1)
+    assert big.values == [2**63, 1]
+
+
 def test_empty_histogram_is_zero_not_error():
     h = Histogram("empty")
     assert h.percentile(99.0) == 0.0
