@@ -17,8 +17,12 @@ complete over. A third campaign checks ``auto`` (the calibrated
 CostSource picks the placement) never does worse than forced-host on link
 traffic, and a same-seed double run must be byte-identical.
 
-The run emits ``BENCH_zns.json`` (ops/sec simulated, events/sec wall) with
-conservative floors so CI catches a simulator-throughput collapse.
+The run emits ``BENCH_zns.json`` (ops/sec simulated, arrivals/sec and
+events/sec wall) with conservative floors on the first two so CI catches
+a simulator-throughput collapse. Events/sec is recorded, not gated: the
+arrival driver holds puts back and wakes only at gets and memtable-filling
+puts, so an arrival costs about 0.3 events, and an events floor would
+move with that ratio rather than with speed.
 
 Set ``ZNS_SMOKE=1`` to halve the horizon for CI (same assertions).
 """
@@ -36,10 +40,12 @@ DURATION_NS = 4_000_000.0 if SMOKE else 8_000_000.0
 SEED = 7
 
 # Conservative floors for BENCH_zns.json — tuned to catch a collapse, not a
-# wobble (observed: ~10 Mops/s simulated; ~194k events/s wall under
-# ZNS_SMOKE=1 on a 2-vCPU host, so the wall floor is about a quarter of it).
+# wobble (observed: ~10 Mops/s simulated; 197k-273k arrivals/s wall under
+# ZNS_SMOKE=1 on a 2-vCPU host, so the wall floor is about a quarter of it,
+# and above the ~42k arrivals/s that the old 50k events/s floor allowed at
+# ~1.2 events per arrival).
 MIN_OPS_PER_SEC_SIMULATED = 1_000_000.0
-MIN_SIM_EVENTS_PER_SEC_WALL = 50_000.0
+MIN_ARRIVALS_PER_SEC_WALL = 50_000.0
 #: The offload headline: >= 2x fewer compaction bytes over the host link
 #: (the ISSUE floor; the observed ratio is ~3500x) and a >= 5% get-p99 win.
 MIN_COMPACTION_LINK_CUT = 2.0
@@ -93,6 +99,7 @@ def _emit_bench(runs, cut, p99_ratio, wall_seconds):
     total_ops = sum(r.puts + r.gets for r in runs.values())
     total_sim_ns = sum(r.horizon_ns for r in runs.values())
     ops_simulated = total_ops / (total_sim_ns * 1e-9)
+    arrivals_wall = total_ops / max(wall_seconds, 1e-9)
     payload = {
         "benchmark": "zns_compaction",
         "smoke": SMOKE,
@@ -102,15 +109,17 @@ def _emit_bench(runs, cut, p99_ratio, wall_seconds):
         "get_p99_host_over_device": round(p99_ratio, 4),
         "policies": {name: report.to_dict() for name, report in runs.items()},
         "ops_per_sec_simulated": round(ops_simulated, 2),
+        "arrivals_per_sec_wall": round(arrivals_wall, 2),
     }
     emit_bench(
         "BENCH_zns.json",
         payload,
         sim_events=sum(r.sim_events for r in runs.values()),
         wall_seconds=wall_seconds,
-        min_events_per_sec_wall=MIN_SIM_EVENTS_PER_SEC_WALL,
+        min_events_per_sec_wall=0.0,
         rate_floors=[
-            ("ops/sec simulated", ops_simulated, MIN_OPS_PER_SEC_SIMULATED)
+            ("ops/sec simulated", ops_simulated, MIN_OPS_PER_SEC_SIMULATED),
+            ("arrivals/sec wall", arrivals_wall, MIN_ARRIVALS_PER_SEC_WALL),
         ],
     )
 
@@ -121,3 +130,4 @@ def test_same_seed_runs_are_byte_identical(benchmark):
     second = _run_policy("device")
     assert first.fingerprint() == second.fingerprint()
     assert first.fingerprint_hex() == second.fingerprint_hex()
+    assert first.sim_events == second.sim_events

@@ -93,6 +93,3 @@ class PingPongBuffer:
 
     def contains(self, addr: int, size: int = 1) -> bool:
         return self.ping.contains(addr, size) or self.pong.contains(addr, size)
-
-    def access_latency(self, size: int) -> int:
-        return self.ping.access_latency(size)

@@ -105,10 +105,6 @@ def l1_cache_spec() -> SRAMSpec:
     return SRAMSpec(size_bytes=32 * KIB, port_width_bytes=8, ways=8, name="L1D 32KB 8w")
 
 
-def l2_cache_spec() -> SRAMSpec:
-    return SRAMSpec(size_bytes=256 * KIB, port_width_bytes=8, ways=16, name="L2 256KB 16w")
-
-
 def scratchpad_spec(size_bytes: int, width: int = 8) -> SRAMSpec:
     return SRAMSpec(size_bytes=size_bytes, port_width_bytes=width, name=f"SP {size_bytes // KIB}KB")
 

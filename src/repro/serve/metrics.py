@@ -79,10 +79,6 @@ class TenantMetrics:
         return self.wait.values
 
     @property
-    def queue_depth_samples(self) -> Sequence[float]:
-        return self.queue_depth.values
-
-    @property
     def p50_latency_ns(self) -> float:
         return self.latency.percentile(50.0)
 
@@ -98,26 +94,14 @@ class TenantMetrics:
     def mean_latency_ns(self) -> float:
         return self.latency.mean
 
-    @property
-    def mean_wait_ns(self) -> float:
-        return self.wait.mean
-
     # -- queue/throughput ----------------------------------------------------
 
     @property
     def max_queue_depth(self) -> int:
         return int(self.queue_depth.maximum) if self.queue_depth.count else 0
 
-    @property
-    def mean_queue_depth(self) -> float:
-        return self.queue_depth.mean
-
     def throughput_bytes_per_ns(self, horizon_ns: float) -> float:
         return self.bytes_in / horizon_ns if horizon_ns > 0 else 0.0
-
-    def meets_slo(self, p99_slo_ns: float) -> bool:
-        """Did this tenant's observed p99 stay within its latency SLO?"""
-        return self.completed > 0 and self.p99_latency_ns <= p99_slo_ns
 
 
 @dataclass
@@ -191,14 +175,6 @@ class ServeReport:
     @property
     def throughput_gbps(self) -> float:
         return self.total_bytes / self.horizon_ns if self.horizon_ns > 0 else 0.0
-
-    def slo_violations(self, p99_slo_ns: Dict[str, float]) -> Dict[str, bool]:
-        """Map tenant -> True where the tenant's p99 SLO was violated."""
-        return {
-            name: not self.tenants[name].meets_slo(slo)
-            for name, slo in p99_slo_ns.items()
-            if name in self.tenants
-        }
 
     def fingerprint(self) -> Tuple:
         """A deterministic digest of the run, for same-seed-same-result tests."""

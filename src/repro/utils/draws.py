@@ -12,6 +12,9 @@ shared stream and returns the same value.
   with ``n = b - a + 1`` is ``rng.randint(a, b)``, and ``seq[next(s)]``
   with ``n = len(seq)`` is ``rng.choice(seq)``.
 * ``expovariate_draws(rng, lambd)`` yields ``rng.expovariate(lambd)``.
+* ``arrival_draws(rng, lambd, n)`` yields one open-loop arrival per
+  ``next()``: the triple ``(rng.expovariate(lambd), rng.randrange(n),
+  rng.random())``, drawn in that order, as a gap, a key and a coin.
 
 Streams hold no values of their own, so any number of them may share one
 generator and interleave with each other and with direct calls on it: the
@@ -34,7 +37,7 @@ from __future__ import annotations
 import math
 import operator
 import random
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Tuple
 
 
 def below_draws(rng: random.Random, n: int) -> Iterator[int]:
@@ -63,3 +66,32 @@ def _expovariate(draw: Callable[[], float], lambd: float) -> Iterator[float]:
     log = math.log
     while True:
         yield -log(1.0 - draw()) / lambd
+
+
+def arrival_draws(rng: random.Random, lambd: float, n: int) -> Iterator[Tuple[float, int, float]]:
+    """Stream of ``(rng.expovariate(lambd), rng.randrange(n), rng.random())``.
+
+    One triple per arrival: the gap before it, its key and its coin, with
+    both arguments checked as :func:`expovariate_draws` and
+    :func:`below_draws` check them. It repeats their two formulas inline,
+    so an arrival costs one ``next()``; ``tests/test_utils_draws.py`` pins
+    the triples against the methods.
+    """
+    if math.isnan(lambd) or lambd == 0:
+        raise ValueError(f"arrival_draws needs a non-zero rate, got {lambd!r}")
+    n = operator.index(n)
+    if n < 1:
+        raise ValueError(f"arrival_draws needs n >= 1, got {n}")
+    return _arrival_triples(rng.random, rng.getrandbits, lambd, n, n.bit_length())
+
+
+def _arrival_triples(
+    draw: Callable[[], float], getrandbits: Callable[[int], int], lambd: float, n: int, k: int
+) -> Iterator[Tuple[float, int, float]]:
+    log = math.log
+    while True:
+        gap = -log(1.0 - draw()) / lambd
+        key = getrandbits(k)
+        while key >= n:
+            key = getrandbits(k)
+        yield gap, key, draw()

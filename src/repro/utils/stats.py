@@ -85,6 +85,3 @@ class Accumulator:
     @property
     def total(self) -> float:
         return self.mean * self.count
-
-    def as_list(self) -> List[float]:
-        return [self.count, self.mean, self.stddev, self.minimum, self.maximum]

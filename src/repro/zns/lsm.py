@@ -10,6 +10,13 @@ of an overfull level into the next one (k <= 4 victims, matching the
 Runs own their zones exclusively: a run is a list of *segments*
 ``(zone_id, first_lba, pages)``, one zone per segment, so retiring a run
 retires whole zones — zone reset replaces page-level GC.
+
+No record list is copied on the way down. A full memtable is handed over
+as it is: the tree keeps it among its *flushing* memtables, still
+readable as a memtable (as RocksDB keeps its immutable memtables), and
+the flushed run takes the same dict as its key -> seq map. A compaction's
+merged dict becomes the new run's map the same way. A run's ``keys`` are
+``sorted()`` over the dict's int keys.
 """
 
 from __future__ import annotations
@@ -53,9 +60,6 @@ class SortedRun:
     @property
     def records(self) -> int:
         return len(self.keys)
-
-    def __contains__(self, key: int) -> bool:
-        return key in self.seqs
 
     def lba_for_key(self, key: int) -> int:
         """The LBA of the page holding ``key`` (key must be present)."""
@@ -105,6 +109,8 @@ class LsmTree:
         self.compaction_runs = compaction_runs
         self.records_per_page = records_per_page
         self.memtable: Dict[int, int] = {}
+        #: Full memtables whose flush has not yet added their run to L0.
+        self.flushing: List[Dict[int, int]] = []
         #: levels[i] ordered oldest-first; lookups scan newest-first.
         self.levels: List[List[SortedRun]] = [[] for _ in range(max_levels)]
         self._next_run_id = 0
@@ -118,21 +124,21 @@ class LsmTree:
         self.memtable[key] = seq
         return len(self.memtable) >= self.memtable_records
 
-    def take_memtable(self) -> List[Tuple[int, int]]:
-        """Swap in a fresh memtable; returns sorted (key, seq) entries."""
-        entries = sorted(self.memtable.items())
+    def take_memtable(self) -> Dict[int, int]:
+        """Swap in a fresh memtable; the full one is returned and stays
+        readable among the flushing memtables until its run is added."""
+        memtable = self.memtable
+        self.flushing.append(memtable)
         self.memtable = {}
-        return entries
+        return memtable
 
-    def new_run(self, level: int, entries: Iterable[Tuple[int, int]]) -> SortedRun:
-        """Build a run from sorted, unique-key (key, seq) entries (segments
+    def new_run(self, level: int, seqs: Dict[int, int]) -> SortedRun:
+        """Build a run over a key -> seq map, which it takes over (segments
         added later)."""
-        seqs = dict(entries)
-        keys = list(seqs)
         run = SortedRun(
             run_id=self._next_run_id,
             level=level,
-            keys=keys,
+            keys=sorted(seqs),
             seqs=seqs,
             records_per_page=self.records_per_page,
         )
@@ -140,20 +146,34 @@ class LsmTree:
         return run
 
     def add_run(self, run: SortedRun, level: int = 0) -> None:
+        """Place a run at ``level``; at L0 it is a flush, and the memtable it
+        was built from (if any) stops being a flushing memtable."""
         run.level = level
         self.levels[level].append(run)
         if level == 0:
             self.flushes += 1
+            flushing = self.flushing
+            for index, seqs in enumerate(flushing):
+                if seqs is run.seqs:
+                    del flushing[index]
+                    break
 
     # -- read path ---------------------------------------------------------------
 
     def locate(self, key: int) -> Tuple[str, Optional[SortedRun]]:
-        """('memtable'|'run'|'miss', run) — newest version wins."""
+        """('memtable'|'run'|'miss', run) — newest version wins.
+
+        The memtable and the flushing memtables answer first; then the
+        newest run holding the key, L0 first.
+        """
         if key in self.memtable:
             return "memtable", None
+        for seqs in self.flushing:
+            if key in seqs:
+                return "memtable", None
         for level in self.levels:
             for run in reversed(level):  # newest runs searched first
-                if key in run:
+                if key in run.seqs:
                     return "run", run
         return "miss", None
 
@@ -174,12 +194,13 @@ class LsmTree:
         return None
 
     @staticmethod
-    def merge_entries(victims: Iterable[SortedRun]) -> List[Tuple[int, int]]:
-        """Merge victim runs newest-wins; victims must be oldest-first."""
+    def merge_entries(victims: Iterable[SortedRun]) -> Dict[int, int]:
+        """Merge victim runs newest-wins into one key -> seq map; victims
+        must be oldest-first."""
         merged: Dict[int, int] = {}
         for run in victims:  # later (newer) runs overwrite earlier ones
             merged.update(run.seqs)
-        return sorted(merged.items())
+        return merged
 
     def apply_compaction(self, pick: CompactionPick, new_run: SortedRun) -> None:
         """Swap victims for the merged run (which is newest at its level)."""

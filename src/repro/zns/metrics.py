@@ -81,7 +81,13 @@ class ZnsReport:
     # -- identity -----------------------------------------------------------------
 
     def fingerprint(self) -> Tuple:
-        """The run's observable behaviour as one value tuple."""
+        """The run's observable behaviour as one value tuple.
+
+        ``sim_events`` is left out: it counts the simulator's own
+        dispatches, an implementation figure, not a modelled output. The
+        report, :meth:`to_dict` and :meth:`render` still carry it, and
+        same-seed checks compare it beside the fingerprint.
+        """
         return (
             self.policy,
             self.seed,
@@ -107,7 +113,6 @@ class ZnsReport:
             self.wear_total,
             tuple(self.levels_runs),
             self.live_records,
-            self.sim_events,
             round(self.horizon_ns, 3),
         )
 

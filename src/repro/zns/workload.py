@@ -5,7 +5,9 @@ Everything shares a single :class:`~repro.sim.Simulator` and one zoned
 
 * *tenants* issue puts (memtable inserts) and gets (spawned as their own
   processes, so a slow read never stalls the issue loop) at seeded
-  exponential interarrivals;
+  exponential interarrivals. One *arrival driver* merges their streams:
+  it holds puts back until something can observe them and wakes only at
+  a get or at a put that fills the memtable (see :meth:`ZnsCampaign._arrivals`);
 * a *flush* process turns each ripe memtable into a sorted L0 run written
   through ``ZoneAppendCommand``s;
 * a *compaction manager* polls the tree and runs leveled compactions either
@@ -25,7 +27,7 @@ from __future__ import annotations
 import heapq
 import math
 import random
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 from repro.analytics.cost import StaticCostSource
 from repro.errors import ZnsError
@@ -33,7 +35,7 @@ from repro.ftl.zoned import ZoneState
 from repro.sim import Simulator, as_ns
 from repro.ssd.device import ComputationalSSD
 from repro.ssd.host_interface import ReadCommand, ScompCommand, ZoneAppendCommand, ZoneResetCommand
-from repro.utils.draws import below_draws, expovariate_draws
+from repro.utils.draws import arrival_draws
 from repro.zns.config import ZnsConfig
 from repro.zns.firmware import ZnsFirmware
 from repro.zns.lsm import RECORD_BYTES, CompactionPick, LsmTree, Segment, SortedRun
@@ -73,10 +75,13 @@ class ZnsCampaign:
             (zid % blocks, zid // blocks, zid) for zid in range(self.ftl.num_zones)
         ]
         heapq.heapify(self._free_zones)
-        #: Memtable snapshots currently being flushed (still readable).
-        self._flushing: List[Dict[int, int]] = []
         self._compacting = False
+        #: Puts made so far; each put's seq is its number.
         self._seq = 0
+        #: Puts the arrival driver holds until it next wakes (key -> seq).
+        self._pending: Dict[int, int] = {}
+        #: Spawns that come after this instant's compaction-manager tick.
+        self._after_tick: List[Tuple[object, str]] = []
         self._probe_ns = as_ns(config.probe_ns)
         #: Device rates sampled from the simulator itself (merge kernel).
         self.cost = StaticCostSource.calibrate(self.device, kernels=("merge",))
@@ -142,45 +147,123 @@ class ZnsCampaign:
 
     # -- foreground --------------------------------------------------------------
 
-    def _tenant(self, index: int):
-        """Open-loop arrivals: a gap, a key, then the put/get coin.
+    def _arrivals(self):
+        """The arrival driver: every tenant's open-loop stream, merged.
 
-        The draws come from streams over the tenant's own generator, in the
-        order ``expovariate``, ``randrange``, ``random`` would make them, and
-        each gap is yielded as a bare int of at least 1 ns. A put goes
-        straight into the memtable; a get runs as its own process.
+        Each tenant draws from its own generator, per arrival a gap, a key
+        and then the put/get coin (one :func:`arrival_draws` triple); the
+        gap is ``max(1, round(gap))`` ns. The streams merge in the order of
+        a bucket of per-tenant processes: by instant, then by the order of
+        the pushes that scheduled them. The compaction manager's ticks
+        (every ``as_ns(compaction_check_ns)`` from t = 0, spawned after the
+        tenants) take part in that order, as its pushes count too.
+
+        Only a get's lookup and a memtable-filling put observe a put, so a
+        put that neither fills the memtable nor shares an instant with a
+        get is held in ``_pending``. The driver runs as a generator that
+        yields once per wake, and wakes, through a priority -1 event, only
+        at the instant of a get or of a filling put, ahead of every other
+        entry of that instant. There it applies the held puts and then
+        handles each arrival of the instant in order: a put goes into the
+        memtable, a full memtable is taken and its flush spawned, a get is
+        spawned. A spawn that comes after the manager's tick at that
+        instant goes to ``_after_tick``; the manager spawns it after its
+        own compaction. Puts held when the stream passes the horizon are
+        applied by :meth:`run` once the simulator stops.
         """
         cfg = self.cfg
-        rng = random.Random((cfg.seed + 1) * 1_000_003 + index * 7_919)
-        next_gap = expovariate_draws(rng, 1.0 / cfg.mean_interarrival_ns).__next__
-        next_key = below_draws(rng, cfg.key_space).__next__
-        coin = rng.random
-        put_fraction = cfg.put_fraction
-        label = f"get-{index}"
         lsm = self.lsm
-        report = self.report
+        pending = self._pending
+        after_tick = self._after_tick
         spawn = self.sim.spawn
+        schedule_at = self.sim.schedule_at
         get = self._get
+        flush = self._flush
+        wake = self._wake
+        heapreplace = heapq.heapreplace
+        horizon = as_ns(cfg.duration_ns)
+        check = as_ns(cfg.compaction_check_ns)
+        capacity = lsm.memtable_records
+        put_fraction = cfg.put_fraction
+        tenants = range(cfg.num_tenants)
+        labels = [f"get-{index}" for index in tenants]
+        draws = [
+            arrival_draws(
+                random.Random((cfg.seed + 1) * 1_000_003 + index * 7_919),
+                1.0 / cfg.mean_interarrival_ns,
+                cfg.key_space,
+            ).__next__
+            for index in tenants
+        ]
+        # Entries are (instant, push order, tenant, key, is_put); the
+        # manager's ticks are tenant -1. At t = 0 the tenants push first.
+        heap = []
+        for index in tenants:
+            gap, key, coin = draws[index]()
+            gap = round(gap)
+            heap.append((gap if gap > 1 else 1, index, index, key, coin < put_fraction))
+        order = len(heap)
+        heap.append((check, order, -1, 0, False))
+        order += 1
+        heapq.heapify(heap)
+        seq = self._seq
+        memtable = lsm.memtable
+        #: The memtable's size once the held puts are applied.
+        size = len(memtable)
+        tick = awake = -1
         while True:
-            gap = round(next_gap())
-            yield gap if gap > 1 else 1
-            key = next_key()
-            if coin() < put_fraction:
-                self._seq += 1
-                report.puts += 1
-                if lsm.put(key, self._seq):
-                    entries = lsm.take_memtable()
-                    snapshot = dict(entries)
-                    self._flushing.append(snapshot)
-                    spawn(self._flush(entries, snapshot), "flush")
+            at, _, who, key, put = heap[0]
+            if at > horizon:
+                self._seq = self.report.puts = seq
+                return
+            if who < 0:
+                tick = at
+                heapreplace(heap, (at + check, order, -1, 0, False))
+                order += 1
+                continue
+            if at == awake:
+                # An arrival at the instant the driver is awake at.
+                process = None
+                if not put:
+                    process = (get(key), labels[who])
+                else:
+                    seq += 1
+                    if lsm.put(key, seq):
+                        process = (flush(lsm.take_memtable()), "flush")
+                        memtable = lsm.memtable
+                if process is not None:
+                    if tick == at:
+                        after_tick.append(process)
+                    else:
+                        spawn(*process)
+                size = len(memtable)
             else:
-                spawn(get(key), label)
+                fresh = put and key not in pending and key not in memtable
+                if not put or fresh and size + 1 >= capacity:
+                    # A get, or a put that fills the memtable by the rule
+                    # of LsmTree.put: wake at its instant.
+                    schedule_at(at, wake, "arrivals", -1)
+                    yield
+                    memtable.update(pending)
+                    pending.clear()
+                    awake = at
+                    continue
+                size += fresh
+                seq += 1
+                pending[key] = seq
+            gap, key, coin = draws[who]()
+            gap = round(gap)
+            heapreplace(heap, (at + (gap if gap > 1 else 1), order, who, key, coin < put_fraction))
+            order += 1
+
+    def _wake(self) -> None:
+        next(self._driver, None)
 
     def _get(self, key: int):
         start = self.sim.now
         self.report.gets += 1
         kind, run = self.lsm.locate(key)
-        if kind == "memtable" or any(key in snap for snap in self._flushing):
+        if kind == "memtable":
             self.report.get_memtable_hits += 1
             yield self._probe_ns
             self.report.get_latencies_ns.append(self.sim.now - start)
@@ -200,22 +283,25 @@ class ZnsCampaign:
 
     # -- background --------------------------------------------------------------
 
-    def _flush(self, entries, snapshot) -> None:
-        run = self.lsm.new_run(0, entries)
+    def _flush(self, memtable: Dict[int, int]):
+        run = self.lsm.new_run(0, memtable)
         yield from self._append_run(run, from_host=True)
         self.lsm.add_run(run, 0)
-        self._flushing.remove(snapshot)
         self.report.flush_pages += run.pages
 
     def _compaction_manager(self):
+        after_tick = self._after_tick
         while True:
             yield self.sim.wait(self.cfg.compaction_check_ns)
-            if self._compacting:
-                continue
-            pick = self.lsm.pick_compaction()
-            if pick is not None:
-                self._compacting = True
-                self.sim.spawn(self._compact(pick), label="compaction")
+            if not self._compacting:
+                pick = self.lsm.pick_compaction()
+                if pick is not None:
+                    self._compacting = True
+                    self.sim.spawn(self._compact(pick), label="compaction")
+            # Arrivals ordered after this tick spawn after its compaction.
+            for process in after_tick:
+                self.sim.spawn(*process)
+            after_tick.clear()
 
     def _padded_pages(self, pick: CompactionPick) -> int:
         """Merge-kernel contract: equal-length runs, >=1 trailing sentinel."""
@@ -297,10 +383,16 @@ class ZnsCampaign:
     # -- entry point -------------------------------------------------------------
 
     def run(self) -> ZnsReport:
-        for index in range(self.cfg.num_tenants):
-            self.sim.spawn(self._tenant(index), label=f"tenant-{index}")
+        self._driver = self._arrivals()
+        self._wake()
         self.sim.spawn(self._compaction_manager(), label="compaction-manager")
         self.sim.run(until_ns=self.cfg.duration_ns)
+        # The puts held when the stream passed the horizon.
+        self.lsm.memtable.update(self._pending)
+        self._pending.clear()
+        return self._report()
+
+    def _report(self) -> ZnsReport:
         report = self.report
         report.flushes = self.lsm.flushes
         report.compactions = self.lsm.compactions

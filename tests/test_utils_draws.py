@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.utils.draws import below_draws, expovariate_draws
+from repro.utils.draws import arrival_draws, below_draws, expovariate_draws
 
 SEEDS = (0, 1, 7, 2**40 + 3)
 SIZES = (1, 2, 3, 7, 8, 9, 25, 900, 20_000, 2**31, 2**31 + 1, 10**18)
@@ -89,6 +89,22 @@ def test_streams_on_one_generator_interleave_like_the_methods(seed):
     assert rng.getstate() == twin.getstate()
 
 
+@pytest.mark.parametrize("lambd, n", [(1.0 / 400.0, 20_000), (1.0, 1), (2.5, 300),
+                                      (-3.0, 2**31 + 1), (math.inf, 7)])
+@pytest.mark.parametrize("seed", SEEDS)
+def test_arrival_draws_are_expovariate_randrange_random(seed, lambd, n):
+    rng, twin = _twins(seed)
+    stream = arrival_draws(rng, lambd, n)
+    for i in range(DRAWS):
+        gap, key, coin = next(stream)
+        assert gap.hex() == twin.expovariate(lambd).hex()
+        assert key == twin.randrange(n)
+        assert coin == twin.random()
+        if i % 5 == 4:
+            assert rng.getrandbits(9) == twin.getrandbits(9)
+    assert rng.getstate() == twin.getstate()
+
+
 #: One step of an interleaving: a stream draw or a direct generator call.
 _STEPS = st.one_of(
     st.tuples(st.just("below"), st.sampled_from(SIZES)),
@@ -158,8 +174,22 @@ def test_expovariate_draws_rejects_bad_rate_at_the_call(lambd, error):
     assert rng.getstate() == state
 
 
+@pytest.mark.parametrize(
+    "lambd, n, error",
+    [(0.0, 10, ValueError), (math.nan, 10, ValueError), (None, 10, TypeError),
+     (1.0, 0, ValueError), (1.0, 2.0, TypeError), (1.0, None, TypeError)],
+)
+def test_arrival_draws_rejects_bad_arguments_at_the_call(lambd, n, error):
+    rng = random.Random(1)
+    state = rng.getstate()
+    with pytest.raises(error):
+        arrival_draws(rng, lambd, n)
+    assert rng.getstate() == state
+
+
 def test_constructing_a_stream_draws_nothing():
     rng, twin = _twins(3)
     below_draws(rng, 10)
     expovariate_draws(rng, 2.0)
+    arrival_draws(rng, 2.0, 10)
     assert rng.getstate() == twin.getstate()

@@ -73,9 +73,15 @@ def test_lsm_flush_locate_and_newest_wins_merge():
     for key, seq in [(3, 1), (1, 2), (7, 3)]:
         assert not tree.put(key, seq)
     assert tree.put(5, 4)  # memtable ripe
-    older = tree.new_run(0, tree.take_memtable())
+    full = tree.take_memtable()
+    assert tree.memtable == {} and tree.flushing == [full]
+    assert tree.locate(7) == ("memtable", None)  # still readable while flushing
+    older = tree.new_run(0, full)
+    assert older.seqs is full and older.keys == [1, 3, 5, 7]  # taken over, not copied
     tree.add_run(older, 0)
-    newer = tree.new_run(0, [(1, 5), (9, 6)])  # overwrites key 1
+    assert tree.flushing == []
+    assert tree.locate(7) == ("run", older)
+    newer = tree.new_run(0, {9: 6, 1: 5})  # overwrites key 1
     tree.add_run(newer, 0)
 
     kind, found = tree.locate(1)
@@ -86,8 +92,9 @@ def test_lsm_flush_locate_and_newest_wins_merge():
     assert pick is not None and pick.level == 0 and pick.target == 1
     assert pick.victims == (older, newer)  # oldest first
     merged = tree.merge_entries(pick.victims)
-    assert merged == [(1, 5), (3, 1), (5, 4), (7, 3), (9, 6)]
+    assert sorted(merged.items()) == [(1, 5), (3, 1), (5, 4), (7, 3), (9, 6)]
     new_run = tree.new_run(1, merged)
+    assert new_run.keys == [1, 3, 5, 7, 9]
     tree.apply_compaction(pick, new_run)
     assert tree.levels[0] == [] and tree.levels[1] == [new_run]
     assert tree.locate(1) == ("run", new_run)
@@ -112,7 +119,10 @@ def test_campaign_report_is_coherent():
 
 
 def test_same_seed_campaigns_are_byte_identical():
-    assert _run("auto").fingerprint_hex() == _run("auto").fingerprint_hex()
+    first, second = _run("auto"), _run("auto")
+    assert first.fingerprint_hex() == second.fingerprint_hex()
+    # The event count is not in the fingerprint; same-seed runs match it too.
+    assert first.sim_events == second.sim_events
 
 
 def test_device_side_compaction_spares_the_host_link():
