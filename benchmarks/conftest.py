@@ -4,13 +4,20 @@ Heavy simulations run once per session and are shared by the figures that
 the paper derives from the same experiment (16/17/18 share the scaling run;
 21 feeds 22). Every benchmark uses ``benchmark.pedantic(..., rounds=1)``:
 these are reproduction drivers, not micro-benchmarks.
+
+``REPRO_SMOKE=1`` shrinks the campaign benchmarks (faults, fleet, zns,
+sql, dse) to seconds-long CI smoke runs with the same assertions; they
+read it as ``SMOKE`` from here.
 """
 
 import json
+import os
 
 import pytest
 
 from repro.experiments import fig13, fig14, fig15, fig16, fig19, fig21
+
+SMOKE = bool(os.environ.get("REPRO_SMOKE"))
 
 
 @pytest.fixture(scope="session")

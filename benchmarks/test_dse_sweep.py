@@ -15,20 +15,16 @@ Determinism rides along: the same spec must produce a byte-identical JSON
 report twice in-process (CI additionally double-runs the CLI and ``cmp``s
 the artifacts).
 
-Set ``DSE_SMOKE=1`` to shrink the sample windows for a seconds-long CI
+Set ``REPRO_SMOKE=1`` to shrink the sample windows for a seconds-long CI
 smoke run (the grid shape is kept: all 12 points still evaluate).
 """
 
-import os
 import time
 
-import pytest
-
-from conftest import emit_bench, run_once
+from conftest import SMOKE, emit_bench, run_once
 
 from repro.dse import SweepSpec, report_json, run_sweep
 
-SMOKE = bool(os.environ.get("DSE_SMOKE"))
 SAMPLE_BYTES = (8 if SMOKE else 16) * 1024
 DATA_BYTES = 8 << 20
 SEED = 7
@@ -46,7 +42,6 @@ SPEC = SweepSpec(
 )
 
 
-@pytest.mark.dse
 def test_dse_sweep_meets_floors(benchmark):
     start = time.perf_counter()
     result = run_once(benchmark, run_sweep, SPEC)
@@ -85,7 +80,6 @@ def test_dse_sweep_meets_floors(benchmark):
     )
 
 
-@pytest.mark.dse
 def test_dse_report_deterministic(benchmark):
     first = run_once(benchmark, lambda: report_json(run_sweep(SPEC)))
     second = report_json(run_sweep(SPEC))

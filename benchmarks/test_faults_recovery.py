@@ -16,23 +16,20 @@ ships against:
 
 The campaign emits ``BENCH_faults.json`` (commands/sec simulated, sim
 events/sec of wall time) with conservative regression floors so the
-faults-smoke CI job catches a simulator-throughput collapse.
+smoke CI job catches a simulator-throughput collapse.
 
-Set ``FAULTS_SMOKE=1`` to shrink the campaign to a seconds-long CI smoke
+Set ``REPRO_SMOKE=1`` to shrink the campaign to a seconds-long CI smoke
 run (fewer pages, shorter horizon, same assertions).
 """
 
-import os
 import time
 
-import pytest
-from conftest import emit_bench, run_once
+from conftest import SMOKE, emit_bench, run_once
 
 from repro.config import FaultConfig, ServeConfig, assasin_sb_config
-from repro.faults import clean_baseline, run_campaign
-from repro.serve import TenantSpec
+from repro.faults import FaultCampaign
+from repro.serve import TenantSpec, simulate_serve
 
-SMOKE = bool(os.environ.get("FAULTS_SMOKE"))
 DURATION_NS = 200_000.0 if SMOKE else 1_500_000.0
 REGION_PAGES = 64 if SMOKE else 256
 SEED = 11
@@ -71,18 +68,16 @@ def _tenants():
 
 
 def _run_pair():
-    campaign = run_campaign(
+    campaign = FaultCampaign(
         assasin_sb_config(), FAULTS, tenants=_tenants(),
         serve_config=SERVE, duration_ns=DURATION_NS, seed=SEED,
-    )
-    clean = clean_baseline(
-        assasin_sb_config(), tenants=_tenants(),
-        serve_config=SERVE, duration_ns=DURATION_NS, seed=SEED,
+    ).run()
+    clean = simulate_serve(
+        assasin_sb_config(), _tenants(), SERVE, duration_ns=DURATION_NS, seed=SEED,
     )
     return campaign, clean
 
 
-@pytest.mark.faults
 def test_recovery_keeps_serving_under_faults(benchmark):
     wall_start = time.perf_counter()
     campaign, clean = run_once(benchmark, _run_pair)
@@ -165,17 +160,16 @@ def _emit_bench(campaign, clean, wall_seconds):
     )
 
 
-@pytest.mark.faults
 def test_campaign_fingerprint_is_reproducible(benchmark):
     first = run_once(
         benchmark,
-        lambda: run_campaign(
+        lambda: FaultCampaign(
             assasin_sb_config(), FAULTS, tenants=_tenants(),
             serve_config=SERVE, duration_ns=DURATION_NS, seed=SEED,
-        ),
+        ).run(),
     )
-    second = run_campaign(
+    second = FaultCampaign(
         assasin_sb_config(), FAULTS, tenants=_tenants(),
         serve_config=SERVE, duration_ns=DURATION_NS, seed=SEED,
-    )
+    ).run()
     assert first.fingerprint() == second.fingerprint()

@@ -18,21 +18,18 @@ The run also emits ``BENCH_fleet.json`` (fleet commands/sec simulated,
 simulation events/sec wall) with conservative floors so CI catches a
 collapse in simulator throughput.
 
-Set ``FLEET_SMOKE=1`` to shrink the horizon for a seconds-long CI run
+Set ``REPRO_SMOKE=1`` to shrink the horizon for a seconds-long CI run
 (same assertions).
 """
 
-import os
 import time
 
-import pytest
-from conftest import emit_bench, run_once
+from conftest import SMOKE, emit_bench, run_once
 
 from repro.config import assasin_sb_config
-from repro.fleet import FleetConfig, simulate_fleet
+from repro.fleet import FleetCampaign, FleetConfig
 from repro.serve import TenantSpec
 
-SMOKE = bool(os.environ.get("FLEET_SMOKE"))
 DURATION_NS = 2_000_000.0 if SMOKE else 4_000_000.0
 SEED = 11
 DEVICES = 8
@@ -74,10 +71,10 @@ def _campaign(hedging, slow, kill=False):
         kill_device=(2 if kill else -1),
         kill_at_ns=(DURATION_NS / 2 if kill else 0.0),
     )
-    return simulate_fleet(
+    return FleetCampaign(
         assasin_sb_config(), cfg, tenants=_tenants(),
         duration_ns=DURATION_NS, seed=SEED, verify_integrity=kill,
-    )
+    ).run()
 
 
 def _run_trio():
@@ -87,7 +84,6 @@ def _run_trio():
     return baseline, slow_unhedged, slow_hedged
 
 
-@pytest.mark.fleet
 def test_hedging_recovers_tail_inflation(benchmark):
     wall_start = time.perf_counter()
     baseline, unhedged, hedged = run_once(benchmark, _run_trio)
@@ -123,7 +119,6 @@ def test_hedging_recovers_tail_inflation(benchmark):
     _emit_bench(hedged, (baseline, unhedged, hedged), wall)
 
 
-@pytest.mark.fleet
 def test_device_loss_reconstructs_from_peers(benchmark):
     report = run_once(benchmark, lambda: _campaign(hedging=True, slow=False, kill=True))
     print(f"\n--- killed device ---\n{report.render()}")
@@ -138,7 +133,6 @@ def test_device_loss_reconstructs_from_peers(benchmark):
     assert report.recovery_goodput_gbps > 0
 
 
-@pytest.mark.fleet
 def test_fleet_fingerprint_is_reproducible(benchmark):
     first = run_once(benchmark, lambda: _campaign(hedging=True, slow=True))
     second = _campaign(hedging=True, slow=True)

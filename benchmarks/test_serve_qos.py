@@ -9,7 +9,7 @@ a multi-tenant computational SSD needs to honour latency SLOs.
 
 The policy comparison emits ``BENCH_serve.json`` (commands/sec simulated,
 sim events/sec of wall time) with conservative regression floors so the
-serve-smoke CI job catches a simulator-throughput collapse.
+smoke CI job catches a simulator-throughput collapse.
 """
 
 import time

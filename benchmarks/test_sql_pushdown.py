@@ -21,25 +21,22 @@ is never allowed to change answers. The run emits ``BENCH_sql.json``
 conservative floors so CI catches a regression in the optimiser, not just
 a crash.
 
-Set ``SQL_SMOKE=1`` to shrink the traffic horizon for a faster CI run
+Set ``REPRO_SMOKE=1`` to shrink the traffic horizon for a faster CI run
 (same query mix, same assertions, same floors).
 """
 
 import dataclasses
 import hashlib
 import json
-import os
 import time
 
-import pytest
-from conftest import run_once
+from conftest import SMOKE, run_once
 
 from repro.config import ServeConfig, assasin_sb_config
 from repro.serve import TenantSpec
 from repro.sql.session import SqlSession
 from repro.sql.tpch import TPCH_SQL
 
-SMOKE = bool(os.environ.get("SQL_SMOKE"))
 SEED = 11
 SCALE_FACTOR = 0.004
 # Smoke halves the background-traffic horizon; the serial query chain
@@ -124,7 +121,6 @@ def _ratio(results):
     return best_static / results["auto"]["total_latency_ns"]
 
 
-@pytest.mark.sql
 def test_live_optimiser_beats_both_static_policies(benchmark):
     wall_start = time.perf_counter()
     runs = run_once(
@@ -206,7 +202,6 @@ def _emit_bench(runs, wall_seconds):
     assert qps_simulated >= MIN_QUERIES_PER_SEC_SIMULATED
 
 
-@pytest.mark.sql
 def test_same_seed_benchmark_runs_are_bit_identical(benchmark):
     first = run_once(benchmark, lambda: _run_policy("auto", "contention"))
     second = _run_policy("auto", "contention")

@@ -24,24 +24,21 @@ arrival driver holds puts back and wakes only at gets and memtable-filling
 puts, so an arrival costs about 0.3 events, and an events floor would
 move with that ratio rather than with speed.
 
-Set ``ZNS_SMOKE=1`` to halve the horizon for CI (same assertions).
+Set ``REPRO_SMOKE=1`` to halve the horizon for CI (same assertions).
 """
 
-import os
 import time
 
-import pytest
-from conftest import emit_bench, run_once
+from conftest import SMOKE, emit_bench, run_once
 
-from repro.zns import ZnsConfig, run_zns
+from repro.zns import ZnsCampaign, ZnsConfig
 
-SMOKE = bool(os.environ.get("ZNS_SMOKE"))
 DURATION_NS = 4_000_000.0 if SMOKE else 8_000_000.0
 SEED = 7
 
 # Conservative floors for BENCH_zns.json — tuned to catch a collapse, not a
 # wobble (observed: ~10 Mops/s simulated; 197k-273k arrivals/s wall under
-# ZNS_SMOKE=1 on a 2-vCPU host, so the wall floor is about a quarter of it,
+# REPRO_SMOKE=1 on a 2-vCPU host, so the wall floor is about a quarter of it,
 # and above the ~42k arrivals/s that the old 50k events/s floor allowed at
 # ~1.2 events per arrival).
 MIN_OPS_PER_SEC_SIMULATED = 1_000_000.0
@@ -53,16 +50,15 @@ MIN_P99_RATIO = 1.05
 
 
 def _run_policy(policy):
-    return run_zns(
+    return ZnsCampaign(
         ZnsConfig(seed=SEED, duration_ns=DURATION_NS, compaction=policy)
-    )
+    ).run()
 
 
 def _run_all():
     return {policy: _run_policy(policy) for policy in ("host", "device", "auto")}
 
 
-@pytest.mark.zns
 def test_device_compaction_cuts_link_bytes_and_tail(benchmark):
     wall_start = time.perf_counter()
     runs = run_once(benchmark, _run_all)
@@ -124,7 +120,6 @@ def _emit_bench(runs, cut, p99_ratio, wall_seconds):
     )
 
 
-@pytest.mark.zns
 def test_same_seed_runs_are_byte_identical(benchmark):
     first = run_once(benchmark, lambda: _run_policy("device"))
     second = _run_policy("device")

@@ -105,6 +105,15 @@ def _add_workload_args(
         parser.add_argument("--seed", type=int, default=seed)
 
 
+def _report_tail(report, notes=()) -> int:
+    """The campaign commands' one tail: the report, any notes after it,
+    then 0 if the report is healthy, else 1."""
+    print(report.render())
+    for note in notes:
+        print(note)
+    return 0 if report.healthy else 1
+
+
 def _cmd_serve(args) -> int:
     from repro.config import ServeConfig, named_config
     from repro.serve import default_tenants, simulate_serve
@@ -123,16 +132,16 @@ def _cmd_serve(args) -> int:
         duration_ns=args.duration_us * 1e3,
         seed=args.seed,
     )
-    print(report.render())
-    return 0
+    return _report_tail(report)
 
 
 def _cmd_faults(args) -> int:
     from repro.config import FaultConfig, ServeConfig, named_config
-    from repro.faults import clean_baseline, run_campaign
+    from repro.faults import FaultCampaign, default_fault_tenants
+    from repro.serve import simulate_serve
 
     config = named_config(args.config)
-    tenants = _parse_tenants(args.tenants) if args.tenants else None
+    tenants = _parse_tenants(args.tenants) if args.tenants else default_fault_tenants()
     fault_config = FaultConfig(
         seed=args.seed,
         page_error_rate=args.page_error_rate,
@@ -147,41 +156,40 @@ def _cmd_faults(args) -> int:
         command_timeout_ns=args.timeout_us * 1e3,
         max_command_retries=args.cmd_retries,
     )
-    report = run_campaign(
+    report = FaultCampaign(
         config,
         fault_config,
         tenants=tenants,
         serve_config=serve_config,
         duration_ns=args.duration_us * 1e3,
         seed=args.seed,
-    )
-    print(report.render())
+    ).run()
+    notes = []
     if args.baseline:
-        clean = clean_baseline(
+        clean = simulate_serve(
             config,
-            tenants=tenants,
-            serve_config=serve_config,
+            tenants,
+            serve_config,
             duration_ns=args.duration_us * 1e3,
             seed=args.seed,
         )
-        print()
-        print("vs clean baseline:")
+        notes = ["", "vs clean baseline:"]
         for name, t in clean.tenants.items():
             faulty = report.serve.tenants[name]
-            print(
+            notes.append(
                 f"  {name:<10} p99 {t.p99_latency_ns / 1e3:8.1f} -> "
                 f"{faulty.p99_latency_ns / 1e3:8.1f} us"
             )
-        print(
+        notes.append(
             f"  goodput    {clean.goodput_gbps:.2f} -> "
             f"{report.serve.goodput_gbps:.2f} GB/s"
         )
-    return 0 if report.healthy else 1
+    return _report_tail(report, notes)
 
 
 def _cmd_fleet(args) -> int:
     from repro.config import named_config
-    from repro.fleet import FleetConfig, simulate_fleet
+    from repro.fleet import FleetCampaign, FleetConfig
 
     tenants = _parse_tenants(args.tenants) if args.tenants else None
     fleet_config = FleetConfig(
@@ -197,20 +205,18 @@ def _cmd_fleet(args) -> int:
         kill_device=args.kill_device,
         kill_at_ns=args.kill_at_us * 1e3,
     )
-    report = simulate_fleet(
+    report = FleetCampaign(
         named_config(args.config),
         fleet_config,
         tenants=tenants,
         duration_ns=args.duration_us * 1e3,
         seed=args.seed,
-    )
-    print(report.render())
-    healthy = report.integrity_pages_bad == 0 and report.corruption_events == 0
-    return 0 if healthy else 1
+    ).run()
+    return _report_tail(report)
 
 
 def _cmd_zns(args) -> int:
-    from repro.zns import ZnsConfig, run_zns
+    from repro.zns import ZnsCampaign, ZnsConfig
 
     config = ZnsConfig(
         seed=args.seed,
@@ -221,9 +227,7 @@ def _cmd_zns(args) -> int:
         max_open_zones=args.max_open_zones,
         compaction=args.policy,
     )
-    report = run_zns(config)
-    print(report.render())
-    return 0
+    return _report_tail(ZnsCampaign(config).run())
 
 
 def _cmd_dse(args) -> int:

@@ -30,6 +30,29 @@ from repro.errors import ConfigError
 from repro.utils.units import GIB, KIB
 
 
+def check_count(
+    value,
+    name: str,
+    minimum: int = 1,
+    maximum: Optional[int] = None,
+    error: type = ConfigError,
+) -> None:
+    """Raise ``error`` unless ``value`` is an integer in ``minimum..maximum``.
+
+    The campaign configs check every count field here, so a fractional
+    count fails at construction with a typed error instead of a bare
+    ``TypeError`` mid-run, or a run with fractional queue slots.
+    """
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, int)
+        or value < minimum
+        or (maximum is not None and value > maximum)
+    ):
+        bound = f"within {minimum}..{maximum}" if maximum is not None else f">= {minimum}"
+        raise error(f"{name} must be an integer {bound}, got {value!r}")
+
+
 class DataSource(enum.Enum):
     """Where a compute engine sources storage data from (Table IV column 2)."""
 
@@ -348,16 +371,13 @@ class FaultConfig:
                 raise ConfigError(f"{name} must be within [0, 1], got {value}")
         if self.page_error_rate + self.uncorrectable_rate > 1.0:
             raise ConfigError("page_error_rate + uncorrectable_rate cannot exceed 1")
-        if self.noisy_bits <= 0:
-            raise ConfigError("noisy_bits must be positive")
+        check_count(self.noisy_bits, "noisy_bits")
         if self.slow_read_extra_ns < 0:
             raise ConfigError("slow_read_extra_ns cannot be negative")
-        if self.max_read_retries < 0:
-            raise ConfigError("max_read_retries cannot be negative")
+        check_count(self.max_read_retries, "max_read_retries", 0)
         if self.retry_backoff_ns < 0:
             raise ConfigError("retry_backoff_ns cannot be negative")
-        if not 2 <= self.raid_k <= 6:
-            raise ConfigError("raid_k must be within 2..6 (RAID-4 stripe math)")
+        check_count(self.raid_k, "raid_k", 2, 6)  # RAID-4 stripe math
 
 
 #: Arbitration policies understood by the serving layer (``repro.serve``).
@@ -398,16 +418,12 @@ class ServeConfig:
     max_command_retries: int = 1
 
     def __post_init__(self) -> None:
-        if self.queue_depth <= 0:
-            raise ConfigError("serve queue depth must be positive")
-        if self.max_inflight <= 0:
-            raise ConfigError("serve max_inflight must be positive")
-        if self.quantum_pages <= 0:
-            raise ConfigError("serve quantum_pages must be positive")
+        check_count(self.queue_depth, "queue_depth")
+        check_count(self.max_inflight, "max_inflight")
+        check_count(self.quantum_pages, "quantum_pages")
         if self.command_timeout_ns < 0:
             raise ConfigError("command_timeout_ns cannot be negative")
-        if self.max_command_retries < 0:
-            raise ConfigError("max_command_retries cannot be negative")
+        check_count(self.max_command_retries, "max_command_retries", 0)
         if self.arbitration not in ARBITRATION_POLICIES:
             raise ConfigError(
                 f"unknown arbitration policy {self.arbitration!r}; "

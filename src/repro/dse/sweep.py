@@ -218,9 +218,10 @@ def evaluate_point(
     if probe_ns <= 0 and len(spec.arbitrations) > 1:
         probe_ns = 150_000.0
     if probe_ns > 0:
-        from repro.serve import ServeConfig, default_tenants
+        from repro.serve import ServeConfig, default_tenants, simulate_serve
 
-        report = ComputationalSSD(config).serve(
+        report = simulate_serve(
+            config,
             default_tenants(),
             ServeConfig(arbitration=arbitration),
             duration_ns=probe_ns,

@@ -20,10 +20,8 @@ from repro.config import FaultConfig, HardFault
 from repro.faults.campaign import (
     CampaignReport,
     FaultCampaign,
-    clean_baseline,
     default_fault_tenants,
     golden_page,
-    run_campaign,
 )
 from repro.faults.injector import FaultInjector, ReadFault
 from repro.faults.raidmap import PARITY_LPA_BASE, RaidGroupMap
@@ -37,8 +35,6 @@ __all__ = [
     "PARITY_LPA_BASE",
     "FaultCampaign",
     "CampaignReport",
-    "run_campaign",
-    "clean_baseline",
     "default_fault_tenants",
     "golden_page",
 ]

@@ -32,6 +32,7 @@ from repro.config import FaultConfig, ServeConfig, SSDConfig
 from repro.errors import FaultError
 from repro.faults.injector import FaultInjector
 from repro.faults.raidmap import RaidGroupMap
+from repro.report import Report
 from repro.serve.metrics import ServeReport
 from repro.serve.workload import TenantSpec
 
@@ -56,7 +57,7 @@ def golden_page(seed: int, lpa: int, nbytes: int) -> bytes:
 
 
 @dataclass
-class CampaignReport:
+class CampaignReport(Report):
     """Everything one campaign run produced."""
 
     serve: ServeReport
@@ -74,6 +75,10 @@ class CampaignReport:
     @property
     def healthy(self) -> bool:
         return self.corruption_events == 0 and self.integrity_errors == 0
+
+    @property
+    def sim_events(self) -> int:
+        return self.serve.sim_events
 
     def fingerprint(self):
         """Deterministic digest: same seed, same campaign, same tuple."""
@@ -141,6 +146,8 @@ class FaultCampaign:
 
     def _preload(self) -> None:
         """Program golden data + parity at the mapped pages, at time zero."""
+        from repro.fleet.replication import xor_pages
+
         device = self.device
         page_bytes = device.config.flash.page_bytes
         data_lpas: List[int] = []
@@ -155,8 +162,8 @@ class FaultCampaign:
             golden[lpa] = golden_page(self.fault_config.seed, lpa, page_bytes)
             self._program(device.ftl.lookup(lpa), golden[lpa])
         for group in range(len(self.raid_map)):
-            members = [golden[m] for m in self.raid_map.members(group)]
-            parity = self._parity(members)
+            # A remainder group of one page has that page as its parity.
+            parity = xor_pages([golden[m] for m in self.raid_map.members(group)])
             parity_lpa = self.raid_map.parity(group)
             golden[parity_lpa] = parity
             self._program(device.ftl.write(parity_lpa), parity)
@@ -169,14 +176,6 @@ class FaultCampaign:
     def _program(self, ppa, data: bytes) -> None:
         chip = self.device.array.chips[ppa.channel][ppa.chip]
         chip.start_program(ppa.die, ppa.plane, ppa.block, ppa.page, 0.0, data=data)
-
-    @staticmethod
-    def _parity(members: List[bytes]) -> bytes:
-        if len(members) == 1:
-            return members[0]  # remainder group of one: replicate
-        from repro.kernels.raid import Raid4Kernel
-
-        return Raid4Kernel(k=len(members)).reference(members)[0]
 
     # -- run -------------------------------------------------------------------
 
@@ -205,7 +204,7 @@ class FaultCampaign:
             raid_map=self.raid_map,
             golden=self.golden,
         )
-        self.layer.recovery = self.recovery
+        self.layer.service.recovery = self.recovery
         serve_report = self.layer.run(self.duration_ns)
 
         checked = errors = 0
@@ -232,44 +231,3 @@ class FaultCampaign:
                 errors += 1
         return checked, errors
 
-
-def run_campaign(
-    config: SSDConfig,
-    fault_config: FaultConfig,
-    tenants: Optional[Sequence[TenantSpec]] = None,
-    serve_config: Optional[ServeConfig] = None,
-    duration_ns: float = 500_000.0,
-    seed: int = 0,
-    verify_integrity: bool = True,
-    telemetry=None,
-) -> CampaignReport:
-    """One-call entry point: build, run, and report a fault campaign."""
-    return FaultCampaign(
-        config,
-        fault_config,
-        tenants=tenants,
-        serve_config=serve_config,
-        duration_ns=duration_ns,
-        seed=seed,
-        verify_integrity=verify_integrity,
-        telemetry=telemetry,
-    ).run()
-
-
-def clean_baseline(
-    config: SSDConfig,
-    tenants: Optional[Sequence[TenantSpec]] = None,
-    serve_config: Optional[ServeConfig] = None,
-    duration_ns: float = 500_000.0,
-    seed: int = 0,
-) -> ServeReport:
-    """The same serve run with no faults injected (comparison baseline)."""
-    from repro.serve import simulate_serve
-
-    return simulate_serve(
-        config,
-        list(tenants) if tenants is not None else default_fault_tenants(),
-        serve_config,
-        duration_ns=duration_ns,
-        seed=seed,
-    )

@@ -19,8 +19,8 @@ mechanics that only exist above one device:
   :mod:`repro.fleet.metrics`) — seeded end-to-end runs with golden-data
   integrity verification and fleet-wide p99/p99.9 reporting.
 
-:func:`simulate_fleet` is the one-call entry point; the ``python -m repro
-fleet`` CLI wraps it.
+``FleetCampaign(config, fleet_config, ...).run()`` is the one way to run
+a campaign; the ``python -m repro fleet`` CLI wraps it.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from repro.fleet.campaign import (
     FleetCampaign,
     ShardedWorkloadGenerator,
     default_fleet_tenants,
-    simulate_fleet,
 )
 from repro.fleet.config import PLACEMENT_POLICIES, FleetConfig
 from repro.fleet.metrics import DeviceStats, FleetReport
@@ -51,5 +50,4 @@ __all__ = [
     "FleetCampaign",
     "ShardedWorkloadGenerator",
     "default_fleet_tenants",
-    "simulate_fleet",
 ]

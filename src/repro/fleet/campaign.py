@@ -284,10 +284,6 @@ class FleetCampaign:
             config_name=self.config.name,
         )
         report = self.router.run(self.duration_ns)
-        report.device_counters = {
-            index: dict(device.telemetry.counters.snapshot())
-            for index, device in enumerate(self.devices)
-        }
         if self.verify_integrity and self.fleet.kill_device >= 0:
             checked, bad = self._sweep_dead_device()
             report.integrity_pages_checked = checked
@@ -326,21 +322,3 @@ class FleetCampaign:
         chip = device.array.chips[ppa.channel][ppa.chip]
         return chip.read_data(ppa.die, ppa.plane, ppa.block, ppa.page)
 
-
-def simulate_fleet(
-    config: SSDConfig,
-    fleet_config: Optional[FleetConfig] = None,
-    tenants: Optional[Sequence[TenantSpec]] = None,
-    duration_ns: float = 400_000.0,
-    seed: int = 0,
-    verify_integrity: bool = True,
-) -> FleetReport:
-    """One-call entry point: build, run, and report a fleet campaign."""
-    return FleetCampaign(
-        config,
-        fleet_config=fleet_config,
-        tenants=tenants,
-        duration_ns=duration_ns,
-        seed=seed,
-        verify_integrity=verify_integrity,
-    ).run()

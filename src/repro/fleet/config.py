@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from repro.config import FaultConfig
+from repro.config import FaultConfig, check_count
 from repro.errors import ConfigError
 
 #: Placement policies the fleet router understands.
@@ -72,37 +72,29 @@ class FleetConfig:
     kill_at_ns: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.num_devices < 2:
-            raise ConfigError("a fleet needs at least 2 devices")
-        if self.virtual_nodes <= 0:
-            raise ConfigError("virtual_nodes must be positive")
-        if self.shard_pages <= 0:
-            raise ConfigError("shard_pages must be positive")
+        check_count(self.num_devices, "num_devices", 2)
+        check_count(self.virtual_nodes, "virtual_nodes")
+        check_count(self.shard_pages, "shard_pages")
         if self.placement not in PLACEMENT_POLICIES:
             raise ConfigError(
                 f"unknown placement policy {self.placement!r}; "
                 f"known: {PLACEMENT_POLICIES}"
             )
-        if self.placement_fanout < 1:
-            raise ConfigError("placement_fanout must be >= 1")
-        if self.raid_k < 2:
-            raise ConfigError("cross-device raid_k must be >= 2")
-        if self.max_inflight_per_device <= 0:
-            raise ConfigError("max_inflight_per_device must be positive")
+        check_count(self.placement_fanout, "placement_fanout")
+        check_count(self.raid_k, "cross-device raid_k", 2)
+        check_count(self.max_inflight_per_device, "max_inflight_per_device")
         if not 50.0 <= self.hedge_quantile <= 100.0:
             raise ConfigError("hedge_quantile must be within [50, 100]")
-        if self.hedge_window < 8:
-            raise ConfigError("hedge_window must be >= 8")
+        check_count(self.hedge_window, "hedge_window", 8)
         if self.hedge_min_delay_ns < 0:
             raise ConfigError("hedge_min_delay_ns cannot be negative")
         if not 0.0 <= self.slow_read_rate <= 1.0:
             raise ConfigError("slow_read_rate must be within [0, 1]")
         if self.slow_read_extra_ns < 0:
             raise ConfigError("slow_read_extra_ns cannot be negative")
-        if self.slow_device >= self.num_devices:
-            raise ConfigError("slow_device index out of range")
-        if self.kill_device >= self.num_devices:
-            raise ConfigError("kill_device index out of range")
+        # -1 names no device.
+        check_count(self.slow_device, "slow_device", -1, self.num_devices - 1)
+        check_count(self.kill_device, "kill_device", -1, self.num_devices - 1)
         if self.kill_device >= 0 and self.kill_at_ns < 0:
             raise ConfigError("kill_at_ns cannot be negative")
 

@@ -9,16 +9,17 @@ designed to rescue), plus hedge economics (issue/win counts), cross-device
 reconstruction accounting, and an end-of-run integrity verdict.
 
 Everything needed for the CI fingerprint check lives in
-:meth:`FleetReport.fingerprint` / :meth:`FleetReport.fingerprint_hex` —
-two same-seed runs must produce byte-identical hex digests.
+:meth:`FleetReport.fingerprint` (hashed by
+:meth:`~repro.report.Report.fingerprint_hex`) — two same-seed runs must
+produce byte-identical hex digests.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
+from repro.report import Report
 from repro.utils.stats import percentile
 
 
@@ -55,7 +56,7 @@ class DeviceStats:
 
 
 @dataclass
-class FleetReport:
+class FleetReport(Report):
     """Outcome of one multi-device fleet campaign."""
 
     config_name: str
@@ -85,11 +86,8 @@ class FleetReport:
     #: Post-run sweep: pages on a killed device checked vs reconstructed.
     integrity_pages_checked: int = 0
     integrity_pages_bad: int = 0
+    #: Events the simulation kernel dispatched (outside the fingerprint).
     sim_events: int = 0
-    #: Per-device telemetry counter snapshots (device index -> counter dict),
-    #: taken off the devices after the run.  Deliberately not part of
-    #: :meth:`fingerprint` (the fingerprint predates it).
-    device_counters: Dict[int, Dict] = field(default_factory=dict)
 
     # -- fleet-wide latency ----------------------------------------------------
 
@@ -149,6 +147,11 @@ class FleetReport:
         return self.recovery_bytes / self.recovery_span_ns
 
     @property
+    def healthy(self) -> bool:
+        """No page left corrupt by the sweep and none served corrupt."""
+        return self.integrity_pages_bad == 0 and self.corruption_events == 0
+
+    @property
     def commands_per_second(self) -> float:
         """Simulated-time service rate (completions per simulated second)."""
         if self.horizon_ns <= 0:
@@ -196,10 +199,6 @@ class FleetReport:
             round(sum(self.latencies_ns), 6),
             round(self.p999_latency_ns, 6),
         )
-
-    def fingerprint_hex(self) -> str:
-        """SHA-256 of :meth:`fingerprint`, for byte-identical CI checks."""
-        return hashlib.sha256(repr(self.fingerprint()).encode("utf-8")).hexdigest()
 
     # -- rendering -------------------------------------------------------------
 

@@ -6,9 +6,9 @@ SSD: per-tenant NVMe submission/completion queue pairs, pluggable QoS
 arbitration (round-robin, weighted round-robin, deficit round-robin),
 bounded device-side dispatch onto the stream cores and flash channels, and
 per-tenant SLO metrics (p50/p95/p99 latency, throughput, queue depth,
-core/channel utilisation). :func:`simulate_serve` is the one-call entry
-point; :meth:`repro.ssd.device.ComputationalSSD.serve` runs the same layer
-on an existing device.
+core/channel utilisation). :func:`simulate_serve` runs it on a fresh
+device; ``ServingLayer(device, tenants, ...).run(duration_ns)`` runs it on
+a device you built.
 """
 
 from __future__ import annotations
@@ -57,10 +57,9 @@ def simulate_serve(
     serve_config: Optional[ServeConfig] = None,
     duration_ns: float = 2_000_000.0,
     seed: int = 0,
-    layout_skew: float = 0.0,
     telemetry=None,
 ) -> ServeReport:
-    """Serve a multi-tenant workload on a fresh device (one-call entry point).
+    """Serve a multi-tenant workload on a fresh device.
 
     ``telemetry`` (a
     :class:`~repro.telemetry.Telemetry`) attaches a tracer/registry to the
@@ -68,10 +67,5 @@ def simulate_serve(
     """
     from repro.ssd.device import ComputationalSSD
 
-    device = ComputationalSSD(config, layout_skew=layout_skew, telemetry=telemetry)
-    return device.serve(
-        tenants,
-        serve_config=serve_config,
-        duration_ns=duration_ns,
-        seed=seed,
-    )
+    device = ComputationalSSD(config, telemetry=telemetry)
+    return ServingLayer(device, tenants, config=serve_config, seed=seed).run(duration_ns)

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.report import Report
 from repro.telemetry.counters import CounterRegistry, Histogram
 from repro.utils.stats import percentile
 
@@ -105,7 +106,7 @@ class TenantMetrics:
 
 
 @dataclass
-class ServeReport:
+class ServeReport(Report):
     """Outcome of one multi-tenant serve run."""
 
     config_name: str
@@ -120,10 +121,7 @@ class ServeReport:
     #: clean runs) and the latency of every RAID reconstruction performed.
     faults: Dict[str, int] = field(default_factory=dict)
     reconstruction_ns: List[float] = field(default_factory=list)
-    #: Events processed by the shared simulation kernel for this run —
-    #: the denominator-free cost of the simulation itself, which the
-    #: benchmark suite gates as events/sec of wall time. Not part of the
-    #: fingerprint: it measures the simulator, not the workload outcome.
+    #: Events the simulation kernel dispatched (outside the fingerprint).
     sim_events: int = 0
 
     @property

@@ -53,7 +53,6 @@ class ServingLayer:
         tenants: Sequence[TenantSpec],
         config: Optional[ServeConfig] = None,
         seed: int = 0,
-        recovery=None,
     ) -> None:
         if not tenants:
             raise ServeError("serving layer needs at least one tenant")
@@ -95,15 +94,11 @@ class ServingLayer:
             base += spec.region_pages
 
         #: The per-device service paths (core-phase samples, stream-core
-        #: pool, out-LPA allocator) live in a :class:`DeviceService` so the
-        #: fleet router can reuse them against N peer devices; ``recovery``
-        #: (a :class:`~repro.ssd.firmware.RecoveryController`) routes every
-        #: read/scomp page fetch through the retry → RAID-rebuild ladder
-        #: instead of silently serving corrupt data.
+        #: pool, out-LPA allocator, the fault campaign's recovery ladder)
+        #: live in a :class:`DeviceService` so the fleet router can reuse
+        #: them against N peer devices.
         self.service = DeviceService(
-            device,
-            kernels=[s.kernel for s in self.specs if s.kind == "scomp"],
-            recovery=recovery,
+            device, kernels=[s.kernel for s in self.specs if s.kind == "scomp"]
         )
         self._inflight = 0
         self._duration_ns = 0.0
@@ -116,14 +111,6 @@ class ServingLayer:
         self._backlog: Dict[str, Deque[ServeCommand]] = {}
         self._hooks: Dict[int, Callable[[ServeCommand], None]] = {}
         self._observers: List[Callable[[ServeCommand], None]] = []
-
-    @property
-    def recovery(self):
-        return self.service.recovery
-
-    @recovery.setter
-    def recovery(self, value) -> None:
-        self.service.recovery = value
 
     # -- run loop --------------------------------------------------------------
 
@@ -347,6 +334,7 @@ class ServingLayer:
     def _report(self) -> ServeReport:
         horizon = max(self._horizon_ns, self.events.now)
         cores = self.service.cores
+        recovery = self.service.recovery
         return ServeReport(
             config_name=self.device.config.name,
             policy=self.config.arbitration,
@@ -361,9 +349,7 @@ class ServingLayer:
             channel_utilisation=self.device.array.channel_utilisations(horizon)
             if horizon > 0
             else [0.0] * self.device.config.flash.channels,
-            faults=dict(self.recovery.fault_counters()) if self.recovery else {},
-            reconstruction_ns=list(self.recovery.reconstruction_ns)
-            if self.recovery
-            else [],
+            faults=dict(recovery.fault_counters()) if recovery else {},
+            reconstruction_ns=list(recovery.reconstruction_ns) if recovery else [],
             sim_events=self.events.processed,
         )

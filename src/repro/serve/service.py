@@ -43,15 +43,15 @@ class DeviceService:
         self,
         device,
         kernels: Iterable[str] = (),
-        recovery=None,
         cores_name: str = "serve.cores",
         out_lpa_base: int = SERVE_OUT_LPA_BASE,
     ) -> None:
         self.device = device
-        #: Optional :class:`~repro.ssd.firmware.RecoveryController`; when
-        #: set, every read/scomp page fetch runs the retry → RAID-rebuild
-        #: ladder and commands complete with degraded/failed statuses.
-        self.recovery = recovery
+        #: Optional :class:`~repro.ssd.firmware.RecoveryController`, set by
+        #: a fault or fleet campaign; when set, every read/scomp page fetch
+        #: runs the retry → RAID-rebuild ladder and commands complete with
+        #: degraded/failed statuses.
+        self.recovery = None
         self._tracer = device.telemetry.tracer
         self._tracing = self._tracer.enabled
 

@@ -21,6 +21,7 @@ import random
 from dataclasses import dataclass
 from typing import List
 
+from repro.config import check_count
 from repro.errors import ServeError
 from repro.serve.queues import ServeCommand
 from repro.ssd.host_interface import HostInterface, NVMeCommand, ReadCommand, ScompCommand, WriteCommand
@@ -71,18 +72,20 @@ class TenantSpec:
                 f"tenant {self.name!r}: unknown arrival process {self.arrival!r}; "
                 f"known: {ARRIVAL_PROCESSES}"
             )
-        if self.pages_per_command <= 0:
-            raise ServeError(f"tenant {self.name!r}: pages_per_command must be positive")
+        check_count(
+            self.pages_per_command, f"tenant {self.name!r}: pages_per_command",
+            error=ServeError,
+        )
         if self.interarrival_ns <= 0:
             raise ServeError(f"tenant {self.name!r}: interarrival_ns must be positive")
-        if self.closed_loop and self.outstanding <= 0:
-            raise ServeError(f"tenant {self.name!r}: outstanding must be positive")
+        check_count(self.outstanding, f"tenant {self.name!r}: outstanding", error=ServeError)
         if self.think_ns < 0:
             raise ServeError(f"tenant {self.name!r}: think_ns cannot be negative")
-        if self.region_pages < self.pages_per_command:
-            raise ServeError(
-                f"tenant {self.name!r}: region_pages must cover at least one command"
-            )
+        # The region must cover at least one command.
+        check_count(
+            self.region_pages, f"tenant {self.name!r}: region_pages",
+            self.pages_per_command, error=ServeError,
+        )
         if self.arrival == "burst" and (self.burst_on_ns <= 0 or self.burst_off_ns <= 0):
             raise ServeError(
                 f"tenant {self.name!r}: burst phases must be positive"

@@ -39,7 +39,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.analytics.cost import CostSource, StaticCostSource
+from repro.analytics.cost import StaticCostSource
 from repro.analytics.datagen import generate_database
 from repro.analytics.engine import BINARY_DENSITY
 from repro.analytics.relalg import Table
@@ -47,6 +47,7 @@ from repro.analytics.schema import SCHEMA, TABLE_NAMES
 from repro.config import SSDConfig, ServeConfig, assasin_sb_config
 from repro.errors import FTLError, SqlError
 from repro.ftl.gc import GarbageCollector
+from repro.report import Report
 from repro.serve.metrics import ServeReport
 from repro.serve.scheduler import ServingLayer
 from repro.serve.workload import TenantSpec
@@ -149,12 +150,34 @@ class QueryRecord:
 
 
 @dataclass
-class SqlReport:
+class SqlReport(Report):
     """Everything one session produced: query records + the serve report."""
 
     policy: str
     records: List[QueryRecord]
     serve: ServeReport
+
+    @property
+    def sim_events(self) -> int:
+        return self.serve.sim_events
+
+    def fingerprint(self) -> Tuple:
+        """Each query's text, answer, instants and scan sites, then the
+        serve side's fingerprint."""
+        return (
+            self.policy,
+            tuple(
+                (
+                    r.sql,
+                    r.fingerprint(),
+                    r.submitted_ns,
+                    r.completed_ns,
+                    tuple(p.site for p in r.placements),
+                )
+                for r in self.records
+            ),
+            self.serve.fingerprint(),
+        )
 
     @property
     def total_latency_ns(self) -> float:
@@ -179,9 +202,7 @@ class SqlSession:
         tenants: Sequence[TenantSpec] = (),
         serve_config: Optional[ServeConfig] = None,
         duration_ns: float = 50_000_000.0,
-        cost_source: Optional[CostSource] = None,
         telemetry=None,
-        layout_skew: float = 0.0,
         gc_threshold_pages: int = 128,
         gc_interval_ns: float = 500_000.0,
     ) -> None:
@@ -193,9 +214,7 @@ class SqlSession:
             target_scale_factor if target_scale_factor is not None else gen_scale_factor
         )
         self.seed = seed
-        self.device = ComputationalSSD(
-            config or assasin_sb_config(), layout_skew, telemetry=telemetry
-        )
+        self.device = ComputationalSSD(config or assasin_sb_config(), telemetry=telemetry)
         self.db = generate_database(gen_scale_factor, seed=seed)
 
         # Carve per-table LPA extents (TABLE_NAMES order) sized at the
@@ -231,13 +250,11 @@ class SqlSession:
         for kernel in ("psf", "parse"):
             self.layer.service.ensure_sample(kernel)
 
-        if cost_source is None:
-            cost_source = (
-                LiveCostSource(self.layer)
-                if policy == "auto"
-                else StaticCostSource.calibrate(self.device)
-            )
-        self.cost = cost_source
+        self.cost = (
+            LiveCostSource(self.layer)
+            if policy == "auto"
+            else StaticCostSource.calibrate(self.device)
+        )
         self.records: List[QueryRecord] = []
         self._plan_cache: Dict[str, PlannedStatement] = {}
         self._gc = GarbageCollector(self.device.ftl, self.device.array)

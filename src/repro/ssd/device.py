@@ -238,30 +238,6 @@ class ComputationalSSD:
             )
         return self.firmware.simulate_concurrent(requests)
 
-    def serve(
-        self,
-        tenants,
-        serve_config=None,
-        duration_ns: float = 2_000_000.0,
-        seed: int = 0,
-        recovery=None,
-    ):
-        """Serve a multi-tenant mixed scomp/read/write workload (QoS path).
-
-        ``tenants`` is a sequence of :class:`~repro.serve.workload.TenantSpec`;
-        ``serve_config`` a :class:`~repro.config.ServeConfig` (queue depths,
-        arbitration policy, in-flight bound). Pass a
-        :class:`~repro.ssd.firmware.RecoveryController` as ``recovery`` to
-        route page reads through the retry/RAID-rebuild ladder (fault
-        campaigns). Returns a :class:`~repro.serve.metrics.ServeReport`
-        with per-tenant p50/p95/p99 latency, throughput, device
-        utilisation, and — under faults — recovery counters.
-        """
-        from repro.serve.scheduler import ServingLayer
-
-        layer = ServingLayer(self, tenants, config=serve_config, seed=seed, recovery=recovery)
-        return layer.run(duration_ns)
-
     def offload_functional(self, kernel, data: bytes):
         """Full-fidelity scomp: real data through flash, compute, retiming.
 

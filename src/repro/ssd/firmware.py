@@ -748,14 +748,16 @@ class RecoveryController:
 
     @staticmethod
     def _parity_rebuild(pages: List[bytes]) -> bytes:
-        """XOR the surviving stripe members back into the missing page."""
-        if len(pages) == 1:
-            return pages[0]  # single-page remainder group: parity is a replica
-        from repro.kernels.raid import Raid4Kernel
+        """XOR the surviving stripe members back into the missing page.
+
+        A page programmed with fewer than ``page_bytes`` bytes reads back
+        short, so members are zero-padded to the widest; a single-page
+        remainder group's parity is a replica.
+        """
+        from repro.fleet.replication import xor_pages
 
         width = max(len(p) for p in pages)
-        padded = [p + b"\x00" * (width - len(p)) for p in pages]
-        return Raid4Kernel(k=len(padded)).reference(padded)[0]
+        return xor_pages([p.ljust(width, b"\x00") for p in pages])
 
     def _retire_and_remap(self, lpa: int, data: bytes, now_ns: float) -> None:
         """Grown-bad-block bookkeeping after a successful rebuild."""

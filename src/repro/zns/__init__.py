@@ -12,7 +12,7 @@ from repro.zns.config import COMPACTION_POLICIES, ZnsConfig, zns_flash_config
 from repro.zns.firmware import ZnsFirmware
 from repro.zns.lsm import CompactionPick, LsmTree, Segment, SortedRun
 from repro.zns.metrics import ZnsReport
-from repro.zns.workload import ZnsCampaign, run_zns
+from repro.zns.workload import ZnsCampaign
 
 __all__ = [
     "COMPACTION_POLICIES",
@@ -25,5 +25,4 @@ __all__ = [
     "ZnsFirmware",
     "ZnsReport",
     "zns_flash_config",
-    "run_zns",
 ]

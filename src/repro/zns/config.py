@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.config import FlashConfig, SSDConfig, assasin_sb_config
+from repro.config import FlashConfig, SSDConfig, assasin_sb_config, check_count
 from repro.errors import ConfigError
 
 #: Compaction placement policies (:class:`ZnsConfig.compaction`).
@@ -75,15 +75,16 @@ class ZnsConfig:
             raise ConfigError(
                 f"compaction policy {self.compaction!r} not in {COMPACTION_POLICIES}"
             )
-        if not 2 <= self.compaction_runs <= 4:
-            raise ConfigError("compaction_runs must match the merge kernel's 2..4")
-        if self.l0_runs_trigger < 2 or self.fanout < 1:
-            raise ConfigError("need l0_runs_trigger >= 2 and fanout >= 1")
+        check_count(self.compaction_runs, "compaction_runs", 2, 4)  # the merge kernel's k
+        check_count(self.l0_runs_trigger, "l0_runs_trigger", 2)
+        check_count(self.fanout, "fanout")
         # L0 compacts into level 1, so the tree needs at least two levels.
-        if self.max_levels < 2:
-            raise ConfigError(f"max_levels must be >= 2, got {self.max_levels!r}")
-        if self.num_tenants <= 0 or self.memtable_records <= 0:
-            raise ConfigError("ZnsConfig needs tenants and a positive memtable")
+        check_count(self.max_levels, "max_levels", 2)
+        check_count(self.num_tenants, "num_tenants")
+        check_count(self.memtable_records, "memtable_records")
+        check_count(self.key_space, "key_space")
+        check_count(self.run_segment_pages, "run_segment_pages")
+        check_count(self.max_open_zones, "max_open_zones")
         if not 0.0 <= self.put_fraction <= 1.0:
             raise ConfigError("put_fraction must be a fraction")
         if not (math.isfinite(self.duration_ns) and self.duration_ns > 0):
@@ -100,12 +101,6 @@ class ZnsConfig:
             )
         if not (math.isfinite(self.probe_ns) and self.probe_ns >= 0):
             raise ConfigError(f"probe_ns must be finite and >= 0, got {self.probe_ns!r}")
-        if not isinstance(self.key_space, int) or self.key_space < 1:
-            raise ConfigError(f"key_space must be an integer >= 1, got {self.key_space!r}")
-        if not isinstance(self.run_segment_pages, int) or self.run_segment_pages < 1:
-            raise ConfigError(
-                f"run_segment_pages must be an integer >= 1, got {self.run_segment_pages!r}"
-            )
 
     def ssd(self) -> SSDConfig:
         """The AssasinSb device, re-geometried for small zones."""

@@ -1,22 +1,22 @@
 """Metrics for ZNS LSM campaigns: one report, renderable and fingerprintable.
 
-Follows the ``repro.fleet`` idiom: the report is a plain dataclass of
-counters; :meth:`fingerprint` is a value tuple whose SHA-256
-(:meth:`fingerprint_hex`) byte-identifies a run — two same-seed campaigns
-must produce equal hex digests (the determinism gate in CI).
+The report is a plain dataclass of counters; :meth:`fingerprint` is a
+value tuple whose SHA-256 (:meth:`~repro.report.Report.fingerprint_hex`)
+byte-identifies a run — two same-seed campaigns must produce equal hex
+digests (the determinism gate in CI).
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
+from repro.report import Report
 from repro.utils.stats import percentile
 
 
 @dataclass
-class ZnsReport:
+class ZnsReport(Report):
     """Everything a ZNS campaign run produced."""
 
     policy: str = "auto"
@@ -83,10 +83,8 @@ class ZnsReport:
     def fingerprint(self) -> Tuple:
         """The run's observable behaviour as one value tuple.
 
-        ``sim_events`` is left out: it counts the simulator's own
-        dispatches, an implementation figure, not a modelled output. The
-        report, :meth:`to_dict` and :meth:`render` still carry it, and
-        same-seed checks compare it beside the fingerprint.
+        ``sim_events`` is left out (:class:`~repro.report.Report`);
+        :meth:`to_dict` and :meth:`render` still carry it.
         """
         return (
             self.policy,
@@ -115,9 +113,6 @@ class ZnsReport:
             self.live_records,
             round(self.horizon_ns, 3),
         )
-
-    def fingerprint_hex(self) -> str:
-        return hashlib.sha256(repr(self.fingerprint()).encode()).hexdigest()
 
     def to_dict(self) -> Dict:
         """JSON-friendly summary (latency list reduced to percentiles)."""

@@ -410,7 +410,3 @@ class ZnsCampaign:
         report.horizon_ns = self.sim.now
         return report
 
-
-def run_zns(config: ZnsConfig) -> ZnsReport:
-    """Build and run one campaign (the ``python -m repro zns`` backend)."""
-    return ZnsCampaign(config).run()

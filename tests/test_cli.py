@@ -283,6 +283,18 @@ def test_fleet_no_hedge_flag(capsys):
     assert "hedging=off" in out
 
 
+ZNS_ARGS = ("zns", "--duration-us", "500", "--seed", "7", "--policy", "device")
+
+
+def test_zns_command_is_deterministic(capsys):
+    code, first = run_cli(capsys, *ZNS_ARGS)
+    _, second = run_cli(capsys, *ZNS_ARGS)
+    assert code == 0
+    assert "zns campaign  : policy=device seed=7" in first
+    assert "fingerprint" in first
+    assert first == second
+
+
 def test_profile_command_prints_attribution(capsys):
     code, out = run_cli(capsys, "profile", "--kernel", "scan", "--top", "5")
     assert code == 0

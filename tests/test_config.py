@@ -8,9 +8,11 @@ from repro.config import (
     CoreConfig,
     DataSource,
     EngineKind,
+    FaultConfig,
     FlashConfig,
     PrefetcherKind,
     ScratchpadConfig,
+    ServeConfig,
     StreamBufferConfig,
     all_configs,
     assasin_sb_config,
@@ -19,8 +21,11 @@ from repro.config import (
     named_config,
     udp_config,
 )
-from repro.errors import ConfigError
+from repro.errors import ConfigError, ServeError
+from repro.fleet import FleetConfig
+from repro.serve import TenantSpec
 from repro.utils.units import KIB
+from repro.zns import ZnsConfig
 
 
 def test_all_six_table4_configs_exist():
@@ -175,3 +180,49 @@ def test_streambuffer_validation():
         StreamBufferConfig(num_streams=0)
     with pytest.raises(ConfigError):
         StreamBufferConfig(page_bytes=100)
+
+
+# Every count field of the five campaign configs, each set to a fraction
+# inside the field's range (so only the integer check can reject it):
+# each case was accepted, or failed mid-run with a bare TypeError.
+COUNT_FIELDS = [
+    (FaultConfig, "raid_k", 2.5),
+    (FaultConfig, "max_read_retries", 2.5),
+    (FaultConfig, "noisy_bits", 2.5),
+    (ServeConfig, "queue_depth", 2.5),
+    (ServeConfig, "max_inflight", 2.5),
+    (ServeConfig, "quantum_pages", 2.5),
+    (ServeConfig, "max_command_retries", 2.5),
+    (TenantSpec, "pages_per_command", 2.5),
+    (TenantSpec, "outstanding", 2.5),
+    (TenantSpec, "region_pages", 4096.5),
+    (ZnsConfig, "num_tenants", 2.5),
+    (ZnsConfig, "max_levels", 2.5),
+    (ZnsConfig, "memtable_records", 2.5),
+    (ZnsConfig, "l0_runs_trigger", 2.5),
+    (ZnsConfig, "fanout", 2.5),
+    (ZnsConfig, "compaction_runs", 2.5),
+    (ZnsConfig, "max_open_zones", 2.5),
+    (FleetConfig, "num_devices", 2.5),
+    (FleetConfig, "virtual_nodes", 2.5),
+    (FleetConfig, "hedge_window", 128.5),
+    (FleetConfig, "max_inflight_per_device", 2.5),
+    (FleetConfig, "shard_pages", 2.5),
+    (FleetConfig, "placement_fanout", 2.5),
+    (FleetConfig, "raid_k", 2.5),
+    (FleetConfig, "slow_device", 2.5),
+    (FleetConfig, "kill_device", 2.5),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, field, value",
+    COUNT_FIELDS,
+    ids=[f"{cls.__name__}.{field}" for cls, field, _ in COUNT_FIELDS],
+)
+def test_count_fields_reject_fractions_with_a_typed_error(cls, field, value):
+    kwargs = {"name": "t"} if cls is TenantSpec else {}
+    error = ServeError if cls is TenantSpec else ConfigError
+    # Construction only: no campaign runs.
+    with pytest.raises(error, match=field):
+        cls(**kwargs, **{field: value})

@@ -12,9 +12,9 @@ from repro.config import (
 from repro.errors import ConfigError, FlashError
 from repro.faults import (
     PARITY_LPA_BASE,
+    FaultCampaign,
     FaultInjector,
     RaidGroupMap,
-    run_campaign,
 )
 from repro.faults.campaign import golden_page
 from repro.flash.array import PhysicalPageAddress
@@ -343,7 +343,7 @@ def _campaign_tenants():
 
 
 def _small_campaign(seed=3):
-    return run_campaign(
+    return FaultCampaign(
         assasin_sb_config(),
         FaultConfig(
             seed=seed,
@@ -354,7 +354,7 @@ def _small_campaign(seed=3):
         tenants=_campaign_tenants(),
         duration_ns=150_000.0,
         seed=seed,
-    )
+    ).run()
 
 
 def test_campaign_serves_correct_data_and_recovers():

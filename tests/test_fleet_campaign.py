@@ -8,7 +8,6 @@ from repro.fleet import (
     FleetCampaign,
     FleetConfig,
     ShardedWorkloadGenerator,
-    simulate_fleet,
 )
 from repro.serve.workload import TenantSpec
 
@@ -35,21 +34,21 @@ def small_tenants():
 
 @pytest.fixture(scope="module")
 def healthy_report():
-    return simulate_fleet(
+    return FleetCampaign(
         CONFIG, FleetConfig(num_devices=4), tenants=small_tenants(),
         duration_ns=250_000.0, seed=5,
-    )
+    ).run()
 
 
 @pytest.fixture(scope="module")
 def kill_report():
-    return simulate_fleet(
+    return FleetCampaign(
         CONFIG,
         FleetConfig(num_devices=4, kill_device=1, kill_at_ns=100_000.0),
         tenants=small_tenants(),
         duration_ns=250_000.0,
         seed=5,
-    )
+    ).run()
 
 
 # -- healthy fleet -------------------------------------------------------------
@@ -73,19 +72,19 @@ def test_fleet_totals_match_device_stats(healthy_report):
 
 
 def test_same_seed_same_fingerprint(healthy_report):
-    again = simulate_fleet(
+    again = FleetCampaign(
         CONFIG, FleetConfig(num_devices=4), tenants=small_tenants(),
         duration_ns=250_000.0, seed=5,
-    )
+    ).run()
     assert again.fingerprint() == healthy_report.fingerprint()
     assert again.fingerprint_hex() == healthy_report.fingerprint_hex()
 
 
 def test_different_seed_different_fingerprint(healthy_report):
-    other = simulate_fleet(
+    other = FleetCampaign(
         CONFIG, FleetConfig(num_devices=4), tenants=small_tenants(),
         duration_ns=250_000.0, seed=6,
-    )
+    ).run()
     assert other.fingerprint_hex() != healthy_report.fingerprint_hex()
 
 
@@ -116,13 +115,13 @@ def test_killed_device_stops_completing_after_kill(kill_report):
 
 
 def test_kill_report_is_deterministic(kill_report):
-    again = simulate_fleet(
+    again = FleetCampaign(
         CONFIG,
         FleetConfig(num_devices=4, kill_device=1, kill_at_ns=100_000.0),
         tenants=small_tenants(),
         duration_ns=250_000.0,
         seed=5,
-    )
+    ).run()
     assert again.fingerprint_hex() == kill_report.fingerprint_hex()
 
 
@@ -130,19 +129,19 @@ def test_kill_report_is_deterministic(kill_report):
 
 
 def test_hedging_disabled_issues_no_hedges():
-    r = simulate_fleet(
+    r = FleetCampaign(
         CONFIG, FleetConfig(num_devices=4, hedging=False),
         tenants=small_tenants(), duration_ns=150_000.0, seed=5,
-    )
+    ).run()
     assert r.hedges_issued == 0 and r.hedges_won == 0
     assert not r.hedging
 
 
 def test_load_placement_policy_runs():
-    r = simulate_fleet(
+    r = FleetCampaign(
         CONFIG, FleetConfig(num_devices=4, placement="load"),
         tenants=small_tenants(), duration_ns=150_000.0, seed=5,
-    )
+    ).run()
     assert r.placement == "load"
     assert r.completed > 0 and r.corruption_events == 0
 

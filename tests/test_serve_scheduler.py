@@ -192,10 +192,8 @@ def test_serve_duration_must_be_positive():
 
 def test_device_serve_entry_point():
     device = ComputationalSSD(assasin_sb_config())
-    report = device.serve(
-        _trio(interarrival_ns=20_000.0),
-        duration_ns=200_000.0,
-        seed=2,
+    report = ServingLayer(device, _trio(interarrival_ns=20_000.0), seed=2).run(
+        duration_ns=200_000.0
     )
     assert report.config_name == "AssasinSb"
     assert report.total_completed > 0

@@ -10,7 +10,7 @@ shows up as a trace diff.
 """
 
 from repro.config import FaultConfig, ServeConfig, assasin_sb_config, named_config
-from repro.faults.campaign import run_campaign
+from repro.faults.campaign import FaultCampaign
 from repro.kernels import get_kernel
 from repro.serve import default_tenants
 from repro.serve.scheduler import ServingLayer
@@ -39,13 +39,13 @@ def serve_run():
 
 def campaign_run():
     telemetry = Telemetry.tracing()
-    report = run_campaign(
+    report = FaultCampaign(
         named_config("AssasinSb"),
         FaultConfig(seed=5),
         duration_ns=200_000.0,
         seed=5,
         telemetry=telemetry,
-    )
+    ).run()
     return report, telemetry
 
 

@@ -20,11 +20,11 @@ from pathlib import Path
 import pytest
 
 from repro.config import FaultConfig, ServeConfig, assasin_sb_config
-from repro.faults import run_campaign
-from repro.fleet import FleetConfig, simulate_fleet
+from repro.faults import FaultCampaign
+from repro.fleet import FleetCampaign, FleetConfig
 from repro.kernels.pricing import PRICING_CACHE
 from repro.serve import default_tenants, simulate_serve
-from repro.zns import ZnsConfig, run_zns
+from repro.zns import ZnsCampaign, ZnsConfig
 
 from tests.test_sim_goldens import _jsonable
 
@@ -51,21 +51,21 @@ def _serve_fingerprint():
 
 
 def _fleet_fingerprint():
-    report = simulate_fleet(
+    report = FleetCampaign(
         assasin_sb_config(), FleetConfig(num_devices=4),
         duration_ns=150_000.0, seed=SEED,
-    )
+    ).run()
     return report.fingerprint_hex()
 
 
 def _zns_fingerprint():
-    return run_zns(ZnsConfig(duration_ns=500_000.0, seed=SEED)).fingerprint_hex()
+    return ZnsCampaign(ZnsConfig(duration_ns=500_000.0, seed=SEED)).run().fingerprint_hex()
 
 
 def _faults_fingerprint():
-    report = run_campaign(
+    report = FaultCampaign(
         assasin_sb_config(), FaultConfig(), duration_ns=200_000.0, seed=SEED,
-    )
+    ).run()
     return report.fingerprint()
 
 

@@ -144,7 +144,7 @@ def _serve_goldens():
 
 def _faults_goldens():
     from repro.config import FaultConfig, ServeConfig, assasin_sb_config
-    from repro.faults import run_campaign
+    from repro.faults import FaultCampaign
     from repro.serve import TenantSpec
 
     faults = FaultConfig(
@@ -161,11 +161,11 @@ def _faults_goldens():
             pages_per_command=8, interarrival_ns=40_000.0, region_pages=128,
         ),
     ]
-    report = run_campaign(
+    report = FaultCampaign(
         assasin_sb_config(), faults, tenants=tenants,
         serve_config=ServeConfig(arbitration="wrr"),
         duration_ns=400_000.0, seed=11,
-    )
+    ).run()
     return {
         "fingerprint": _jsonable(report.fingerprint()),
         "healthy": report.healthy,

@@ -19,7 +19,7 @@ transfers whose data is not ready yet.
 """
 
 from repro.config import FaultConfig, ServeConfig, named_config
-from repro.faults.campaign import run_campaign
+from repro.faults.campaign import FaultCampaign
 from repro.serve import default_tenants
 from repro.serve.scheduler import ServingLayer
 from repro.ssd.device import ComputationalSSD
@@ -39,7 +39,7 @@ SERVE_FP = (
 )
 SERVE_EVENTS_PROCESSED = 86
 
-# run_campaign(AssasinSb, FaultConfig(seed=7), duration 200 us, seed 7).
+# FaultCampaign(AssasinSb, FaultConfig(seed=7), duration 200 us, seed 7).run().
 CAMPAIGN_FP = (
     (
         ("reader", 6, 6, 0, 98304, 98304, 28209.5, 53557.0, 0, 0, 0, 0),
@@ -83,23 +83,23 @@ def test_recording_tracer_changes_nothing():
 
 
 def test_null_tracer_campaign_matches_pre_telemetry_baseline():
-    report = run_campaign(
+    report = FaultCampaign(
         named_config("AssasinSb"), FaultConfig(seed=7), duration_ns=200_000.0, seed=7
-    )
+    ).run()
     assert report.fingerprint() == CAMPAIGN_FP
 
 
 def test_recording_tracer_campaign_changes_nothing():
-    baseline = run_campaign(
+    baseline = FaultCampaign(
         named_config("AssasinSb"), FaultConfig(seed=7), duration_ns=200_000.0, seed=7
-    )
-    traced = run_campaign(
+    ).run()
+    traced = FaultCampaign(
         named_config("AssasinSb"),
         FaultConfig(seed=7),
         duration_ns=200_000.0,
         seed=7,
         telemetry=Telemetry.tracing(),
-    )
+    ).run()
     assert traced.fingerprint() == baseline.fingerprint()
     assert traced.fingerprint() == CAMPAIGN_FP
 

@@ -12,14 +12,14 @@ from repro.ssd.host_interface import (
     ZoneReportCommand,
     ZoneResetCommand,
 )
-from repro.zns import ZnsCampaign, ZnsConfig, ZnsFirmware, run_zns
+from repro.zns import ZnsCampaign, ZnsConfig, ZnsFirmware
 from repro.zns.lsm import LsmTree
 
 DURATION_NS = 1_500_000.0
 
 
 def _run(policy, **kwargs):
-    return run_zns(ZnsConfig(duration_ns=DURATION_NS, compaction=policy, **kwargs))
+    return ZnsCampaign(ZnsConfig(duration_ns=DURATION_NS, compaction=policy, **kwargs)).run()
 
 
 # -- firmware ----------------------------------------------------------------------
