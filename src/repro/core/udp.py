@@ -23,7 +23,6 @@ from typing import Dict, Optional, Sequence
 
 from repro.config import CoreConfig, udp_core
 from repro.core.core import CoreModel, CoreRunResult
-from repro.core.pipeline import PipelineParams
 from repro.mem.dram import DRAMModel
 
 #: Default cycle-scaling factors by kernel name (fraction of baseline
@@ -45,7 +44,7 @@ class UDPLaneModel:
     def __init__(self, core: Optional[CoreConfig] = None, dram: Optional[DRAMModel] = None) -> None:
         self.core = core or udp_core()
         self.dram = dram
-        self._model = CoreModel(self.core, dram=dram, pipeline_params=PipelineParams())
+        self._model = CoreModel(self.core, dram=dram)
 
     def isa_factor(self, kernel) -> float:
         explicit = getattr(kernel, "udp_isa_factor", None)

@@ -12,22 +12,27 @@ paper's evaluation (§VI) is about.
 (Gem5's decode cache, MQSim's precomputed transaction paths):
 
 * **Predecoding** — each :class:`~repro.isa.program.Program` is compiled
-  once into closure-based decoded ops. All field extraction (``rd``,
-  ``rs1``, immediates, stream widths) and opcode dispatch happens at
-  compile time; executing an ALU op is a single closure call that mutates
-  the raw register list.
-* **Superblocks** — maximal straight-line runs of statically-costed ops
-  (ALU/MUL/DIV/LUI) are executed back to back with a *single* cycle and
-  telemetry accounting update per run, instead of one per instruction.
-  Runs are formed lazily from every reached entry PC, so backward-branch
-  targets (the streaming ``StreamLoad``→compute→``StreamStore`` inner
-  loop) become one straight-line dash per iteration.
+  once into closure-based decoded ops, one per instruction for both timing
+  models. All field extraction (``rd``, ``rs1``, immediates, stream
+  widths) and opcode dispatch happens at compile time; executing an ALU op
+  is a single closure call that mutates the raw register list. An op's
+  timing is the static model's compile-time constant (the latencies of
+  :mod:`repro.core.pipeline`), or, under the predictive model, the op's
+  own coster call followed by :func:`_book`, the one booking step every
+  op kind shares.
+* **Superblocks** — maximal straight-line runs of ALU/MUL/DIV/LUI ops are
+  executed back to back; under the static model with a *single* cycle
+  and telemetry accounting update per run, instead of one per
+  instruction. Runs are formed lazily from every reached entry PC, so
+  backward-branch targets (the streaming ``StreamLoad``→compute→
+  ``StreamStore`` inner loop) become one straight-line dash per
+  iteration.
 * **Exact accounting** — retirement counts are tracked per *entry* PC and
   folded back into per-instruction counts with a flow recurrence at sync
-  time; the batched cycle sums are integers by construction
-  (``PipelineParams`` rejects non-integer latencies), so the floating-point
-  cycle totals, stall buckets and per-kind stats are **bit-identical** to
-  a per-step interpreter loop (the timing oracle in the test suite), not
+  time; the cycle sums folded there are integers by construction (integer
+  latency constants, integer coster results), so the floating-point cycle
+  totals, stall buckets and per-kind stats are **bit-identical** to a
+  per-step interpreter loop (the timing oracle in the test suite), not
   just close.
 
 Semantics that cannot be batched are not batched: DRAM-space loads/stores
@@ -38,10 +43,15 @@ cycles. A scratchpad or ping-pong access costs a constant per pad and
 width, so it is timed by one range check and counted per PC; the counts
 are folded into the pads' stats at sync time.
 
+Under the predictive model the clock, the compute sum and every coster
+call stay live and in program order (DRAM-space accesses and stream
+refill hooks read the clock, and the predictor's state depends on the
+order); only the integer per-PC extra and hazard tallies wait for sync.
+
 This is the only engine the core model runs. An attached
 :class:`~repro.telemetry.profiler.IsaProfiler` is fed per PC at sync time
-from the same flow-recurrence counts, the compile-time costs, and one
-per-PC accumulator of the costs only known at run time. Traps
+from the same flow-recurrence counts, the compile-time costs, the
+predictive tallies, and the loads' and stores' per-PC sums. Traps
 (out-of-range PC, memory faults, unresolvable stream stalls) raise the
 interpreter's exception types with architectural state synced, so error
 paths are differential-testable too.
@@ -49,6 +59,7 @@ paths are differential-testable too.
 
 from __future__ import annotations
 
+import operator
 from struct import Struct, calcsize
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -77,7 +88,7 @@ _MEM_FORMATS = {"lb": "<b", "lbu": "<B", "lh": "<h", "lhu": "<H", "lw": "<I",
 #: never reach them.
 _NO_PAD = 1 << 32
 
-#: Instruction kinds whose cost is a compile-time constant: these form the
+#: Instruction kinds that only compute on registers: these form the
 #: superblock bodies. Everything else is a block-terminating dynamic op.
 _STATIC_KINDS = (InstrKind.ALU, InstrKind.MUL, InstrKind.DIV)
 
@@ -89,6 +100,26 @@ class _NullClock:
 
     def __init__(self) -> None:
         self.cycle = 0.0
+
+
+class _Unattached:
+    """Stands in for a stream set the interpreter was not given.
+
+    Any use traps with the interpreter's message, so the stream closures
+    index their stream set without a check of their own.
+    """
+
+    __slots__ = ("direction",)
+
+    def __init__(self, direction: str) -> None:
+        self.direction = direction
+
+    def __getitem__(self, sid):
+        raise ExecutionError(f"program uses {self.direction} streams but none attached")
+
+
+_NO_INPUTS = _Unattached("input")
+_NO_OUTPUTS = _Unattached("output")
 
 
 class _Ctx:
@@ -103,13 +134,16 @@ class _Ctx:
         "out_streams",
         "clock",
         "hierarchy",
-        "stats",
         "coster",
         "region",
         "first_touch",
         "taken",
         "aborted",
         "pc_cycles",
+        "extra",
+        "hazard",
+        "mispredicts",
+        "compute",
         "sp_lo",
         "sp_hi",
         "sp_stall",
@@ -127,6 +161,35 @@ def _signed(value: int) -> int:
     return value - 0x100000000 if value & 0x80000000 else value
 
 
+#: Taken-ness of each conditional branch, given its two register values.
+_BRANCH_CONDS = {
+    "beq": operator.eq,
+    "bne": operator.ne,
+    "blt": lambda a, b: _signed(a) < _signed(b),
+    "bge": lambda a, b: _signed(a) >= _signed(b),
+    "bltu": operator.lt,
+    "bgeu": operator.ge,
+}
+
+#: Divider ops whose operands are signed (their latency reads magnitudes).
+_SIGNED_DIVS = ("div", "rem")
+
+
+def _book(ctx, pc: int, extra: int, hz: int) -> None:
+    """The predictive model's booking of one retired op beyond its coster call.
+
+    The op's cycles reach the clock and the compute sum live, in program
+    order; its extra (redirect or unit occupancy) and hazard cycles are
+    tallied per PC, and :meth:`FastEngine._sync` folds those integer
+    tallies into the per-kind stats and the profile.
+    """
+    cost = 1.0 + (extra + hz)
+    ctx.extra[pc] += extra
+    ctx.hazard[pc] += hz
+    ctx.compute += cost
+    ctx.clock.cycle += cost
+
+
 def _pad_stalls(pad) -> List[int]:
     """Stall cycles of a pad access, indexed by its width in bytes."""
     return [0] + [pad.access_latency(width) - 1 for width in range(1, 5)]
@@ -135,16 +198,23 @@ def _pad_stalls(pad) -> List[int]:
 class FastEngine:
     """Executes one compiled :class:`Program`, bit-exact with the reference.
 
-    An engine is compiled once per ``(program, pipeline params)`` pair and
+    An engine is compiled once per ``(program, pipeline model)`` pair and
     may run any number of interpreters over it (the chunked memory path
     resets the interpreter between chunks but reuses the decoded program).
-    Pass ``params=None`` for functional-only runs with no cycle accounting
-    (the :meth:`run` ``pipeline``/``clock`` arguments must then be omitted).
+    Each instruction compiles to one closure that serves both timing
+    models. A run without a ``pipeline`` is functional only.
     """
 
-    def __init__(self, program: Program, params=None, model: str = "static") -> None:
+    def __init__(self, program: Program, model: str = "static") -> None:
+        # repro.core imports this module, so its constants are read here.
+        from repro.core.pipeline import (
+            DIV_EXTRA_CYCLES,
+            JUMP_PENALTY,
+            MUL_EXTRA_CYCLES,
+            TAKEN_BRANCH_PENALTY,
+        )
+
         self.program = program
-        self.params = params
         self.model = model
         if model not in PIPELINE_MODELS:
             raise ExecutionError(f"unknown pipeline model {model!r}")
@@ -154,33 +224,19 @@ class FastEngine:
         self._dyncost = model == "predictive"
         n = len(program.instrs)
         self.n = n
-        if params is not None and not self._dyncost:
-            # Integers by PipelineParams validation: batched sums stay exact.
-            self._mul_extra = params.mul_extra_cycles
-            self._div_extra = params.div_extra_cycles
-            self._taken_pen = params.taken_branch_penalty
-            self._jump_pen = params.jump_penalty
-            self._stream_extra = params.stream_head_extra
-        else:
-            self._mul_extra = self._div_extra = 0
-            self._taken_pen = self._jump_pen = self._stream_extra = 0
+        self._taken_pen = TAKEN_BRANCH_PENALTY
         self.kinds: List[InstrKind] = [kind_of(i.op) for i in program.instrs]
         self.static: List[bool] = [k in _STATIC_KINDS for k in self.kinds]
-        # Compile-time cycles of one retirement (a taken branch adds its
-        # penalty on top). ``_live`` marks the PCs whose cost is only known
-        # at run time: loads/stores, and every op under predictive timing.
+        # The static model's extra cycles of one retirement beyond the base
+        # cycle (a taken branch adds its penalty on top).
         fixed = {
-            InstrKind.MUL: self._mul_extra,
-            InstrKind.DIV: self._div_extra,
-            InstrKind.JUMP: self._jump_pen,
-            InstrKind.STREAM_LOAD: self._stream_extra,
-            InstrKind.STREAM_STORE: self._stream_extra,
+            InstrKind.MUL: MUL_EXTRA_CYCLES,
+            InstrKind.DIV: DIV_EXTRA_CYCLES,
+            InstrKind.JUMP: JUMP_PENALTY,
         }
-        self._cost: List[int] = [1 + fixed.get(k, 0) for k in self.kinds]
-        self._live: List[bool] = [
-            self._dyncost or k in (InstrKind.LOAD, InstrKind.STORE)
-            for k in self.kinds
-        ]
+        self._extra: List[int] = [fixed.get(k, 0) for k in self.kinds]
+        #: Source registers of each op: the hazard latch's operands.
+        self._reads: List[Tuple[int, ...]] = [instr_reads(i) for i in program.instrs]
         #: Bytes moved by each load/store (0 elsewhere), for the pad fold.
         self._mem_size: List[int] = [
             calcsize(_MEM_FORMATS[i.op]) if i.op in _MEM_FORMATS else 0
@@ -188,16 +244,11 @@ class FastEngine:
         ]
         self._sfn: List[Optional[Callable]] = [None] * n
         self._dfn: List[Optional[Callable]] = [None] * n
-        self._pfn: List[Optional[Callable]] = [None] * n
         for pc, instr in enumerate(program.instrs):
             if self.static[pc]:
                 self._sfn[pc] = self._compile_static(instr)
-                if self._dyncost:
-                    self._pfn[pc] = self._compile_costed(pc, instr)
             elif instr.op in _MEM_FORMATS:
                 self._dfn[pc] = self._compile_mem(pc, instr)
-            elif self._dyncost:
-                self._dfn[pc] = self._compile_dynamic_predictive(pc, instr)
             else:
                 self._dfn[pc] = self._compile_dynamic(pc, instr)
         # Lazily-built superblock runs: entry pc -> (body, cost, nbody, dyn_pc).
@@ -328,7 +379,7 @@ class FastEngine:
         access = AccessType.STORE if is_store else AccessType.LOAD
         dest = 0 if is_store else rd  # the load-use hazard's destination
         dyncost = self._dyncost
-        reads = instr_reads(i)
+        reads = self._reads[pc]
         pcp1 = pc + 1
 
         def _mem(ctx):
@@ -358,9 +409,8 @@ class FastEngine:
                 stall = h.access(pc, addr, size, access, ctx.clock.cycle).stall_cycles
             cost = 1.0 + (hz + stall)
             if dyncost:
-                if hz:
-                    ctx.stats.hazard_stall_cycles += hz
-                h.add_compute_cycles(cost - stall)
+                ctx.hazard[pc] += hz
+                ctx.compute += cost - stall
             ctx.mem_cycles[is_store] += cost
             ctx.clock.cycle += cost
             ctx.pc_cycles[pc] += cost
@@ -375,33 +425,34 @@ class FastEngine:
         return _mem
 
     def _compile_dynamic(self, pc: int, i) -> Callable:
-        """Block terminators: control flow, streams, halt.
+        """Block terminators: control flow, streams, halt, under either model.
 
-        Each closure performs its own live cycle/stats accounting (the part
-        that depends on runtime state) and returns the next PC or a
-        negative sentinel.
+        Each closure executes its instruction, then times it: under the
+        static model with its compile-time cycles (a taken branch also
+        bumps its per-PC tally, for the penalty fold at sync), under the
+        predictive model with its own coster call and :func:`_book`. An op
+        that does not retire (stream stall or EOS, trap) returns or raises
+        before either, so the coster never sees it, as in a per-step loop.
+        Returns the next PC or a negative sentinel.
         """
         op, rd, rs1, rs2, imm = i.op, i.rd, i.rs1, i.rs2, i.imm
         kind = self.kinds[pc]
         pcp1 = pc + 1
+        reads = self._reads[pc]
+        dyncost = self._dyncost
         if kind is InstrKind.BRANCH:
+            cond = _BRANCH_CONDS[op]
             taken_cost = 1.0 + self._taken_pen
-            if op == "beq":
-                cond = lambda a, b: a == b  # noqa: E731
-            elif op == "bne":
-                cond = lambda a, b: a != b  # noqa: E731
-            elif op == "blt":
-                cond = lambda a, b: _signed(a) < _signed(b)  # noqa: E731
-            elif op == "bge":
-                cond = lambda a, b: _signed(a) >= _signed(b)  # noqa: E731
-            elif op == "bltu":
-                cond = lambda a, b: a < b  # noqa: E731
-            else:  # bgeu
-                cond = lambda a, b: a >= b  # noqa: E731
 
             def _branch(ctx):
                 R = ctx.regs
-                if cond(R[rs1], R[rs2]):
+                taken = cond(R[rs1], R[rs2])
+                if dyncost:
+                    pen, hz, mispredicted = ctx.coster.branch(pc, reads, taken, imm)
+                    ctx.mispredicts += mispredicted
+                    _book(ctx, pc, pen, hz)
+                    return imm if taken else pcp1
+                if taken:
                     ctx.taken[pc] += 1
                     ctx.clock.cycle += taken_cost
                     return imm
@@ -409,430 +460,91 @@ class FastEngine:
                 return pcp1
 
             return _branch
-        if op == "jal":
-            jump_cost = 1.0 + self._jump_pen
+        if kind is InstrKind.JUMP:
+            jump_cost = 1.0 + self._extra[pc]
+            indirect = op == "jalr"
 
-            def _jal(ctx):
-                if rd:
-                    ctx.regs[rd] = pcp1
-                ctx.clock.cycle += jump_cost
-                return imm
-
-            return _jal
-        if op == "jalr":
-            jump_cost = 1.0 + self._jump_pen
-
-            def _jalr(ctx):
+            def _jump(ctx):
                 R = ctx.regs
-                target = (R[rs1] + imm) & _MASK32
+                target = (R[rs1] + imm) & _MASK32 if indirect else imm
                 if rd:
                     R[rd] = pcp1
-                ctx.clock.cycle += jump_cost
-                return target
-
-            return _jalr
-        if op == "halt":
-
-            def _halt(ctx):
-                ctx.clock.cycle += 1.0
-                return _HALT
-
-            return _halt
-        stream_cost = 1.0 + self._stream_extra
-        sid, width = i.sid, i.width
-        if op == "sload":
-
-            def _sload(ctx):
-                ins = ctx.in_streams
-                if ins is None:
-                    raise ExecutionError(
-                        "program uses input streams but none attached"
-                    )
-                stream = ins[sid]
-                data = stream.consume(width)
-                if data is None:
-                    ctx.aborted[pc] += 1
-                    return _EOS if stream.exhausted else _STALL
-                if rd:
-                    ctx.regs[rd] = int.from_bytes(data, "little")
-                ctx.clock.cycle += stream_cost
-                return pcp1
-
-            return _sload
-        if op == "sskip":
-
-            def _sskip(ctx):
-                ins = ctx.in_streams
-                if ins is None:
-                    raise ExecutionError(
-                        "program uses input streams but none attached"
-                    )
-                stream = ins[sid]
-                if stream.consume(imm) is None:
-                    ctx.aborted[pc] += 1
-                    return _EOS if stream.exhausted else _STALL
-                ctx.clock.cycle += stream_cost
-                return pcp1
-
-            return _sskip
-        if op == "sstore":
-            mask = (1 << (8 * width)) - 1
-
-            def _sstore(ctx):
-                outs = ctx.out_streams
-                if outs is None:
-                    raise ExecutionError(
-                        "program uses output streams but none attached"
-                    )
-                value = ctx.regs[rs2] & mask
-                try:
-                    outs[sid].push(value.to_bytes(width, "little"))
-                except StreamError:
-                    ctx.aborted[pc] += 1
-                    return _STALL
-                ctx.clock.cycle += stream_cost
-                return pcp1
-
-            return _sstore
-        if op == "savail":
-
-            def _savail(ctx):
-                ins = ctx.in_streams
-                if ins is None:
-                    raise ExecutionError(
-                        "program uses input streams but none attached"
-                    )
-                if rd:
-                    ctx.regs[rd] = ins[sid].available
-                ctx.clock.cycle += 1.0
-                return pcp1
-
-            return _savail
-        if op == "seos":
-
-            def _seos(ctx):
-                ins = ctx.in_streams
-                if ins is None:
-                    raise ExecutionError(
-                        "program uses input streams but none attached"
-                    )
-                if rd:
-                    ctx.regs[rd] = int(ins[sid].exhausted)
-                ctx.clock.cycle += 1.0
-                return pcp1
-
-            return _seos
-        raise ExecutionError(f"no dynamic decoder for opcode {op!r}")
-
-    # ------------------------------------------------- predictive compile --
-
-    def _compile_costed(self, pc: int, i) -> Callable:
-        """Predictive-mode wrapper for a static-kind op: exec + live pricing.
-
-        Superblocks still batch execution (one dispatcher round per
-        straight-line run) but each op prices its own cycles through the
-        run's coster — costs depend on predictor/hazard state, so there is
-        no compile-time constant to fold. The expressions mirror the
-        per-step predictive cost function of the timing oracle term for
-        term, including float-addition order, so the two stay
-        bit-identical even under fractional memory stalls.
-        """
-        exec_fn = self._sfn[pc]
-        kind = self.kinds[pc]
-        reads = instr_reads(i)
-        if kind is InstrKind.MUL:
-
-            def _mul(ctx):
-                exec_fn(ctx.regs)
-                st = ctx.stats
-                if st is None:
-                    return
-                extra, hz = ctx.coster.mul(reads)
-                cost = 1.0 + (extra + hz)
-                st.cycles_by_kind[kind] = st.cycles_by_kind.get(kind, 0.0) + cost
-                st.muldiv_extra_cycles += extra
-                if hz:
-                    st.hazard_stall_cycles += hz
-                ctx.hierarchy.add_compute_cycles(cost)
-                ctx.clock.cycle += cost
-                ctx.pc_cycles[pc] += cost
-
-            return _mul
-        if kind is InstrKind.DIV:
-            rs1, rs2 = i.rs1, i.rs2
-            signed = i.op in ("div", "rem")
-
-            def _divop(ctx):
-                R = ctx.regs
-                a, b = R[rs1], R[rs2]
-                exec_fn(R)
-                st = ctx.stats
-                if st is None:
-                    return
-                extra, hz = ctx.coster.div(reads, a, b, signed)
-                cost = 1.0 + (extra + hz)
-                st.cycles_by_kind[kind] = st.cycles_by_kind.get(kind, 0.0) + cost
-                st.muldiv_extra_cycles += extra
-                if hz:
-                    st.hazard_stall_cycles += hz
-                ctx.hierarchy.add_compute_cycles(cost)
-                ctx.clock.cycle += cost
-                ctx.pc_cycles[pc] += cost
-
-            return _divop
-
-        def _alu(ctx):
-            exec_fn(ctx.regs)
-            st = ctx.stats
-            if st is None:
-                return
-            hz = ctx.coster.simple(reads)
-            cost = 1.0 + hz
-            st.cycles_by_kind[kind] = st.cycles_by_kind.get(kind, 0.0) + cost
-            if hz:
-                st.hazard_stall_cycles += hz
-            ctx.hierarchy.add_compute_cycles(cost)
-            ctx.clock.cycle += cost
-            ctx.pc_cycles[pc] += cost
-
-        return _alu
-
-    def _compile_dynamic_predictive(self, pc: int, i) -> Callable:
-        """Predictive-mode block terminators with live coster-priced costing.
-
-        Execution semantics are identical to :meth:`_compile_dynamic`; only
-        the accounting differs. Aborted outcomes (stream stall/EOS, traps)
-        return before any coster call, keeping predictor/hazard state
-        identical to a per-step loop, which never costs aborted steps.
-        """
-        op, rd, rs1, rs2, imm = i.op, i.rd, i.rs1, i.rs2, i.imm
-        kind = self.kinds[pc]
-        pcp1 = pc + 1
-        reads = instr_reads(i)
-        params = self.params
-        stream_extra = params.stream_head_extra if params is not None else 0
-        if kind is InstrKind.BRANCH:
-            if op == "beq":
-                cond = lambda a, b: a == b  # noqa: E731
-            elif op == "bne":
-                cond = lambda a, b: a != b  # noqa: E731
-            elif op == "blt":
-                cond = lambda a, b: _signed(a) < _signed(b)  # noqa: E731
-            elif op == "bge":
-                cond = lambda a, b: _signed(a) >= _signed(b)  # noqa: E731
-            elif op == "bltu":
-                cond = lambda a, b: a < b  # noqa: E731
-            else:  # bgeu
-                cond = lambda a, b: a >= b  # noqa: E731
-
-            def _branch(ctx):
-                R = ctx.regs
-                t = cond(R[rs1], R[rs2])
-                st = ctx.stats
-                if st is not None:
-                    pen, hz, mispredicted = ctx.coster.branch(pc, reads, t, imm)
-                    cost = 1.0 + (pen + hz)
-                    st.cycles_by_kind[kind] = st.cycles_by_kind.get(kind, 0.0) + cost
-                    st.branch_penalty_cycles += pen
-                    if mispredicted:
-                        st.branch_mispredicts += 1
-                    if hz:
-                        st.hazard_stall_cycles += hz
-                    ctx.hierarchy.add_compute_cycles(cost)
-                    ctx.clock.cycle += cost
-                    ctx.pc_cycles[pc] += cost
-                return imm if t else pcp1
-
-            return _branch
-        if op == "jal":
-
-            def _jal(ctx):
-                if rd:
-                    ctx.regs[rd] = pcp1
-                st = ctx.stats
-                if st is not None:
-                    pen, hz = ctx.coster.jump(pc, reads, imm)
-                    cost = 1.0 + (pen + hz)
-                    st.cycles_by_kind[kind] = st.cycles_by_kind.get(kind, 0.0) + cost
-                    st.branch_penalty_cycles += pen
-                    if hz:
-                        st.hazard_stall_cycles += hz
-                    ctx.hierarchy.add_compute_cycles(cost)
-                    ctx.clock.cycle += cost
-                    ctx.pc_cycles[pc] += cost
-                return imm
-
-            return _jal
-        if op == "jalr":
-
-            def _jalr(ctx):
-                R = ctx.regs
-                target = (R[rs1] + imm) & _MASK32
-                if rd:
-                    R[rd] = pcp1
-                st = ctx.stats
-                if st is not None:
+                if dyncost:
                     pen, hz = ctx.coster.jump(pc, reads, target)
-                    cost = 1.0 + (pen + hz)
-                    st.cycles_by_kind[kind] = st.cycles_by_kind.get(kind, 0.0) + cost
-                    st.branch_penalty_cycles += pen
-                    if hz:
-                        st.hazard_stall_cycles += hz
-                    ctx.hierarchy.add_compute_cycles(cost)
-                    ctx.clock.cycle += cost
-                    ctx.pc_cycles[pc] += cost
+                    _book(ctx, pc, pen, hz)
+                else:
+                    ctx.clock.cycle += jump_cost
                 return target
 
-            return _jalr
+            return _jump
         if op == "halt":
 
             def _halt(ctx):
-                st = ctx.stats
-                if st is not None:
-                    hz = ctx.coster.simple(reads)
-                    cost = 1.0 + hz
-                    st.cycles_by_kind[kind] = st.cycles_by_kind.get(kind, 0.0) + cost
-                    if hz:
-                        st.hazard_stall_cycles += hz
-                    ctx.hierarchy.add_compute_cycles(cost)
-                    ctx.clock.cycle += cost
-                    ctx.pc_cycles[pc] += cost
+                if dyncost:
+                    _book(ctx, pc, 0, ctx.coster.simple(reads))
+                else:
+                    ctx.clock.cycle += 1.0
                 return _HALT
 
             return _halt
         sid, width = i.sid, i.width
-        if op == "sload":
+        if op in ("sload", "sskip"):
+            # sskip consumes ``imm`` bytes and writes no register.
+            size, dest = (width, rd) if op == "sload" else (imm, 0)
 
             def _sload(ctx):
-                ins = ctx.in_streams
-                if ins is None:
-                    raise ExecutionError(
-                        "program uses input streams but none attached"
-                    )
-                stream = ins[sid]
-                data = stream.consume(width)
+                stream = ctx.in_streams[sid]
+                data = stream.consume(size)
                 if data is None:
                     ctx.aborted[pc] += 1
                     return _EOS if stream.exhausted else _STALL
-                if rd:
-                    ctx.regs[rd] = int.from_bytes(data, "little")
-                st = ctx.stats
-                if st is not None:
-                    hz = ctx.coster.stream_load(reads, rd)
-                    cost = 1.0 + (hz + stream_extra)
-                    st.cycles_by_kind[kind] = st.cycles_by_kind.get(kind, 0.0) + cost
-                    if hz:
-                        st.hazard_stall_cycles += hz
-                    ctx.hierarchy.add_compute_cycles(cost - stream_extra)
-                    ctx.clock.cycle += cost
-                    ctx.pc_cycles[pc] += cost
+                if dest:
+                    ctx.regs[dest] = int.from_bytes(data, "little")
+                if dyncost:
+                    _book(ctx, pc, 0, ctx.coster.stream_load(reads, dest))
+                else:
+                    ctx.clock.cycle += 1.0
                 return pcp1
 
             return _sload
-        if op == "sskip":
-
-            def _sskip(ctx):
-                ins = ctx.in_streams
-                if ins is None:
-                    raise ExecutionError(
-                        "program uses input streams but none attached"
-                    )
-                stream = ins[sid]
-                if stream.consume(imm) is None:
-                    ctx.aborted[pc] += 1
-                    return _EOS if stream.exhausted else _STALL
-                st = ctx.stats
-                if st is not None:
-                    hz = ctx.coster.stream_load(reads, 0)
-                    cost = 1.0 + (hz + stream_extra)
-                    st.cycles_by_kind[kind] = st.cycles_by_kind.get(kind, 0.0) + cost
-                    if hz:
-                        st.hazard_stall_cycles += hz
-                    ctx.hierarchy.add_compute_cycles(cost - stream_extra)
-                    ctx.clock.cycle += cost
-                    ctx.pc_cycles[pc] += cost
-                return pcp1
-
-            return _sskip
         if op == "sstore":
             mask = (1 << (8 * width)) - 1
 
             def _sstore(ctx):
-                outs = ctx.out_streams
-                if outs is None:
-                    raise ExecutionError(
-                        "program uses output streams but none attached"
-                    )
+                stream = ctx.out_streams[sid]
                 value = ctx.regs[rs2] & mask
                 try:
-                    outs[sid].push(value.to_bytes(width, "little"))
+                    stream.push(value.to_bytes(width, "little"))
                 except StreamError:
                     ctx.aborted[pc] += 1
                     return _STALL
-                st = ctx.stats
-                if st is not None:
-                    hz = ctx.coster.simple(reads)
-                    cost = 1.0 + (hz + stream_extra)
-                    st.cycles_by_kind[kind] = st.cycles_by_kind.get(kind, 0.0) + cost
-                    if hz:
-                        st.hazard_stall_cycles += hz
-                    ctx.hierarchy.add_compute_cycles(cost - stream_extra)
-                    ctx.clock.cycle += cost
-                    ctx.pc_cycles[pc] += cost
+                if dyncost:
+                    _book(ctx, pc, 0, ctx.coster.simple(reads))
+                else:
+                    ctx.clock.cycle += 1.0
                 return pcp1
 
             return _sstore
-        if op == "savail":
+        if op in ("savail", "seos"):
+            avail = op == "savail"
 
-            def _savail(ctx):
-                ins = ctx.in_streams
-                if ins is None:
-                    raise ExecutionError(
-                        "program uses input streams but none attached"
-                    )
+            def _sprobe(ctx):
+                stream = ctx.in_streams[sid]
                 if rd:
-                    ctx.regs[rd] = ins[sid].available
-                st = ctx.stats
-                if st is not None:
-                    hz = ctx.coster.simple(reads)
-                    cost = 1.0 + hz
-                    st.cycles_by_kind[kind] = st.cycles_by_kind.get(kind, 0.0) + cost
-                    if hz:
-                        st.hazard_stall_cycles += hz
-                    ctx.hierarchy.add_compute_cycles(cost)
-                    ctx.clock.cycle += cost
-                    ctx.pc_cycles[pc] += cost
+                    ctx.regs[rd] = stream.available if avail else int(stream.exhausted)
+                if dyncost:
+                    _book(ctx, pc, 0, ctx.coster.simple(reads))
+                else:
+                    ctx.clock.cycle += 1.0
                 return pcp1
 
-            return _savail
-        if op == "seos":
-
-            def _seos(ctx):
-                ins = ctx.in_streams
-                if ins is None:
-                    raise ExecutionError(
-                        "program uses input streams but none attached"
-                    )
-                if rd:
-                    ctx.regs[rd] = int(ins[sid].exhausted)
-                st = ctx.stats
-                if st is not None:
-                    hz = ctx.coster.simple(reads)
-                    cost = 1.0 + hz
-                    st.cycles_by_kind[kind] = st.cycles_by_kind.get(kind, 0.0) + cost
-                    if hz:
-                        st.hazard_stall_cycles += hz
-                    ctx.hierarchy.add_compute_cycles(cost)
-                    ctx.clock.cycle += cost
-                    ctx.pc_cycles[pc] += cost
-                return pcp1
-
-            return _seos
+            return _sprobe
         raise ExecutionError(f"no dynamic decoder for opcode {op!r}")
 
     def _build_run(self, entry_pc: int) -> Tuple[tuple, float, int, int]:
         """Superblock from ``entry_pc``: statics up to the next dynamic op.
 
+        ``cost`` is the static model's cycles of the whole body.
         ``dyn_pc == self.n`` marks a run that falls off the program end
         (the dispatcher then raises the reference's out-of-range trap).
         """
@@ -840,20 +552,40 @@ class FastEngine:
         cost = 0
         pc = entry_pc
         n = self.n
-        if self._dyncost:
-            # Predictive mode: the body closures price themselves live, so
-            # the batched run cost is identically zero.
-            while pc < n and self.static[pc]:
-                body.append(self._pfn[pc])
-                pc += 1
-        else:
-            while pc < n and self.static[pc]:
-                body.append(self._sfn[pc])
-                cost += self._cost[pc]
-                pc += 1
+        while pc < n and self.static[pc]:
+            body.append(self._sfn[pc])
+            cost += 1 + self._extra[pc]
+            pc += 1
         run = (tuple(body), float(cost), len(body), pc)
         self._runs[entry_pc] = run
         return run
+
+    def _run_priced(self, ctx, body: tuple, entry_pc: int) -> None:
+        """A superblock body under the predictive model.
+
+        Each op is priced by its coster call and :func:`_book`, then runs
+        its one decoded closure; a divide's latency reads its operands
+        before it executes.
+        """
+        R = ctx.regs
+        coster = ctx.coster
+        kinds = self.kinds
+        reads = self._reads
+        instrs = self.program.instrs
+        pc = entry_pc
+        for fn in body:
+            kind = kinds[pc]
+            if kind is InstrKind.ALU:
+                _book(ctx, pc, 0, coster.simple(reads[pc]))
+            elif kind is InstrKind.MUL:
+                extra, hz = coster.mul(reads[pc])
+                _book(ctx, pc, extra, hz)
+            else:
+                i = instrs[pc]
+                extra, hz = coster.div(reads[pc], R[i.rs1], R[i.rs2], i.op in _SIGNED_DIVS)
+                _book(ctx, pc, extra, hz)
+            fn(R)
+            pc += 1
 
     # ----------------------------------------------------------------- run --
 
@@ -888,17 +620,26 @@ class FastEngine:
         ctx.memory = interp.memory
         ctx.buf = interp.memory.buf
         ctx.mem_size = interp.memory.size_bytes
-        ctx.in_streams = interp.in_streams
-        ctx.out_streams = interp.out_streams
+        ins, outs = interp.in_streams, interp.out_streams
+        ctx.in_streams = ins if ins is not None else _NO_INPUTS
+        ctx.out_streams = outs if outs is not None else _NO_OUTPUTS
         ctx.clock = clock if clock is not None else _NullClock()
-        ctx.hierarchy = pipeline.hierarchy if pipeline is not None else None
-        ctx.stats = pipeline.stats if pipeline is not None else None
-        ctx.coster = pipeline.coster if pipeline is not None else None
-        if ctx.coster is not None and ctx.coster.is_static == self._dyncost:
+        if pipeline is None:
+            if self._dyncost:
+                raise ExecutionError(
+                    "engine compiled for the predictive pipeline model needs "
+                    "a pipeline: it prices every op through the pipeline's coster"
+                )
+            ctx.hierarchy = ctx.coster = None
+        elif pipeline.model != self.model:
             raise ExecutionError(
                 f"engine compiled for pipeline model {self.model!r} but the "
-                "pipeline's coster uses the other timing model"
+                "pipeline uses the other timing model"
             )
+        else:
+            ctx.hierarchy = pipeline.hierarchy
+            ctx.coster = pipeline.coster
+        ctx.compute = 0.0
         self._bind_pads(ctx, pipeline)
         ctx.region = input_region
         ctx.first_touch = {}
@@ -906,10 +647,14 @@ class FastEngine:
         ctx.taken = taken = [0] * n
         ctx.aborted = aborted = [0] * n
         ctx.pc_cycles = [0.0] * n
+        ctx.extra = [0] * n
+        ctx.hazard = [0] * n
+        ctx.mispredicts = 0
         runs = self._runs
         dfn = self._dfn
         dyncost = self._dyncost
         clk = ctx.clock
+        R = ctx.regs
         pc = interp.pc
         live_steps = interp.steps
         last_stall = False
@@ -928,11 +673,11 @@ class FastEngine:
                     run = self._build_run(pc)
                 body, cost, nbody, dyn_pc = run
                 if dyncost:
-                    for fn in body:
-                        fn(ctx)
+                    if nbody:
+                        self._run_priced(ctx, body, pc)
                 else:
                     for fn in body:
-                        fn(ctx.regs)
+                        fn(R)
                     if cost:
                         clk.cycle += cost
                 live_steps += nbody
@@ -980,7 +725,7 @@ class FastEngine:
         return ctx.first_touch
 
     def _bind_pads(self, ctx, pipeline) -> None:
-        """The run's pad windows, per-width stalls, tallies and kind sums.
+        """The run's pad windows, per-width stalls, tallies and running sums.
 
         A pad's stall for a ``w``-byte access is the hierarchy spec's
         ``access_latency(w) - 1``; ping-pong accesses are timed (and
@@ -1000,6 +745,7 @@ class FastEngine:
         ctx.mem_cycles = [
             by_kind.get(InstrKind.LOAD, 0.0), by_kind.get(InstrKind.STORE, 0.0)
         ]
+        ctx.compute = h.buckets.compute
         if h.scratchpad_window is not None:
             ctx.sp_lo, ctx.sp_hi = h.scratchpad_window
             ctx.sp_stall = _pad_stalls(h.scratchpad)
@@ -1038,16 +784,16 @@ class FastEngine:
         counts: every execution of a static op falls through to its
         successor, so ``retired[p] = entry[p] + retired[p - 1]`` within a
         run (dynamic predecessors redirect through the dispatcher and
-        contribute via ``entry`` instead). All batched cycle contributions
-        are integers, which keeps the float totals bit-identical to a
-        per-step accumulation. A profiler gets each retired PC's count and
-        cycles: the run-time sum for live-costed PCs, else the compile-time
-        cost per retirement plus any taken-branch penalties.
+        contribute via ``entry`` instead). Every PC's cycles beyond the
+        loads' and stores' running sums are integers — the static model's
+        compile-time extras and taken-branch penalties, or the predictive
+        model's per-PC extra and hazard tallies — which keeps the float
+        totals bit-identical to a per-step accumulation in any order. A
+        profiler gets each retired PC's count and cycles.
         """
         n = self.n
         static = self.static
         kinds = self.kinds
-        taken = ctx.taken
         aborted = ctx.aborted
         retired = [0] * n
         prev = 0
@@ -1062,18 +808,19 @@ class FastEngine:
         bytes_in = 0
         bytes_out = 0
         counts = interp.instr_counts
-        taken_total = 0
-        kind_retired: Dict[InstrKind, int] = {}
+        dyncost = self._dyncost
+        static_extra = self._extra
+        taken, taken_pen = ctx.taken, self._taken_pen
+        tallied_extra, hazards, pc_cycles = ctx.extra, ctx.hazard, ctx.pc_cycles
+        kind_cycles: Dict[InstrKind, int] = {}
+        penalty = muldiv = hazard = 0
         for p in range(n):
             r = retired[p]
             if r == 0:
                 continue
             kind = kinds[p]
             counts[kind] += r
-            kind_retired[kind] = kind_retired.get(kind, 0) + r
             total += r
-            if kind is InstrKind.BRANCH:
-                taken_total += taken[p]
             instr = self.program.instrs[p]
             if instr.op == "sload":
                 bytes_in += instr.width * r
@@ -1081,52 +828,40 @@ class FastEngine:
                 bytes_in += instr.imm * r
             elif instr.op == "sstore":
                 bytes_out += instr.width * r
-            if profiler is not None:
-                if self._live[p]:
-                    cycles = ctx.pc_cycles[p]
+            if dyncost:
+                extra, hz = tallied_extra[p], hazards[p]
+            else:
+                extra, hz = r * static_extra[p] + taken[p] * taken_pen, 0
+            hazard += hz
+            if kind is InstrKind.LOAD or kind is InstrKind.STORE:
+                cycles = pc_cycles[p]  # in the running per-kind sums
+            else:
+                cycles = r + extra + hz
+                kind_cycles[kind] = kind_cycles.get(kind, 0) + cycles
+                if kind is InstrKind.BRANCH or kind is InstrKind.JUMP:
+                    penalty += extra
                 else:
-                    cycles = float(r * self._cost[p] + taken[p] * self._taken_pen)
-                profiler.add(p, r, cycles)
+                    muldiv += extra  # only MUL and DIV have extras here
+            if profiler is not None:
+                profiler.add(p, r, float(cycles))
         interp.steps += total
         interp.stream_bytes_in += bytes_in
         interp.stream_bytes_out += bytes_out
-        if ctx.hierarchy is not None:
-            self._fold_pads(pipeline, ctx)
-        if pipeline is None or self._dyncost:
-            # Predictive runs account every cycle live at the op closures;
-            # only retirement counts and stream bytes needed folding.
+        if pipeline is None:
             return
+        self._fold_pads(pipeline, ctx)
         stats = pipeline.stats
         by_kind = stats.cycles_by_kind
-        compute = float(total)
-        for kind, r in kind_retired.items():
-            if kind in (InstrKind.LOAD, InstrKind.STORE):
-                continue  # live-accounted per access, base cycle is in `total`
-            cycles = float(r)
-            if kind is InstrKind.MUL:
-                extra = r * self._mul_extra
-                cycles += extra
-                compute += extra
-                stats.muldiv_extra_cycles += extra
-            elif kind is InstrKind.DIV:
-                extra = r * self._div_extra
-                cycles += extra
-                compute += extra
-                stats.muldiv_extra_cycles += extra
-            elif kind is InstrKind.BRANCH:
-                extra = taken_total * self._taken_pen
-                cycles += extra
-                compute += extra
-                stats.branch_penalty_cycles += extra
-            elif kind is InstrKind.JUMP:
-                extra = r * self._jump_pen
-                cycles += extra
-                compute += extra
-                stats.branch_penalty_cycles += extra
-            elif kind in (InstrKind.STREAM_LOAD, InstrKind.STREAM_STORE):
-                # The head-FIFO extra reaches the clock and the kind stats
-                # but is not booked as compute: it is a stream-buffer cost.
-                cycles += r * self._stream_extra
+        for kind, cycles in kind_cycles.items():
             by_kind[kind] = by_kind.get(kind, 0.0) + cycles
-        pipeline.hierarchy.add_compute_cycles(compute)
-
+        stats.branch_penalty_cycles += penalty
+        stats.muldiv_extra_cycles += muldiv
+        stats.hazard_stall_cycles += hazard
+        stats.branch_mispredicts += ctx.mispredicts
+        if dyncost:
+            # The predictive compute sum ran live, in program order.
+            pipeline.hierarchy.buckets.compute = ctx.compute
+        else:
+            # Every static op's base cycle plus its extras; memory stalls
+            # are already in the hierarchy's buckets.
+            pipeline.hierarchy.add_compute_cycles(float(total + penalty + muldiv))

@@ -12,9 +12,9 @@ prices every same-shape scomp in the process.
 :class:`KernelPricingCache` memoizes exactly that triple, and
 :data:`PRICING_CACHE` is consulted by every
 ``ComputationalSSD.sample_kernel`` call.  Every part of the key is
-value-derived: a digest of the *full device config repr* (plus the
-engine's pipeline parameters), and a digest of the kernel's class and
-public constructor state, so ``psf`` with a different filter range or
+value-derived: a digest of the *full device config repr* (which carries
+the core's timing model), and a digest of the kernel's class and public
+constructor state, so ``psf`` with a different filter range or
 ``raid4`` with a different stripe count is a different entry.  Any change
 misses the cache by construction — there is no stale-entry hazard to
 invalidate around, and :meth:`KernelPricingCache.clear` exists mainly for
@@ -38,7 +38,7 @@ class KernelPricingCache:
 
     def __init__(self) -> None:
         self._entries: Dict[Tuple[str, str, int], object] = {}
-        self._digests: Dict[Tuple[object, object], str] = {}
+        self._digests: Dict[object, str] = {}
         self._kernel_keys: "weakref.WeakKeyDictionary[object, str]" = (
             weakref.WeakKeyDictionary()
         )
@@ -58,26 +58,22 @@ class KernelPricingCache:
 
     # -- keys -----------------------------------------------------------------
 
-    def config_digest(self, config, pipeline_params=None) -> str:
-        """Digest of the device config's full repr plus any pipeline params.
+    def config_digest(self, config) -> str:
+        """Digest of the device config's full repr.
 
         Frozen dataclass reprs are value-deterministic, so two configs
         with equal fields share a digest and any changed field produces a
-        new one — config changes invalidate by construction.  The engine's
-        ``PipelineParams`` are folded in the same way: a predictor or
-        latency knob change must reprice, even though it lives outside the
-        device config.  A value-keyed memo (configs and params are frozen,
-        hashable dataclasses) avoids re-hashing on every lookup; the
-        former ``id()``-keyed memo could alias a recycled id of a dead
-        config to a stale digest.
+        new one — config changes invalidate by construction.  The core's
+        ``pipeline_model`` is a config field, so a timing-model change
+        reprices too.  A value-keyed memo (configs are frozen, hashable
+        dataclasses) avoids re-hashing on every lookup; the former
+        ``id()``-keyed memo could alias a recycled id of a dead config to
+        a stale digest.
         """
-        key = (config, pipeline_params)
-        digest = self._digests.get(key)
+        digest = self._digests.get(config)
         if digest is None:
-            digest = hashlib.sha256(
-                f"{config!r}|{pipeline_params!r}".encode()
-            ).hexdigest()
-            self._digests[key] = digest
+            digest = hashlib.sha256(repr(config).encode()).hexdigest()
+            self._digests[config] = digest
         return digest
 
     def kernel_key(self, kernel) -> str:
@@ -106,24 +102,20 @@ class KernelPricingCache:
 
     # -- the memo -------------------------------------------------------------
 
-    def _key(self, config, kernel, sample_bytes: int, pipeline_params):
-        return (
-            self.config_digest(config, pipeline_params),
-            self.kernel_key(kernel),
-            sample_bytes,
-        )
+    def _key(self, config, kernel, sample_bytes: int):
+        return (self.config_digest(config), self.kernel_key(kernel), sample_bytes)
 
-    def get(self, config, kernel, sample_bytes: int, pipeline_params=None):
+    def get(self, config, kernel, sample_bytes: int):
         """The cached sample, or None on a miss."""
-        sample = self._entries.get(self._key(config, kernel, sample_bytes, pipeline_params))
+        sample = self._entries.get(self._key(config, kernel, sample_bytes))
         if sample is None:
             self.misses += 1
             return None
         self.hits += 1
         return sample
 
-    def put(self, config, kernel, sample_bytes: int, sample, pipeline_params=None) -> None:
-        self._entries[self._key(config, kernel, sample_bytes, pipeline_params)] = sample
+    def put(self, config, kernel, sample_bytes: int, sample) -> None:
+        self._entries[self._key(config, kernel, sample_bytes)] = sample
 
 
 #: The process-wide cache consulted by ``ComputationalSSD.sample_kernel``.

@@ -148,12 +148,11 @@ class ComputationalSSD:
         by construction.
         """
         size = sample_bytes or _SAMPLE_BYTES_BY_KERNEL.get(kernel.name, DEFAULT_SAMPLE_BYTES)
-        params = getattr(self.engine, "pipeline_params", None)
-        cached = PRICING_CACHE.get(self.config, kernel, size, pipeline_params=params)
+        cached = PRICING_CACHE.get(self.config, kernel, size)
         if cached is not None:
             return cached
         sample = self.engine.run(kernel, kernel.make_inputs(size))
-        PRICING_CACHE.put(self.config, kernel, size, sample, pipeline_params=params)
+        PRICING_CACHE.put(self.config, kernel, size, sample)
         return sample
 
     def offload(

@@ -22,6 +22,12 @@ from typing import Dict, List, Tuple
 
 from repro.core.core import PAGE_BYTES, CoreModel
 from repro.core.coster import instr_reads
+from repro.core.pipeline import (
+    DIV_EXTRA_CYCLES,
+    JUMP_PENALTY,
+    MUL_EXTRA_CYCLES,
+    TAKEN_BRANCH_PENALTY,
+)
 from repro.errors import ExecutionError, MemoryError_
 from repro.isa.instructions import InstrKind
 from repro.isa.interpreter import StepKind
@@ -31,33 +37,30 @@ from repro.mem.hierarchy import AccessType
 
 def cost_static(pipeline, info, cycle):
     """Cycles of one step under the static model (>= 1 when executed)."""
-    p = pipeline.params
     stats = pipeline.stats
     cycles = 1.0
     kind = info.kind
     if kind is InstrKind.MUL:
-        cycles += p.mul_extra_cycles
-        stats.muldiv_extra_cycles += p.mul_extra_cycles
+        cycles += MUL_EXTRA_CYCLES
+        stats.muldiv_extra_cycles += MUL_EXTRA_CYCLES
     elif kind is InstrKind.DIV:
-        cycles += p.div_extra_cycles
-        stats.muldiv_extra_cycles += p.div_extra_cycles
+        cycles += DIV_EXTRA_CYCLES
+        stats.muldiv_extra_cycles += DIV_EXTRA_CYCLES
     elif kind is InstrKind.BRANCH:
         if info.branch_taken:
-            cycles += p.taken_branch_penalty
-            stats.branch_penalty_cycles += p.taken_branch_penalty
+            cycles += TAKEN_BRANCH_PENALTY
+            stats.branch_penalty_cycles += TAKEN_BRANCH_PENALTY
     elif kind is InstrKind.JUMP:
-        cycles += p.jump_penalty
-        stats.branch_penalty_cycles += p.jump_penalty
+        cycles += JUMP_PENALTY
+        stats.branch_penalty_cycles += JUMP_PENALTY
     elif kind in (InstrKind.LOAD, InstrKind.STORE) and info.mem_addr is not None:
         access = AccessType.STORE if info.mem_is_write else AccessType.LOAD
         result = pipeline.hierarchy.access(
             pc=info.pc, addr=info.mem_addr, size=info.mem_size, access=access, cycle=cycle
         )
         cycles += result.stall_cycles
-    elif kind in (InstrKind.STREAM_LOAD, InstrKind.STREAM_STORE):
-        cycles += p.stream_head_extra
     # The base cycle is compute; memory stalls were already booked into the
-    # hierarchy's buckets, and the stream-head extra is a stream-buffer cost.
+    # hierarchy's buckets.
     pipeline.hierarchy.add_compute_cycles(1.0)
     if kind in (InstrKind.MUL, InstrKind.DIV, InstrKind.BRANCH, InstrKind.JUMP):
         # Occupancy/redirect bubbles are compute-side cycles, not memory.
@@ -75,7 +78,6 @@ def cost_predictive(pipeline, info, cycle):
     reads = instr_reads(instr)
     cycles = 1.0
     mem_stall = 0.0
-    stream_extra = 0.0
     if kind is InstrKind.MUL:
         extra, hz = c.mul(reads)
         cycles += extra + hz
@@ -105,21 +107,15 @@ def cost_predictive(pipeline, info, cycle):
         cycles += hz + mem_stall
     elif kind is InstrKind.STREAM_LOAD:
         hz = c.stream_load(reads, instr.rd if instr.op == "sload" else 0)
-        stream_extra = pipeline.params.stream_head_extra
-        cycles += hz + stream_extra
-    elif kind is InstrKind.STREAM_STORE:
-        hz = c.simple(reads)
-        stream_extra = pipeline.params.stream_head_extra
-        cycles += hz + stream_extra
-    else:  # ALU / STREAM_CTRL / SYSTEM
+        cycles += hz
+    else:  # ALU / STREAM_STORE / STREAM_CTRL / SYSTEM
         hz = c.simple(reads)
         cycles += hz
     if hz:
         stats.hazard_stall_cycles += hz
     # Hazard bubbles, unit occupancy and redirect penalties are compute-side;
-    # memory stalls were booked by the hierarchy and the stream-head extra
-    # stays a memory-structure cost, as in the static model.
-    pipeline.hierarchy.add_compute_cycles(cycles - mem_stall - stream_extra)
+    # memory stalls were booked by the hierarchy.
+    pipeline.hierarchy.add_compute_cycles(cycles - mem_stall)
     stats.cycles_by_kind[kind] = stats.cycles_by_kind.get(kind, 0.0) + cycles
     return cycles
 
@@ -130,7 +126,7 @@ def run_steps(interp, pipeline, clock, input_region=None, profiler=None):
     Returns first-touch cycles per page-aligned address of ``input_region``
     (DRAM-staged runs), like ``CoreModel._execute``.
     """
-    cost = cost_static if pipeline.coster.is_static else cost_predictive
+    cost = cost_static if pipeline.model == "static" else cost_predictive
     first_touch = {}
     region = input_region
     while not interp.finished:

@@ -10,22 +10,27 @@ while staying self-consistent.
 import pytest
 
 from repro.core.coster import (
-    BRANCH_PREDICTORS,
     PredictiveCoster,
-    StaticCoster,
     div_latency,
     instr_reads,
     make_coster,
 )
-from repro.core.pipeline import PipelineParams
+from repro.core.pipeline import (
+    BIMODAL_ENTRIES,
+    BTB_ENTRIES,
+    CHOOSER_ENTRIES,
+    DIV_BASE_CYCLES,
+    JUMP_PENALTY,
+    LOAD_USE_BUBBLE,
+    MISPREDICT_PENALTY,
+    MUL_CYCLES,
+)
 from repro.errors import ConfigError
 from repro.isa.instructions import Instr
 
-P = PipelineParams()
 
-
-def _coster(**overrides) -> PredictiveCoster:
-    return PredictiveCoster(PipelineParams(**overrides))
+def _coster() -> PredictiveCoster:
+    return PredictiveCoster()
 
 
 # ---------------------------------------------------------------------------
@@ -33,61 +38,9 @@ def _coster(**overrides) -> PredictiveCoster:
 # ---------------------------------------------------------------------------
 
 def test_make_coster_dispatch():
-    assert isinstance(make_coster("static", P), StaticCoster)
-    assert isinstance(make_coster("predictive", P), PredictiveCoster)
-    assert make_coster("static", P).is_static
-    assert not make_coster("predictive", P).is_static
+    assert isinstance(make_coster("predictive"), PredictiveCoster)
     with pytest.raises(ConfigError, match="unknown pipeline model"):
-        make_coster("oracle", P)
-
-
-#: (knob, bad value, expected error) for PipelineParams construction.
-BAD_PIPELINE_PARAMS = [
-    # Fractional or boolean latencies would break exact batched cycle sums.
-    ("mul_extra_cycles", 2.5, "must be an integer"),
-    ("taken_branch_penalty", 1.0, "must be an integer"),
-    ("jump_penalty", True, "must be an integer"),
-    ("history_bits", "8", "must be an integer"),
-    # A negative latency would make every kernel run faster.
-    ("jump_penalty", -1, "cannot be negative"),
-    ("mul_extra_cycles", -2, "cannot be negative"),
-    ("div_extra_cycles", -1, "cannot be negative"),
-    ("stream_head_extra", -1, "cannot be negative"),
-    ("mispredict_penalty", -1, "cannot be negative"),
-    ("load_use_bubble", -1, "cannot be negative"),
-    ("mul_cycles", -1, "cannot be negative"),
-    ("div_base_cycles", -1, "cannot be negative"),
-    ("history_bits", -1, "cannot be negative"),
-    # Table sizes and the divider radix divide: zero is rejected too.
-    ("btb_entries", 0, "must be positive"),
-    ("bimodal_entries", 0, "must be positive"),
-    ("gshare_entries", 0, "must be positive"),
-    ("chooser_entries", 0, "must be positive"),
-    ("div_bits_per_cycle", 0, "must be positive"),
-    ("btb_entries", -4, "must be positive"),
-    ("branch_predictor", "gshare", "unknown branch predictor"),
-    ("branch_predictor", "perceptron", "unknown branch predictor"),
-]
-
-
-def test_knob_validation():
-    """Bad knobs fail at construction, whatever the timing model."""
-    for knob, value, message in BAD_PIPELINE_PARAMS:
-        try:
-            PipelineParams(**{knob: value})
-        except ConfigError as err:
-            assert message in str(err), (knob, value, str(err))
-            if knob != "branch_predictor":
-                assert knob in str(err), (knob, value, str(err))
-        else:
-            pytest.fail(f"PipelineParams({knob}={value!r}) was accepted")
-
-
-def test_edge_pipeline_params_are_accepted():
-    PipelineParams(mul_extra_cycles=0, taken_branch_penalty=0, jump_penalty=0,
-                   history_bits=0, load_use_bubble=0, btb_entries=1,
-                   div_bits_per_cycle=1, branch_predictor="none")
-    assert BRANCH_PREDICTORS == ("tournament", "none")
+        make_coster("oracle")
 
 
 # ---------------------------------------------------------------------------
@@ -95,36 +48,30 @@ def test_edge_pipeline_params_are_accepted():
 # ---------------------------------------------------------------------------
 
 def test_div_latency_early_exit_cases():
-    base = P.div_base_cycles
+    base = DIV_BASE_CYCLES
     # Division by zero and |a| < |b| resolve in pre/post-processing alone.
-    assert div_latency(0, 5, False, P) == base
-    assert div_latency(7, 0, False, P) == base
-    assert div_latency(3, 4, False, P) == base
+    assert div_latency(0, 5, False) == base
+    assert div_latency(7, 0, False) == base
+    assert div_latency(3, 4, False) == base
     # One quotient bit still costs one iteration cycle.
-    assert div_latency(1, 1, False, P) == base + 1
+    assert div_latency(1, 1, False) == base + 1
     # Full-width quotient: 32 bits at 4 bits/cycle = 8 iteration cycles.
-    assert div_latency(0xFFFFFFFF, 1, False, P) == base + 8
+    assert div_latency(0xFFFFFFFF, 1, False) == base + 8
 
 
 def test_div_latency_signed_magnitudes():
     # -8 / 2 signed: |a|=8 (4 bits), |b|=2 (2 bits) -> 3 quotient bits.
     neg8 = 0x100000000 - 8
-    assert div_latency(neg8, 2, True, P) == P.div_base_cycles + 1
+    assert div_latency(neg8, 2, True) == DIV_BASE_CYCLES + 1
     # The same bit patterns unsigned: huge |a| -> near-full quotient.
-    assert div_latency(neg8, 2, False, P) > div_latency(neg8, 2, True, P)
+    assert div_latency(neg8, 2, False) > div_latency(neg8, 2, True)
     # INT_MIN / -1 (the classic overflow case): |quotient| is full-width,
     # so the divider runs all 32/4 iteration cycles.
-    assert div_latency(0x80000000, 0xFFFFFFFF, True, P) == P.div_base_cycles + 8
-
-
-def test_div_latency_early_exit_disabled_is_static_worst_case():
-    fixed = PipelineParams(div_early_exit=False)
-    for a, b in ((0, 5), (7, 0), (1, 1), (0xFFFFFFFF, 1)):
-        assert div_latency(a, b, False, fixed) == fixed.div_extra_cycles
+    assert div_latency(0x80000000, 0xFFFFFFFF, True) == DIV_BASE_CYCLES + 8
 
 
 def test_div_latency_monotone_in_quotient_width():
-    latencies = [div_latency((1 << n) - 1, 1, False, P) for n in range(1, 33)]
+    latencies = [div_latency((1 << n) - 1, 1, False) for n in range(1, 33)]
     assert latencies == sorted(latencies)
 
 
@@ -135,7 +82,7 @@ def test_div_latency_monotone_in_quotient_width():
 def test_load_use_bubble_only_when_dependent():
     c = _coster()
     assert c.mem((0,), load_rd=5) == 0       # the load itself
-    assert c.simple((5,)) == P.load_use_bubble  # dependent consumer: bubble
+    assert c.simple((5,)) == LOAD_USE_BUBBLE  # dependent consumer: bubble
     assert c.simple((5,)) == 0               # latch cleared by the consumer
 
 
@@ -156,23 +103,17 @@ def test_stream_load_latches_like_a_load():
     c = _coster()
     assert c.stream_load((), rd=7) == 0
     extra, hz = c.mul((7, 7))
-    assert (extra, hz) == (P.mul_cycles, P.load_use_bubble)
-
-
-def test_hazard_detection_knob_disables_bubbles():
-    c = _coster(hazard_detection=False)
-    c.mem((), load_rd=5)
-    assert c.simple((5,)) == 0
+    assert (extra, hz) == (MUL_CYCLES, LOAD_USE_BUBBLE)
 
 
 def test_div_and_branch_see_hazards_too():
     c = _coster()
     c.mem((), load_rd=4)
     extra, hz = c.div((4,), 8, 2, False)
-    assert hz == P.load_use_bubble
+    assert hz == LOAD_USE_BUBBLE
     c.mem((), load_rd=4)
     _, hz, _ = c.branch(0, (4,), taken=False, target=3)
-    assert hz == P.load_use_bubble
+    assert hz == LOAD_USE_BUBBLE
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +123,7 @@ def test_div_and_branch_see_hazards_too():
 def test_cold_taken_branch_mispredicts_then_learns():
     c = _coster()
     pen, _, miss = c.branch(4, (), taken=True, target=1)
-    assert (pen, miss) == (P.mispredict_penalty, True)   # cold: counters weak
+    assert (pen, miss) == (MISPREDICT_PENALTY, True)   # cold: counters weak
     pen, _, miss = c.branch(4, (), taken=True, target=1)
     assert (pen, miss) == (0, False)  # counters trained, BTB installed
 
@@ -199,9 +140,9 @@ def test_btb_target_mismatch_counts_as_mispredict():
     c.branch(4, (), taken=True, target=1)
     # Same slot, different target (aliasing pc + btb_entries): direction says
     # taken but the BTB redirects to the wrong place -> mispredict.
-    alias = 4 + P.btb_entries * P.bimodal_entries * P.chooser_entries
+    alias = 4 + BTB_ENTRIES * BIMODAL_ENTRIES * CHOOSER_ENTRIES
     pen, _, miss = c.branch(alias, (), taken=True, target=9)
-    assert miss and pen == P.mispredict_penalty
+    assert miss and pen == MISPREDICT_PENALTY
 
 
 def test_loop_branch_converges_to_zero_penalty():
@@ -211,33 +152,17 @@ def test_loop_branch_converges_to_zero_penalty():
         pen, _, _ = c.branch(8, (), taken=True, target=2)
         total += pen
     # Only the cold iteration pays; a learned loop branch is free.
-    assert total == P.mispredict_penalty
-
-
-def test_predictor_none_restores_flat_taken_penalty():
-    c = _coster(branch_predictor="none")
-    for _ in range(3):
-        pen, _, miss = c.branch(8, (), taken=True, target=2)
-        assert (pen, miss) == (P.taken_branch_penalty, False)
-    pen, _, miss = c.branch(8, (), taken=False, target=2)
-    assert (pen, miss) == (0, False)
+    assert total == MISPREDICT_PENALTY
 
 
 def test_jump_btb_miss_then_hit():
     c = _coster()
     pen, _ = c.jump(6, (), target=0)
-    assert pen == P.jump_penalty          # cold BTB
+    assert pen == JUMP_PENALTY          # cold BTB
     pen, _ = c.jump(6, (), target=0)
     assert pen == 0                       # installed on the miss
     pen, _ = c.jump(6, (), target=3)      # same pc, new target (jalr)
-    assert pen == P.jump_penalty
-
-
-def test_jump_with_predictor_none_always_pays():
-    c = _coster(branch_predictor="none")
-    for _ in range(2):
-        pen, _ = c.jump(6, (), target=0)
-        assert pen == P.jump_penalty
+    assert pen == JUMP_PENALTY
 
 
 def test_gshare_distinguishes_history_contexts():

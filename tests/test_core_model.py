@@ -12,7 +12,7 @@ from repro.config import (
     udp_core,
 )
 from repro.core.core import CoreModel, PageTouch
-from repro.core.pipeline import PipelineModel, PipelineParams
+from repro.core.pipeline import PipelineModel
 from repro.core.udp import UDP_ISA_FACTORS, UDPLaneModel
 from repro.errors import KernelError
 from repro.isa.fastpath import FastEngine
@@ -27,19 +27,19 @@ from tests.core_oracle import run_steps
 SIZE = 16 * 1024
 
 
-def run_timed(asm, core=None, params=PipelineParams()):
+def run_timed(asm, core=None):
     """Time a small program with the per-step oracle; returns cycles.
 
     The fast engine must charge the same cycles and stats.
     """
     runs = []
     for fast in (False, True):
-        pipeline = PipelineModel(build_hierarchy(core or baseline_core()), params)
+        pipeline = PipelineModel(build_hierarchy(core or baseline_core()))
         program = asm.build()
         interp = Interpreter(program, FlatMemory(4096))
         clock = SimpleNamespace(cycle=0.0)
         if fast:
-            FastEngine(program, params).run(interp, pipeline=pipeline, clock=clock)
+            FastEngine(program).run(interp, pipeline=pipeline, clock=clock)
         else:
             run_steps(interp, pipeline, clock)
         runs.append((clock.cycle, pipeline))

@@ -5,6 +5,7 @@ semantics, and — the acceptance-critical property — byte-identical JSON
 reports across same-seed runs.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -180,6 +181,22 @@ def test_render_table_stars_frontier_rows():
     assert "Pareto frontier" in text
     starred = [ln for ln in text.splitlines() if ln.startswith("* ")]
     assert len(starred) == len(result.pareto_points)
+
+
+#: sha256 of the report that ``python -m repro dse --cores 4 --sample-kib 8
+#: --json report.json`` writes (values rounded to 6 places). The grid prices
+#: both timing models, so this pins the predictive model's cycles by value:
+#: a changed predictor or latency constant moves it.
+SMOKE_REPORT_SHA256 = "ca5551b59cc4eeb69a433b2137e2b04176135c6787f9a896da560ff644de4c9a"
+
+
+def test_cli_dse_smoke_report_is_pinned(tmp_path):
+    from repro.__main__ import main
+
+    report = tmp_path / "report.json"
+    rc = main(["dse", "--cores", "4", "--sample-kib", "8", "--json", str(report)])
+    assert rc == 0
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == SMOKE_REPORT_SHA256
 
 
 def test_cli_dse_smoke(capsys):

@@ -15,10 +15,14 @@ evidence:
    plus loads and stores of every width at every pad edge on six
    configurations, straddling accesses and memory faults included;
 2. a deterministic corpus of >=500 seeded random RV32IM+stream programs
-   (loops, faults, stalls, EOS) compared on full architectural state;
+   (loops, faults, stalls, EOS) compared on full architectural state, and
+   the same programs timed on the stream and DRAM-cache hierarchies under
+   both timing models against the timing oracle (clock, pipeline stats,
+   stall buckets, per-PC profile);
 3. hypothesis-generated programs for adversarial edge discovery.
 
-Run the seeded corpus alone (the CI smoke job does) with::
+The CI ``fastpath-differential`` job runs the whole file. Run the seeded
+corpus alone with::
 
     pytest tests/test_fastpath_differential.py -k seeded
 """
@@ -33,7 +37,7 @@ from hypothesis import strategies as st
 
 from repro.config import StreamBufferConfig, named_config
 from repro.core.core import MEMORY_BYTES, CoreModel
-from repro.core.pipeline import PipelineModel, PipelineParams
+from repro.core.pipeline import PipelineModel
 from repro.errors import ExecutionError, MemoryError_
 from repro.isa.fastpath import FastEngine
 from repro.isa.instructions import Instr
@@ -66,8 +70,8 @@ _BRANCHES = ["beq", "bne", "blt", "bge", "bltu", "bgeu"]
 REGS = list(range(1, 16))
 
 
-def _execute(program, fast, seeds, mem_image, stream_data, open_streams=()):
-    """Run on one engine; return (interp, in_set, out_set, error-or-None)."""
+def _interp(program, seeds, mem_image, stream_data, open_streams=()):
+    """A fresh interpreter over ``program``; returns (interp, in_set, out_set)."""
     mem = FlatMemory(MEM_BYTES)
     if mem_image:
         mem.store_bytes(0, mem_image)
@@ -81,6 +85,13 @@ def _execute(program, fast, seeds, mem_image, stream_data, open_streams=()):
     interp = Interpreter(program, mem, in_streams=ins, out_streams=outs)
     for reg, value in seeds:
         interp.regs.write(reg, value)
+    return interp, ins, outs
+
+
+def _execute(program, fast, seeds, mem_image, stream_data, open_streams=()):
+    """Run on one engine; return (interp, in_set, out_set, error-or-None)."""
+    interp, ins, outs = _interp(program, seeds, mem_image, stream_data,
+                                open_streams)
     err = None
     try:
         if fast:
@@ -328,7 +339,7 @@ def _edge_program(trap_op=None):
 def _edge_run(config_name, model, program, oracle):
     """Run ``program`` timed; everything the engine and the oracle charge."""
     h = build_hierarchy(_edge_core(config_name, model))
-    pipeline = PipelineModel(h, PipelineParams(), model=model)
+    pipeline = PipelineModel(h, model=model)
     memory = FlatMemory(MEMORY_BYTES)
     interp = Interpreter(program, memory)
     clock = SimpleNamespace(cycle=0.0)
@@ -341,7 +352,7 @@ def _edge_run(config_name, model, program, oracle):
         if oracle:
             touches = run_steps(interp, pipeline, clock, region, profiler)
         else:
-            touches = FastEngine(program, PipelineParams(), model=model).run(
+            touches = FastEngine(program, model=model).run(
                 interp, pipeline=pipeline, clock=clock, input_region=region,
                 strict_stalls=True, profiler=profiler,
             )
@@ -393,19 +404,27 @@ def test_pad_edges_cover_every_region():
 
 
 def test_engine_pipeline_model_mismatch_guard():
-    from repro.core.pipeline import PipelineModel, PipelineParams
-
     program = Program("g", (Instr("halt"),))
     interp = Interpreter(program, FlatMemory(64))
     static_engine = FastEngine(program)
-    predictive_pipeline = PipelineModel(None, PipelineParams(), model="predictive")
+    predictive_pipeline = PipelineModel(None, model="predictive")
     with pytest.raises(ExecutionError, match="other timing model"):
         static_engine.run(interp, pipeline=predictive_pipeline)
 
     predictive_engine = FastEngine(program, model="predictive")
-    static_pipeline = PipelineModel(None, PipelineParams(), model="static")
+    static_pipeline = PipelineModel(None, model="static")
     with pytest.raises(ExecutionError, match="other timing model"):
         predictive_engine.run(interp, pipeline=static_pipeline)
+
+
+def test_predictive_engine_needs_a_pipeline():
+    """A run without a pipeline is functional only; the predictive model
+    prices every op through the pipeline's coster, so it has no such run."""
+    program = Program("p", (Instr("halt"),))
+    interp = Interpreter(program, FlatMemory(64))
+    with pytest.raises(ExecutionError, match="needs a pipeline"):
+        FastEngine(program, model="predictive").run(interp)
+    assert interp.steps == 0 and not interp.finished
 
 
 def test_unknown_pipeline_model_rejected():
@@ -498,13 +517,80 @@ def _random_environment(rng):
     return seeds, mem_image, stream_data, open_streams
 
 
-def test_seeded_corpus_bit_identical():
+def _seeded_corpus():
+    """The seeded programs, each with its environment."""
     rng = random.Random(0xA55A51)
+    corpus = []
     for _ in range(N_SEEDED_PROGRAMS):
         program = _random_program(rng)
-        seeds, mem_image, stream_data, open_streams = _random_environment(rng)
-        assert_engines_agree(program, seeds, mem_image, stream_data,
-                             open_streams)
+        corpus.append((program, _random_environment(rng)))
+    return corpus
+
+
+def test_seeded_corpus_bit_identical():
+    for program, env in _seeded_corpus():
+        assert_engines_agree(program, *env)
+
+
+# ---------------------------------------------------------------------------
+# Layer 2b: the seeded corpus timed, under both timing models.
+#
+# The same random programs (every branch, jal and jalr shape, stream
+# stalls, EOS and traps) run through the engine and the per-step timing
+# oracle on the stream and DRAM-cache hierarchies. A run compares its
+# error, architectural end state, clock, pipeline stats, stall buckets
+# and per-PC profile.
+# ---------------------------------------------------------------------------
+
+_TIMED_CONFIGS = ("AssasinSb", "Baseline")
+
+
+def _timed_corpus_run(program, env, config_name, model, oracle):
+    """One strict timed run of a seeded program: everything it charges."""
+    interp, _, _ = _interp(program, *env)
+    h = build_hierarchy(named_config(config_name).with_pipeline_model(model).core)
+    pipeline = PipelineModel(h, model=model)
+    clock = SimpleNamespace(cycle=0.0)
+    profiler = IsaProfiler()
+    profiler.set_program(program)
+    err = None
+    try:
+        if oracle:
+            run_steps(interp, pipeline, clock, profiler=profiler)
+        else:
+            FastEngine(program, model=model).run(
+                interp, pipeline=pipeline, clock=clock, strict_stalls=True,
+                profiler=profiler,
+            )
+    except Exception as exc:  # compared across engines below
+        err = (type(exc).__name__, str(exc))
+    return {
+        "err": err,
+        "pc": interp.pc,
+        "steps": interp.steps,
+        "regs": interp.regs.snapshot(),
+        "clock": clock.cycle,
+        "pipeline": pipeline.stats,
+        "buckets": h.buckets,
+        "profile": _profile(profiler),
+    }
+
+
+@pytest.mark.parametrize("model", ("static", "predictive"))
+@pytest.mark.parametrize("config_name", _TIMED_CONFIGS)
+def test_seeded_corpus_timed_identical(config_name, model):
+    """Every seeded program whose functional run ends within ``MAX_STEPS``
+    (the oracle has no step budget) charges the oracle's exact cycles."""
+    timed = 0
+    for program, env in _seeded_corpus():
+        err = _execute(program, False, *env)[3]
+        if err and err[1].startswith("exceeded max_steps"):
+            continue
+        fast = _timed_corpus_run(program, env, config_name, model, oracle=False)
+        ref = _timed_corpus_run(program, env, config_name, model, oracle=True)
+        assert fast == ref, f"\nfast={fast}\nref={ref}\nprogram={program.instrs}"
+        timed += 1
+    assert timed >= 400
 
 
 # ---------------------------------------------------------------------------
@@ -622,6 +708,38 @@ def test_output_overflow_stall_traps_identically():
               + [Instr("sstore", rs2=7, sid=0, width=4)] * (cap // 4 + 1)
               + [Instr("halt")])
     assert_engines_agree(Program("ovf", tuple(instrs)))
+
+
+@pytest.mark.parametrize("instr", [
+    Instr("sload", rd=5, sid=0, width=4),
+    Instr("sskip", sid=0, imm=3),
+    Instr("savail", rd=0, sid=0),
+    Instr("seos", rd=2, sid=1),
+    Instr("sstore", rs2=1, sid=0, width=4),
+], ids=lambda instr: instr.op)
+def test_missing_stream_set_traps_identically(instr):
+    """A stream op on an interpreter given no stream sets traps like the
+    reference, with the PC on the stream op and nothing of it retired."""
+    program = Program("nostreams", (Instr("addi", rd=1, rs1=0, imm=3), instr,
+                                    Instr("halt")))
+    states = []
+    for fast in (False, True):
+        interp = Interpreter(program, FlatMemory(MEM_BYTES))
+        with pytest.raises(ExecutionError, match="streams but none attached"):
+            FastEngine(program).run(interp) if fast else interp.run()
+        states.append((interp.pc, interp.steps, interp.regs.snapshot(),
+                       dict(interp.instr_counts)))
+    assert states[0] == states[1]
+
+
+@pytest.mark.parametrize("instr", [
+    Instr("sstore", rs2=1, sid=SB_CFG.num_streams + 2, width=4),
+    Instr("savail", rd=0, sid=SB_CFG.num_streams + 2),
+], ids=lambda instr: instr.op)
+def test_stream_id_out_of_range_traps_identically(instr):
+    """A stream id the set lacks raises the set's ``StreamError`` on both
+    engines, even for a store (not an output-full stall) or an x0 probe."""
+    assert_engines_agree(Program("badsid", (instr, Instr("halt"))))
 
 
 def test_strict_mode_matches_core_model_stall_error():

@@ -84,25 +84,16 @@ def test_config_change_invalidates_by_construction():
 
 
 def test_pipeline_model_and_params_change_the_digest():
-    """Timing-model knobs live outside the kernel's architectural inputs but
-    change its cycle price, so they must be part of the cache key."""
-    from repro.core.pipeline import PipelineParams
-
+    """The timing model lives outside the kernel's architectural inputs but
+    changes its cycle price, so it must be part of the cache key."""
     base = assasin_sb_config()
     predictive = base.with_pipeline_model("predictive")
     stat = get_kernel("stat")
     cache = KernelPricingCache()
     assert cache.config_digest(base) != cache.config_digest(predictive)
-    default = PipelineParams()
-    tweaked = PipelineParams(mispredict_penalty=5)
-    assert (cache.config_digest(base, default)
-            != cache.config_digest(base, tweaked))
-    assert (cache.config_digest(base, default)
-            == cache.config_digest(base, PipelineParams()))
-    cache.put(base, stat, 4096, "static-sample", pipeline_params=default)
-    assert cache.get(predictive, stat, 4096, pipeline_params=default) is None
-    assert cache.get(base, stat, 4096, pipeline_params=tweaked) is None
-    assert cache.get(base, stat, 4096, pipeline_params=default) == "static-sample"
+    cache.put(base, stat, 4096, "static-sample")
+    assert cache.get(predictive, stat, 4096) is None
+    assert cache.get(base, stat, 4096) == "static-sample"
 
 
 def test_digest_memo_is_value_keyed_not_id_keyed():
