@@ -6,10 +6,11 @@ reproducible experiment:
 1. **Preload** — build a fresh device, let the serving layer carve the
    tenant LPA regions, then program every data page with a deterministic
    per-LPA pattern (the *golden* copy kept host-side for verification) and
-   one RAID-4 parity page per ``raid_k``-page group. The preload programs
-   the chips directly and then rewinds the plane timelines, so the device
-   starts the run in "manufactured" state instead of spending the first
-   millisecond of simulated time writing the dataset.
+   one RAID-4 parity page per ``raid_k``-page group. The preload stores
+   each page with :meth:`~repro.flash.array.FlashArray.preload`, which
+   books no plane or bus time, so the device starts the run in
+   "manufactured" state instead of spending the first millisecond of
+   simulated time writing the dataset.
 2. **Serve** — run the multi-tenant workload with a
    :class:`~repro.ssd.firmware.RecoveryController` on the read path; the
    :class:`~repro.faults.injector.FaultInjector` corrupts pages as they
@@ -160,22 +161,14 @@ class FaultCampaign:
         golden: Dict[int, bytes] = {}
         for lpa in data_lpas:
             golden[lpa] = golden_page(self.fault_config.seed, lpa, page_bytes)
-            self._program(device.ftl.lookup(lpa), golden[lpa])
+            device.array.preload(device.ftl.lookup(lpa), golden[lpa])
         for group in range(len(self.raid_map)):
             # A remainder group of one page has that page as its parity.
             parity = xor_pages([golden[m] for m in self.raid_map.members(group)])
             parity_lpa = self.raid_map.parity(group)
             golden[parity_lpa] = parity
-            self._program(device.ftl.write(parity_lpa), parity)
+            device.array.preload(device.ftl.write(parity_lpa), parity)
         self.golden = golden
-
-        # Manufacturing-state preload: the programs above must not occupy
-        # the plane or bus timelines the serve run is about to contend on.
-        device.array.reset_timelines()
-
-    def _program(self, ppa, data: bytes) -> None:
-        chip = self.device.array.chips[ppa.channel][ppa.chip]
-        chip.start_program(ppa.die, ppa.plane, ppa.block, ppa.page, 0.0, data=data)
 
     # -- run -------------------------------------------------------------------
 

@@ -38,8 +38,7 @@ from typing import Dict, Optional, Tuple
 
 from repro.config import FaultConfig, FlashConfig, HardFault
 from repro.errors import FaultError
-from repro.flash.array import PhysicalPageAddress
-from repro.flash.chip import FlashChip
+from repro.flash.array import FlashArray, PhysicalPageAddress
 
 
 @dataclass
@@ -88,8 +87,8 @@ class FaultInjector:
     # -- deterministic RNG ----------------------------------------------------
 
     def _rng(self, flat: int, attempt: int) -> random.Random:
-        # Same mixing idiom as FlashChip.inject_errors: distinct primes
-        # decorrelate the three inputs without relying on hash().
+        # Distinct primes decorrelate the three inputs without relying on
+        # hash().
         return random.Random(
             (self.cfg.seed * 1_000_003 + flat) * 7_919 + attempt * 104_729
         )
@@ -117,7 +116,7 @@ class FaultInjector:
 
     # -- the read-path hook ---------------------------------------------------
 
-    def on_read(self, chip: FlashChip, ppa: PhysicalPageAddress, now_ns: float) -> ReadFault:
+    def on_read(self, array: FlashArray, ppa: PhysicalPageAddress, now_ns: float) -> ReadFault:
         """Apply this attempt's sampled fault to the cells; report what hit."""
         if self.hard_failed(ppa, now_ns):
             return ReadFault(kind="hard")
@@ -139,13 +138,13 @@ class FaultInjector:
             if active.kind == "transient":
                 # Read-retry recalibration: the shifted sense threshold
                 # recovers, so this attempt sees the pristine bytes again.
-                chip.overwrite_raw(ppa.die, ppa.plane, ppa.block, ppa.page, active.pristine)
+                array.overwrite_raw(ppa, active.pristine)
                 del self._active[flat]
                 self.counters["transient_heals"] += 1
                 return ReadFault(kind=None, slow_extra_ns=slow, touched=False)
             return ReadFault(kind="permanent", slow_extra_ns=slow, touched=True)
 
-        pristine = chip.read_data(ppa.die, ppa.plane, ppa.block, ppa.page)
+        pristine = array.read_data(ppa)
         if pristine is None:
             # Mapped-but-never-programmed page (metadata-only workloads):
             # there are no cells to corrupt.
@@ -157,17 +156,13 @@ class FaultInjector:
                 if rng.random() < self.cfg.transient_fraction
                 else "permanent"
             )
-            chip.overwrite_raw(
-                ppa.die, ppa.plane, ppa.block, ppa.page, self._burst(pristine, rng)
-            )
+            array.overwrite_raw(ppa, self._burst(pristine, rng))
             self._active[flat] = _ActiveFault(kind, pristine)
             self.counters[f"injected_{kind}_bursts"] += 1
             return ReadFault(kind=kind, slow_extra_ns=slow, touched=True)
 
         if draw < self.cfg.uncorrectable_rate + self.cfg.page_error_rate:
-            chip.overwrite_raw(
-                ppa.die, ppa.plane, ppa.block, ppa.page, self._noise(pristine, rng)
-            )
+            array.overwrite_raw(ppa, self._noise(pristine, rng))
             self.counters["injected_noise_pages"] += 1
             return ReadFault(kind="noise", slow_extra_ns=slow, touched=True, scrub=pristine)
 

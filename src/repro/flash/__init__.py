@@ -9,15 +9,12 @@ the :class:`FlashArray`, which serves a page read or program in one call.
 """
 
 from repro.flash.onfi import ONFI_PROFILES, OnfiTiming
-from repro.flash.chip import FlashChip, PageState
 from repro.flash.array import FlashArray, PhysicalPageAddress, PlaneLanes, ServiceRecord
 from repro.flash.ecc import ECCStatus, decode_page, encode_page, inject_bit_errors
 
 __all__ = [
     "ONFI_PROFILES",
     "OnfiTiming",
-    "FlashChip",
-    "PageState",
     "FlashArray",
     "PhysicalPageAddress",
     "PlaneLanes",

@@ -4,7 +4,7 @@ Physical page addresses decompose hierarchically (channel, chip, die,
 plane, block, page). A read occupies the plane for tR, then the page
 streams over the channel bus; a write streams over the bus first and then
 programs the plane. The per-channel controllers in :mod:`repro.ssd` issue
-requests; this module owns the raw timing.
+requests; this module owns the raw timing and every page rule.
 
 The timing state is flat, as MQSim keeps it: every plane's read lane and
 program/erase lane is a free-at and a busy-ns int in lists indexed by the
@@ -16,21 +16,41 @@ skewed layout (Section VI-E). A page read or program unpacks the address
 once and books its plane and its channel's bus (one helper, ``_book_bus``,
 for both) with no grant object. The page and transfer tallies are plain
 ints; the counter registry reads them when it takes a snapshot.
+
+The page state is keyed by the :class:`PhysicalPageAddress` itself, and
+only programmed pages have an entry, so a multi-GiB array costs memory in
+proportion to what was written. NAND's rules hold: a page is programmed
+only while erased, with data no larger than a page, and an erase clears
+its whole block. A page programmed with data keeps its bytes and their
+spare-area SECDED parity (:mod:`repro.flash.ecc`), which the ECC-checked
+read decodes against.
 """
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Optional
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.config import FlashConfig
 from repro.errors import ConfigError, FlashError
-from repro.flash.chip import FlashChip, plane_latencies
-from repro.sim import as_ns
+from repro.flash import ecc
+from repro.sim import SimTimeError, as_ns
 from repro.sim.resources import book_gap, busy_within
 
 #: Service records are built with ``tuple.__new__``: the same object the
 #: class call returns, without the NamedTuple ``__new__`` frame.
 _tuple_new = tuple.__new__
+
+
+def plane_latencies(config: FlashConfig) -> Tuple[int, int, int]:
+    """tR, tPROG and tBERS as integer ns; a negative one is a :class:`SimTimeError`."""
+    latencies = (
+        as_ns(config.read_latency_ns),
+        as_ns(config.program_latency_ns),
+        as_ns(config.erase_latency_ns),
+    )
+    if min(latencies) < 0:
+        raise SimTimeError(f"negative flash latency in (tR, tPROG, tBERS) = {latencies}")
+    return latencies
 
 
 class PhysicalPageAddress(NamedTuple):
@@ -90,7 +110,16 @@ class PlaneLanes(NamedTuple):
 
 
 class FlashArray:
-    """All channels and chips of the SSD's flash."""
+    """All channels and chips of the SSD's flash.
+
+    Planes within a die operate concurrently (multi-plane read/program with
+    cache operations), the standard technique SSDs use to hide NAND's long
+    tPROG behind channel transfers. Each plane therefore has two lanes:
+    modern controllers *suspend* an in-flight program or erase to service
+    a read, so reads queue only behind other reads, while programs and
+    erases queue behind everything on their plane. tR, tPROG, tBERS and
+    the page transfer time are integer ns fixed at construction.
+    """
 
     def __init__(self, config: FlashConfig, telemetry=None) -> None:
         if telemetry is None:
@@ -99,30 +128,29 @@ class FlashArray:
             telemetry = Telemetry()
         self.config = config
         channels, chips = config.channels, config.chips_per_channel
-        per_chip = config.dies_per_chip * config.planes_per_die
-        planes = channels * chips * per_chip
+        planes = channels * chips * config.dies_per_chip * config.planes_per_die
         # Plane lanes: free-at and busy ns of every plane's read lane and
         # program/erase lane, indexed by plane number.
         self._read_free = [0] * planes
         self._read_busy = [0] * planes
         self._program_free = [0] * planes
         self._program_busy = [0] * planes
-        lanes = (self._read_free, self._read_busy, self._program_free, self._program_busy)
-        self.chips: List[List[FlashChip]] = [
-            [FlashChip(config, ch, i) for i in range(chips)] for ch in range(channels)
-        ]
-        self._chip_list = [chip for row in self.chips for chip in row]
-        for number, chip in enumerate(self._chip_list):
-            chip._attach_lanes(lanes, number * per_chip)
         self._geometry = (
             channels, chips, config.dies_per_chip, config.planes_per_die,
             config.blocks_per_plane, config.pages_per_block,
         )
-        self._read_ns = plane_latencies(config)[0]
+        self._read_ns, self._program_ns, self._erase_ns = plane_latencies(config)
+        # Programmed pages: their stored bytes, or None for a page
+        # programmed without data; an erased page has no entry. The spare
+        # area holds the ECC of every page stored with data.
+        self._pages: Dict[PhysicalPageAddress, Optional[bytes]] = {}
+        self._spare: Dict[PhysicalPageAddress, bytes] = {}
+        self.ecc_corrections = 0
+        self.ecc_failures = 0
         # Channel buses: sorted, coalesced busy intervals per channel (the
-        # bus frees at the last end), and transfers per channel, in total
-        # and at the last rewind. Every transfer moves one page, so bytes
-        # and busy time follow from the counts.
+        # bus frees at the last end), and transfers per channel. Every
+        # transfer moves one page, so bytes and busy time follow from the
+        # counts.
         bandwidth = config.channel_bandwidth_bytes_per_ns
         if not bandwidth > 0:
             raise ConfigError(f"channel bandwidth must be positive, got {bandwidth!r}")
@@ -130,7 +158,6 @@ class FlashArray:
         self._bus_starts: List[List[int]] = [[] for _ in range(channels)]
         self._bus_ends: List[List[int]] = [[] for _ in range(channels)]
         self._transfers = [0] * channels
-        self._transfers_at_reset = [0] * channels
         self._reads = 0
         self._writes = 0
         self._tracer = telemetry.tracer
@@ -155,19 +182,26 @@ class FlashArray:
     def writes_served(self) -> int:
         return self._writes
 
-    def _chip(self, channel: int, chip: int) -> FlashChip:
-        channels, chips = self._geometry[:2]
+    def _check(self, channel: int, chip: int, die: int, plane: int, block: int, page: int) -> None:
+        """Raise :class:`FlashError` unless the address is inside the array."""
+        channels, chips, dies, planes, blocks, pages = self._geometry
         if not 0 <= channel < channels:
             raise FlashError(f"channel {channel} outside array")
         if not 0 <= chip < chips:
             raise FlashError(f"chip {chip} outside channel")
-        return self._chip_list[channel * chips + chip]
+        if not (
+            0 <= die < dies and 0 <= plane < planes
+            and 0 <= block < blocks and 0 <= page < pages
+        ):
+            raise FlashError(
+                f"page address (die={die}, plane={plane}, block={block}, page={page}) "
+                "outside chip geometry"
+            )
 
     # The service calls unpack the address once. An int issue time is
-    # already on the clock; only other values are rounded. A read checks
-    # the address in one comparison (a miss raises the chip's error) and
-    # indexes its plane's read lane here, the only timed path of a page
-    # read; a write checks and programs the page through its chip.
+    # already on the clock; only other values are rounded. Reads and writes
+    # round the issue time first, then test the address in one comparison
+    # (a miss raises through ``_check``); an erase checks its block first.
 
     def service_read(self, ppa: PhysicalPageAddress, issue_ns) -> ServiceRecord:
         """Read one page: plane tR, then the channel transfer."""
@@ -178,7 +212,7 @@ class FlashArray:
             0 <= channel < channels and 0 <= chip < chips and 0 <= die < dies
             and 0 <= plane < planes and 0 <= block < blocks and 0 <= page < pages
         ):
-            self._chip(channel, chip)._check(die, plane, block, page)
+            self._check(*ppa)
         # Reads suspend in-flight programs/erases: queue behind reads only.
         unit = ((channel * chips + chip) * dies + die) * planes + plane
         lane = self._read_free
@@ -194,15 +228,63 @@ class FlashArray:
         self, ppa: PhysicalPageAddress, issue_ns, data: Optional[bytes] = None
     ) -> ServiceRecord:
         """Write one page: channel transfer into the register, then program."""
-        channel, chip, die, plane, block, page = ppa
-        target = self._chip(channel, chip)
         issue = issue_ns if issue_ns.__class__ is int else as_ns(issue_ns)
-        # Check first: a rejected program must book neither bus nor plane.
-        target.check_program(die, plane, block, page, data)
-        transferred = self._book_bus(channel, issue)
-        done = target.book_program(die, plane, block, page, transferred, data)
+        # The page is checked and stored before anything is booked: a
+        # refused program leaves bus, plane and page as they were.
+        unit = self._program(ppa, data)
+        transferred = self._book_bus(ppa[0], issue)
+        done = self._occupy_plane(unit, transferred, self._program_ns)
         self._writes += 1
         return _tuple_new(ServiceRecord, (ppa, issue, transferred, done))
+
+    def preload(self, ppa: PhysicalPageAddress, data: bytes) -> None:
+        """Program ``ppa`` with ``data`` as the array leaves the factory.
+
+        The page rules hold as for :meth:`service_write`, but nothing is
+        timed: no lane, bus or tally is booked (campaign golden data).
+        """
+        self._program(ppa, data)
+
+    def _program(self, ppa: PhysicalPageAddress, data: Optional[bytes]) -> int:
+        """Mark ``ppa`` programmed and keep ``data`` with its spare-area ECC
+        (computed over the 8-byte-aligned prefix); returns its plane's
+        number.
+
+        Raises :class:`FlashError`, changing nothing, unless the address is
+        in the array, the page is erased and ``data`` fits in a page.
+        """
+        channel, chip, die, plane, block, page = ppa
+        channels, chips, dies, planes, blocks, pages = self._geometry
+        if not (
+            0 <= channel < channels and 0 <= chip < chips and 0 <= die < dies
+            and 0 <= plane < planes and 0 <= block < blocks and 0 <= page < pages
+        ):
+            self._check(*ppa)
+        if ppa in self._pages:
+            # Errors name the page within its chip: (die, plane, block, page).
+            raise FlashError(f"program into non-erased page {ppa[2:]} (erase the block first)")
+        if data is None:
+            self._pages[ppa] = None
+        else:
+            if len(data) > self.config.page_bytes:
+                raise FlashError(f"page data of {len(data)}B exceeds page size")
+            data = bytes(data)
+            self._pages[ppa] = data
+            self._spare[ppa] = ecc.encode_page(data + b"\x00" * (-len(data) % 8))
+        return ((channel * chips + chip) * dies + die) * planes + plane
+
+    def _occupy_plane(self, unit: int, ready: int, duration_ns: int) -> int:
+        """Book a program or erase on plane ``unit``: it queues behind
+        everything on the plane, in-flight reads (which would suspend it)
+        and earlier programs/erases. Returns when it completes."""
+        read_free = self._read_free[unit]
+        if read_free > ready:
+            ready = read_free
+        free = self._program_free[unit]
+        done = (ready if ready > free else free) + duration_ns
+        self._program_free[unit] = done
+        self._program_busy[unit] += duration_ns
+        return done
 
     def _book_bus(self, channel: int, ready: int) -> int:
         """Book one page transfer on ``channel``'s bus for data ready at
@@ -232,29 +314,80 @@ class FlashArray:
         return done
 
     def erase(self, ppa: PhysicalPageAddress, issue_ns) -> int:
-        """Erase the block containing ``ppa``."""
+        """Erase the block containing ``ppa``; returns when the erase completes."""
         channel, chip, die, plane, block, _ = ppa
-        return self._chip(channel, chip).erase_block(die, plane, block, issue_ns)
+        self._check(channel, chip, die, plane, block, 0)
+        _, chips, dies, planes, _, pages = self._geometry
+        unit = ((channel * chips + chip) * dies + die) * planes + plane
+        done = self._occupy_plane(unit, as_ns(issue_ns), self._erase_ns)
+        for page in range(pages):
+            # A plain tuple equals, and hashes as, the address it spells.
+            key = (channel, chip, die, plane, block, page)
+            self._pages.pop(key, None)
+            self._spare.pop(key, None)
+        return done
 
-    def reset_timelines(self) -> None:
-        """Rewind every bus and plane lane (manufacturing-state preloads).
+    # -- page contents -----------------------------------------------------------
 
-        Page state stays, and so do the page and transfer totals: only the
-        timelines and their busy times forget.
+    def read_data(self, ppa: PhysicalPageAddress) -> Optional[bytes]:
+        """The raw bytes stored at ``ppa`` (None if never written with data)."""
+        self._check(*ppa)
+        return self._pages.get(ppa)
+
+    def read_data_checked(self, ppa: PhysicalPageAddress) -> Tuple[Optional[bytes], ecc.ECCStatus]:
+        """ECC-checked read: the page's bytes after correction, and the status.
+
+        Models the controller's ECC engine: single-bit upsets per codeword
+        are transparently repaired; multi-bit upsets surface as
+        uncorrectable (the device would retry/recover via RAID).
+
+        This is the *only* place :attr:`ecc_failures` is incremented: every
+        uncorrectable decode bumps the counter exactly once per read, so
+        callers must come through here rather than calling
+        :func:`repro.flash.ecc.decode_page` directly.
         """
-        for lane in (self._read_free, self._read_busy, self._program_free, self._program_busy):
-            lane[:] = [0] * len(lane)
-        for starts, ends in zip(self._bus_starts, self._bus_ends):
-            starts.clear()
-            ends.clear()
-        self._transfers_at_reset[:] = self._transfers
+        self._check(*ppa)
+        raw = self._pages.get(ppa)
+        if raw is None:
+            return None, ecc.ECCStatus.CLEAN
+        aligned = raw + b"\x00" * (-len(raw) % 8)
+        decoded, status, corrections = ecc.decode_page(aligned, self._spare[ppa])
+        self.ecc_corrections += corrections
+        if status is ecc.ECCStatus.UNCORRECTABLE:
+            self.ecc_failures += 1
+        return decoded[: len(raw)], status
+
+    def overwrite_raw(self, ppa: PhysicalPageAddress, data: bytes) -> None:
+        """Replace a programmed page's raw cell contents in place.
+
+        The hook behind read-retry recalibration, scrubbing, and targeted
+        fault injection: it changes what the sense amps will read *without*
+        a program cycle and leaves the spare-area ECC untouched, so
+        restoring the originally programmed bytes makes the page decode
+        clean again.
+        """
+        self._check(*ppa)
+        old = self._pages.get(ppa)
+        if old is None:
+            raise FlashError(f"cannot overwrite page {ppa[2:]}: never programmed with data")
+        if len(data) != len(old):
+            raise FlashError(f"overwrite of {len(data)}B does not match stored {len(old)}B")
+        self._pages[ppa] = bytes(data)
+
+    def stored(self, ppa: PhysicalPageAddress) -> Optional[Tuple[Optional[bytes], Optional[bytes]]]:
+        """What ``ppa``'s cells hold: None while erased, else its raw bytes
+        and spare-area ECC (both None for a page programmed without data)."""
+        self._check(*ppa)
+        if ppa not in self._pages:
+            return None
+        return self._pages[ppa], self._spare.get(ppa)
 
     # -- observability -----------------------------------------------------------
 
     def plane_lanes(self, ppa: PhysicalPageAddress) -> PlaneLanes:
         """The lanes of the plane that holds ``ppa``."""
         channel, chip, die, plane = ppa[:4]
-        self._chip(channel, chip)._check(die, plane, 0, 0)
+        self._check(channel, chip, die, plane, 0, 0)
         _, chips, dies, planes, _, _ = self._geometry
         unit = ((channel * chips + chip) * dies + die) * planes + plane
         return PlaneLanes(
@@ -268,8 +401,8 @@ class FlashArray:
         return ends[-1] if ends else 0
 
     def bus_busy_ns(self, channel: int) -> int:
-        """The channel's transfer time since the last rewind."""
-        return (self._transfers[channel] - self._transfers_at_reset[channel]) * self._xfer_ns
+        """The channel's total transfer time."""
+        return self._transfers[channel] * self._xfer_ns
 
     def channel_bytes(self) -> List[int]:
         page_bytes = self.config.page_bytes

@@ -11,10 +11,10 @@ A :class:`FleetCampaign` is the rack-scale analogue of
 2. **Shard** — each tenant's fleet-LPA region splits into
    ``shard_pages``-page shards placed on the consistent-hash ring; every
    fleet page gets a device-local LPA from its home device's allocator.
-3. **Preload** — golden bytes (deterministic per fleet LPA) are programmed
-   into the chips at time zero, the cross-device RAID parity is computed
-   and programmed on member-disjoint devices, and every plane/bus timeline
-   is rewound ("manufactured" state).
+3. **Preload** — golden bytes (deterministic per fleet LPA) are stored in
+   the arrays, the cross-device RAID parity is computed and stored on
+   member-disjoint devices, and no plane or bus time is booked
+   ("manufactured" state).
 4. **Serve** — the :class:`~repro.fleet.router.FleetRouter` runs the whole
    fleet on one shared simulation kernel.
 5. **Verify** — with a killed device, every page it held is reconstructed
@@ -71,6 +71,22 @@ class ShardedWorkloadGenerator(WorkloadGenerator):
     def __init__(
         self, spec: TenantSpec, index: int, seed: int, lpa_base: int, shard_pages: int
     ) -> None:
+        self.check(spec, shard_pages)
+        super().__init__(spec, index, seed, lpa_base)
+        self.shard_pages = shard_pages
+        self.num_shards = spec.region_pages // shard_pages
+
+    @staticmethod
+    def check(spec: TenantSpec, shard_pages: int) -> None:
+        """Raise :class:`FleetError` unless a fleet can serve ``spec``."""
+        if spec.kind == "sql":
+            raise FleetError(
+                f"tenant {spec.name!r}: a fleet has no SQL session to drive a sql tenant"
+            )
+        if spec.overwrite:
+            # The router keeps write LPAs in fleet space, so a rewrite in
+            # place would remap another tenant's device-local pages.
+            raise FleetError(f"tenant {spec.name!r}: a fleet cannot serve overwrite writes")
         if spec.pages_per_command > shard_pages:
             raise FleetError(
                 f"tenant {spec.name!r}: {spec.pages_per_command} pages/command "
@@ -80,9 +96,6 @@ class ShardedWorkloadGenerator(WorkloadGenerator):
             raise FleetError(
                 f"tenant {spec.name!r}: region smaller than one shard"
             )
-        super().__init__(spec, index, seed, lpa_base)
-        self.shard_pages = shard_pages
-        self.num_shards = spec.region_pages // shard_pages
 
     def _pick_lpas(self) -> List[int]:
         shard = self.rng.randrange(self.num_shards)
@@ -109,6 +122,8 @@ class FleetCampaign:
         self.config = config
         self.fleet = fleet_config or FleetConfig()
         self.tenants = list(tenants) if tenants is not None else default_fleet_tenants()
+        for spec in self.tenants:
+            ShardedWorkloadGenerator.check(spec, self.fleet.shard_pages)
         self.duration_ns = duration_ns
         self.seed = seed
         self.verify_integrity = verify_integrity
@@ -202,16 +217,9 @@ class FleetCampaign:
             self.devices[parity_addr[0]].ftl.write(parity_addr[1])
             self._program(parity_addr, parity)
 
-        # Manufacturing-state preload: the programs above must not occupy
-        # the plane or bus timelines the campaign is about to contend on.
-        for device in self.devices:
-            device.array.reset_timelines()
-
     def _program(self, addr: PageAddr, data: bytes) -> None:
         device = self.devices[addr[0]]
-        ppa = device.ftl.lookup(addr[1])
-        chip = device.array.chips[ppa.channel][ppa.chip]
-        chip.start_program(ppa.die, ppa.plane, ppa.block, ppa.page, 0.0, data=data)
+        device.array.preload(device.ftl.lookup(addr[1]), data)
 
     # -- per-device fault shaping ----------------------------------------------
 
@@ -296,7 +304,7 @@ class FleetCampaign:
         """Rebuild every page the killed device held and diff against golden.
 
         Functional (untimed) sweep: the stripe-mates' stored bytes are read
-        straight off the surviving chips and XORed — the recovery-goodput
+        straight off the surviving arrays and XORed — the recovery-goodput
         timing of in-run rebuilds is already measured by the router.
         """
         dead = self.fleet.kill_device
@@ -318,7 +326,5 @@ class FleetCampaign:
 
     def _read_stored(self, addr: PageAddr) -> Optional[bytes]:
         device = self.devices[addr[0]]
-        ppa = device.ftl.lookup(addr[1])
-        chip = device.array.chips[ppa.channel][ppa.chip]
-        return chip.read_data(ppa.die, ppa.plane, ppa.block, ppa.page)
+        return device.array.read_data(device.ftl.lookup(addr[1]))
 

@@ -176,7 +176,7 @@ class FleetRouter:
                 for _ in range(gen.spec.outstanding):
                     self.sim.schedule_at(0.0, lambda g=gen: self._submit(g), label=labels.submit)
             else:
-                first = gen.next_interarrival_ns()
+                first = gen.next_arrival_ns(0.0)
                 if first < duration_ns:
                     self.sim.schedule_at(first, lambda g=gen: self._arrive(g), label=labels.arrive)
         if self.cfg.kill_device >= 0:
@@ -189,7 +189,7 @@ class FleetRouter:
     def _arrive(self, gen: WorkloadGenerator) -> None:
         now = self.sim.now
         self._submit(gen)
-        next_ns = now + gen.next_interarrival_ns()
+        next_ns = gen.next_arrival_ns(now)
         if next_ns < self._duration_ns:
             self.sim.schedule_at(
                 next_ns, lambda: self._arrive(gen), label=self._labels[gen.spec.name].arrive
@@ -468,9 +468,7 @@ class FleetRouter:
             return outcome.done_ns, outcome.data
         device = self.devices[dev]
         ppa = device.ftl.lookup(lpa)
-        record = device.array.service_read(ppa, issue_ns)
-        chip = device.array.chips[ppa.channel][ppa.chip]
-        return record.done_ns, chip.read_data(ppa.die, ppa.plane, ppa.block, ppa.page)
+        return device.array.service_read(ppa, issue_ns).done_ns, device.array.read_data(ppa)
 
     def _finish_on_coordinator(
         self,

@@ -108,27 +108,24 @@ class WorkloadGenerator:
         self.rng = random.Random((seed + 1) * 1_000_003 + index * 7_919)
         self.generated = 0
 
-    def next_interarrival_ns(self) -> float:
-        """Gap to the next open-loop arrival (exponential or fixed)."""
-        if self.spec.arrival in ("poisson", "burst"):
-            return self.rng.expovariate(1.0 / self.spec.interarrival_ns)
-        return self.spec.interarrival_ns
-
     def next_arrival_ns(self, now_ns: float) -> float:
-        """Absolute time of the next arrival after ``now_ns``.
+        """Absolute time of the next open-loop arrival after ``now_ns``.
 
-        Poisson/fixed tenants arrive at ``now + gap``. Burst tenants draw
-        Poisson gaps during the ON phase; a draw that lands in an OFF phase
-        is carried into the next ON window (an on/off Markov-modulated
-        process, the classic bursty-tenant model).
+        Fixed tenants arrive ``interarrival_ns`` later, Poisson tenants an
+        exponential gap of that mean later. Burst tenants draw Poisson gaps
+        during the ON phase; a draw that lands in an OFF phase is carried
+        into the next ON window (an on/off Markov-modulated process, the
+        classic bursty-tenant model).
         """
-        gap = self.next_interarrival_ns()
-        if self.spec.arrival != "burst":
-            return now_ns + gap
-        period = self.spec.burst_on_ns + self.spec.burst_off_ns
-        at = now_ns + gap
+        spec = self.spec
+        if spec.arrival == "fixed":
+            return now_ns + spec.interarrival_ns
+        at = now_ns + self.rng.expovariate(1.0 / spec.interarrival_ns)
+        if spec.arrival == "poisson":
+            return at
+        period = spec.burst_on_ns + spec.burst_off_ns
         phase = at % period
-        if phase >= self.spec.burst_on_ns:  # landed in the OFF window
+        if phase >= spec.burst_on_ns:  # landed in the OFF window
             at += period - phase  # carry to the start of the next ON window
         return at
 

@@ -101,7 +101,7 @@ class ComputationalSSD:
     def write_dataset(self, data: bytes, at_ns: float = 0.0) -> List[int]:
         """Write real bytes through the FTL into the flash array.
 
-        Unlike :meth:`mount_dataset`, page contents are stored in the chips,
+        Unlike :meth:`mount_dataset`, page contents are stored in the array,
         so they can be read back bit-exactly (and fed to the functional
         offload path).
         """
@@ -118,9 +118,7 @@ class ComputationalSSD:
         """Functional read-back of page contents through the FTL mapping."""
         out = bytearray()
         for lpa in lpas:
-            ppa = self.ftl.lookup(lpa)
-            chip = self.array.chips[ppa.channel][ppa.chip]
-            data = chip.read_data(ppa.die, ppa.plane, ppa.block, ppa.page)
+            data = self.array.read_data(self.ftl.lookup(lpa))
             if data is None:
                 raise DeviceError(f"LPA {lpa} has no stored contents")
             out += data

@@ -672,12 +672,11 @@ class RecoveryController:
     def _attempt_read(self, lpa: int, issue_ns: float):
         """One timed read attempt; returns (data, ok, done_ns, corrected)."""
         ppa = self.ftl.lookup(lpa)
-        chip = self.array.chips[ppa.channel][ppa.chip]
-        record = self.array.service_read(ppa, issue_ns)
-        done = record.done_ns
+        array = self.array
+        done = array.service_read(ppa, issue_ns).done_ns
         if self.injector is None:
-            return chip.read_data(ppa.die, ppa.plane, ppa.block, ppa.page), True, done, False
-        fault = self.injector.on_read(chip, ppa, issue_ns)
+            return array.read_data(ppa), True, done, False
+        fault = self.injector.on_read(array, ppa, issue_ns)
         if fault.slow_extra_ns:
             self.counters["slow_reads"] += 1
             done += fault.slow_extra_ns
@@ -686,8 +685,8 @@ class RecoveryController:
             return None, False, done, False
         if fault.kind is None and not fault.touched:
             # Untouched media: skip the (expensive) full-page decode.
-            return chip.read_data(ppa.die, ppa.plane, ppa.block, ppa.page), True, done, False
-        data, status = chip.read_data_checked(ppa.die, ppa.plane, ppa.block, ppa.page)
+            return array.read_data(ppa), True, done, False
+        data, status = array.read_data_checked(ppa)
         if status is ECCStatus.UNCORRECTABLE:
             self.counters["uncorrectable_reads"] += 1
             return None, False, done, False
@@ -696,7 +695,7 @@ class RecoveryController:
             self.counters["corrected_pages"] += 1
             if fault.scrub is not None:
                 # Correction succeeded: scrub the cells back to pristine.
-                chip.overwrite_raw(ppa.die, ppa.plane, ppa.block, ppa.page, fault.scrub)
+                array.overwrite_raw(ppa, fault.scrub)
         return data, True, done, corrected
 
     # -- RAID escalation ------------------------------------------------------

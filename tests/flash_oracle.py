@@ -20,20 +20,23 @@ point for the open blocks (:func:`walk_open_blocks`) and scans the
 invalid set again for the victim's pages; :func:`scan_collectible` is the
 collectible count by the same scans.
 
-:class:`LaneFlashArray` is the timed page path as objects: each chip's
-plane lanes are two :class:`repro.sim.PooledResource` pools
-(:class:`LaneChip`), each channel a :class:`ChannelBus` on a backfilling
-:class:`repro.sim.FifoResource` that increments registry counters per
-transfer, and a page read or program is a chain of calls through them.
+:class:`LaneFlashArray` is the timed page path and the page rules as
+objects: a :class:`LaneChip` per chip keeps its pages' state, bytes and
+spare-area ECC in its own dicts and its plane lanes as two
+:class:`repro.sim.PooledResource` pools, each channel is a
+:class:`ChannelBus` on a backfilling :class:`repro.sim.FifoResource` that
+increments registry counters per transfer, and a page read or program is
+a chain of calls through them.
 
 The differential suite and the flash speed benchmark run the same pages,
 write sequences and page operations through these and through
 :mod:`repro.flash` and :mod:`repro.ftl`, and demand identical spare bytes,
 decoded pages, PPA streams, GC victims and results, wear counts, service
-records, lane and bus state and counters. Only tests and benchmarks use
-it.
+records, stored pages, lane and bus state and counters. Only tests and
+benchmarks use it.
 """
 
+import enum
 from collections import defaultdict
 from operator import add
 from typing import Dict, List, Optional, Set, Tuple
@@ -41,8 +44,7 @@ from typing import Dict, List, Optional, Set, Tuple
 from repro.config import FlashConfig
 from repro.errors import FlashError, FTLError
 from repro.flash import ecc
-from repro.flash.array import PhysicalPageAddress, PlaneLanes, ServiceRecord
-from repro.flash.chip import FlashChip, PageState
+from repro.flash.array import PhysicalPageAddress, PlaneLanes, ServiceRecord, plane_latencies
 from repro.flash.ecc import ECCStatus, decode_word, encode_word
 from repro.ftl.allocator import PageAllocator, skew_shares
 from repro.ftl.gc import GCResult
@@ -468,41 +470,85 @@ class ScanGarbageCollector:
 # -- the timed page path as objects ------------------------------------------------
 
 
-class LaneChip(FlashChip):
-    """A chip whose plane lanes are two :class:`PooledResource` pools, one
-    unit per plane: reads, and programs/erases."""
+class PageState(enum.Enum):
+    ERASED = "erased"
+    PROGRAMMED = "programmed"
+
+
+class LaneChip:
+    """One chip as objects: its pages' state, bytes and spare-area ECC in
+    dicts keyed by (die, plane, block, page), as the chip object kept them
+    before the array took the page rules over, and its plane lanes as two
+    :class:`PooledResource` pools, one unit per plane: reads, and
+    programs/erases."""
 
     def __init__(self, config: FlashConfig, channel: int, index: int) -> None:
-        super().__init__(config, channel, index)
+        self.config = config
+        #: (dies, planes per die, blocks per plane, pages per block).
+        self._shape = (
+            config.dies_per_chip, config.planes_per_die,
+            config.blocks_per_plane, config.pages_per_block,
+        )
+        self._read_ns, self._program_ns, self._erase_ns = plane_latencies(config)
+        # Sparse page state: (die, plane, block, page) -> PageState; absent
+        # means erased-from-factory. Contents stored only when provided.
+        self._state: Dict[Tuple[int, int, int, int], PageState] = {}
+        self._data: Dict[Tuple[int, int, int, int], bytes] = {}
+        self._spare: Dict[Tuple[int, int, int, int], bytes] = {}
+        self.ecc_corrections = 0
+        self.ecc_failures = 0
         units = config.dies_per_chip * config.planes_per_die
         name = f"flash.ch{channel}.chip{index}"
         self._read_lanes = PooledResource(f"{name}.plane_read", units)
         self._write_lanes = PooledResource(f"{name}.plane_write", units)
 
+    def _check(self, die: int, plane: int, block: int, page: int) -> None:
+        dies, planes, blocks, pages = self._shape
+        if not (
+            0 <= die < dies and 0 <= plane < planes
+            and 0 <= block < blocks and 0 <= page < pages
+        ):
+            raise FlashError(
+                f"page address (die={die}, plane={plane}, block={block}, page={page}) "
+                "outside chip geometry"
+            )
+
     def _unit(self, die: int, plane: int) -> int:
         return die * self.config.planes_per_die + plane
+
+    def check_program(
+        self, die: int, plane: int, block: int, page: int, data: Optional[bytes] = None
+    ) -> None:
+        """Raise :class:`FlashError` unless the page can be programmed with ``data``."""
+        self._check(die, plane, block, page)
+        key = (die, plane, block, page)
+        if self._state.get(key) is PageState.PROGRAMMED:
+            raise FlashError(f"program into non-erased page {key} (erase the block first)")
+        if data is not None and len(data) > self.config.page_bytes:
+            raise FlashError(f"page data of {len(data)}B exceeds page size")
 
     def start_read(self, die, plane, block, page, at_ns) -> int:
         self._check(die, plane, block, page)
         return self._read_lanes.acquire(at_ns, self._read_ns, self._unit(die, plane)).done_ns
 
-    def start_program(self, die, plane, block, page, at_ns, data=None) -> int:
-        self.check_program(die, plane, block, page, data)
-        return self.book_program(die, plane, block, page, at_ns, data)
-
-    def book_program(self, die, plane, block, page, at_ns, data=None) -> int:
+    def store(self, die, plane, block, page, data=None) -> None:
+        """Mark the page programmed and keep its contents and spare-area
+        ECC, computed over the 8-byte-aligned prefix of the page."""
         key = (die, plane, block, page)
-        unit = self._unit(die, plane)
-        if at_ns.__class__ is not int:
-            at_ns = as_ns(at_ns)
-        ready = max(at_ns, self._read_lanes.free_at(unit))
-        done = self._write_lanes.acquire(ready, self._program_ns, unit).done_ns
         self._state[key] = PageState.PROGRAMMED
         if data is not None:
             stored = bytes(data)
             self._data[key] = stored
             aligned = stored + b"\x00" * (-len(stored) % 8)
             self._spare[key] = ecc.encode_page(aligned)
+
+    def book_program(self, die, plane, block, page, at_ns, data=None) -> int:
+        unit = self._unit(die, plane)
+        if at_ns.__class__ is not int:
+            at_ns = as_ns(at_ns)
+        ready = max(at_ns, self._read_lanes.free_at(unit))
+        done = self._write_lanes.acquire(ready, self._program_ns, unit).done_ns
+        self.store(die, plane, block, page, data)
         return done
 
     def erase_block(self, die, plane, block, at_ns) -> int:
@@ -514,14 +560,41 @@ class LaneChip(FlashChip):
             self._state.pop((die, plane, block, page), None)
             self._data.pop((die, plane, block, page), None)
             self._spare.pop((die, plane, block, page), None)
-            self._inject_rounds.pop((die, plane, block, page), None)
-        key = (die, plane, block)
-        self.erase_counts[key] = self.erase_counts.get(key, 0) + 1
         return done
 
-    def reset_timelines(self) -> None:
-        self._read_lanes.reset()
-        self._write_lanes.reset()
+    def read_data(self, die: int, plane: int, block: int, page: int) -> Optional[bytes]:
+        self._check(die, plane, block, page)
+        return self._data.get((die, plane, block, page))
+
+    def overwrite_raw(self, die: int, plane: int, block: int, page: int,
+                      data: bytes) -> None:
+        self._check(die, plane, block, page)
+        key = (die, plane, block, page)
+        if key not in self._data:
+            raise FlashError(f"cannot overwrite page {key}: never programmed with data")
+        if len(data) != len(self._data[key]):
+            raise FlashError(
+                f"overwrite of {len(data)}B does not match stored {len(self._data[key])}B"
+            )
+        self._data[key] = bytes(data)
+
+    def read_data_checked(self, die: int, plane: int, block: int, page: int):
+        """ECC-checked read: (data, status) after correction; the tallies
+        count corrected words and uncorrectable reads."""
+        self._check(die, plane, block, page)
+        key = (die, plane, block, page)
+        raw = self._data.get(key)
+        if raw is None:
+            return None, ecc.ECCStatus.CLEAN
+        spare = self._spare.get(key)
+        if spare is None:
+            return raw, ecc.ECCStatus.CLEAN
+        aligned = raw + b"\x00" * (-len(raw) % 8)
+        decoded, status, corrections = ecc.decode_page(aligned, spare)
+        self.ecc_corrections += corrections
+        if status is ecc.ECCStatus.UNCORRECTABLE:
+            self.ecc_failures += 1
+        return decoded[: len(raw)], status
 
 
 class ChannelBus:
@@ -567,9 +640,6 @@ class ChannelBus:
     def utilisation(self, until_ns) -> float:
         return self._bus.utilisation(until_ns)
 
-    def reset_timeline(self) -> None:
-        self._bus.reset()
-
 
 class LaneFlashArray:
     """The flash array on :class:`LaneChip` lanes and :class:`ChannelBus` buses."""
@@ -613,24 +683,48 @@ class LaneFlashArray:
 
     def service_write(self, ppa, issue_ns, data=None) -> ServiceRecord:
         channel, chip_id, die, plane, block, page = ppa
-        chip = self._chip(channel, chip_id)
         issue = issue_ns if issue_ns.__class__ is int else as_ns(issue_ns)
+        chip = self._chip(channel, chip_id)
         chip.check_program(die, plane, block, page, data)
         transferred = self.channels[channel].transfer(self.config.page_bytes, issue)
         done = chip.book_program(die, plane, block, page, transferred, data)
         self._writes.inc()
         return ServiceRecord(ppa, issue, transferred, done)
 
+    def preload(self, ppa, data) -> None:
+        channel, chip_id, die, plane, block, page = ppa
+        chip = self._chip(channel, chip_id)
+        chip.check_program(die, plane, block, page, data)
+        chip.store(die, plane, block, page, data)
+
     def erase(self, ppa, issue_ns) -> int:
         channel, chip, die, plane, block, _ = ppa
         return self._chip(channel, chip).erase_block(die, plane, block, issue_ns)
 
-    def reset_timelines(self) -> None:
-        for bus in self.channels:
-            bus.reset_timeline()
-        for row in self.chips:
-            for chip in row:
-                chip.reset_timelines()
+    def read_data(self, ppa):
+        return self._chip(ppa[0], ppa[1]).read_data(*ppa[2:])
+
+    def read_data_checked(self, ppa):
+        return self._chip(ppa[0], ppa[1]).read_data_checked(*ppa[2:])
+
+    def overwrite_raw(self, ppa, data) -> None:
+        self._chip(ppa[0], ppa[1]).overwrite_raw(*ppa[2:], data)
+
+    def stored(self, ppa):
+        chip = self._chip(ppa[0], ppa[1])
+        chip._check(*ppa[2:])
+        key = tuple(ppa[2:])
+        if chip._state.get(key) is not PageState.PROGRAMMED:
+            return None
+        return chip._data.get(key), chip._spare.get(key)
+
+    @property
+    def ecc_corrections(self) -> int:
+        return sum(chip.ecc_corrections for row in self.chips for chip in row)
+
+    @property
+    def ecc_failures(self) -> int:
+        return sum(chip.ecc_failures for row in self.chips for chip in row)
 
     def plane_lanes(self, ppa) -> PlaneLanes:
         channel, chip, die, plane = ppa[:4]

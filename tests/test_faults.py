@@ -17,9 +17,8 @@ from repro.faults import (
     RaidGroupMap,
 )
 from repro.faults.campaign import golden_page
-from repro.flash.array import PhysicalPageAddress
-from repro.flash.chip import FlashChip
-from repro.flash.ecc import ECCStatus
+from repro.flash.array import FlashArray, PhysicalPageAddress
+from repro.flash.ecc import ECCStatus, inject_bit_errors
 from repro.ftl.allocator import PageAllocator
 from repro.serve.workload import TenantSpec
 from repro.ssd.device import ComputationalSSD
@@ -37,83 +36,55 @@ TINY = FlashConfig(
 PPA0 = PhysicalPageAddress(0, 0, 0, 0, 0, 0)
 
 
-def _chip(payload=b"\xa5" * 64):
-    chip = FlashChip(FlashConfig(), 0, 0)
-    chip.start_program(0, 0, 0, 0, 0.0, data=payload)
-    return chip
+def _array(payload=b"\xa5" * 64):
+    """A default-geometry array with ``payload`` stored at :data:`PPA0`."""
+    array = FlashArray(FlashConfig())
+    array.preload(PPA0, payload)
+    return array
 
 
-# -- FlashChip.inject_errors (satellite) --------------------------------------
+# -- raw error injection through the array ------------------------------------
 
 
 def test_inject_errors_unprogrammed_page_raises_flash_error():
-    chip = FlashChip(FlashConfig(), 0, 0)
+    array = FlashArray(FlashConfig())
+    noisy = inject_bit_errors(b"\xa5" * 64, 1)
     with pytest.raises(FlashError):
-        chip.inject_errors(0, 0, 0, 0, nbits=1)
+        array.overwrite_raw(PPA0, noisy)
     with pytest.raises(FlashError):  # outside geometry, still FlashError
-        chip.inject_errors(99, 0, 0, 0, nbits=1)
-
-
-def test_inject_errors_same_seed_same_bits():
-    payload = bytes(range(64))
-    a, b = _chip(payload), _chip(payload)
-    a.inject_errors(0, 0, 0, 0, nbits=5, seed=7)
-    b.inject_errors(0, 0, 0, 0, nbits=5, seed=7)
-    assert a.read_data(0, 0, 0, 0) == b.read_data(0, 0, 0, 0) != payload
-
-
-def test_inject_errors_repeat_flips_fresh_bits():
-    """A second same-seed injection must not cancel the first one."""
-    payload = bytes(range(64))
-    chip = _chip(payload)
-    chip.inject_errors(0, 0, 0, 0, nbits=3, seed=7)
-    once = chip.read_data(0, 0, 0, 0)
-    chip.inject_errors(0, 0, 0, 0, nbits=3, seed=7)
-    twice = chip.read_data(0, 0, 0, 0)
-    assert twice != once and twice != payload
-    # ...and the two-round sequence is itself reproducible.
-    other = _chip(payload)
-    other.inject_errors(0, 0, 0, 0, nbits=3, seed=7)
-    other.inject_errors(0, 0, 0, 0, nbits=3, seed=7)
-    assert other.read_data(0, 0, 0, 0) == twice
-
-
-def test_erase_resets_injection_rounds():
-    payload = bytes(range(64))
-    chip = _chip(payload)
-    chip.inject_errors(0, 0, 0, 0, nbits=3, seed=7)
-    first = chip.read_data(0, 0, 0, 0)
-    chip.erase_block(0, 0, 0, 0.0)
-    chip.start_program(0, 0, 0, 0, 1.0, data=payload)
-    chip.inject_errors(0, 0, 0, 0, nbits=3, seed=7)
-    assert chip.read_data(0, 0, 0, 0) == first  # round counter rewound
+        array.overwrite_raw(PPA0._replace(die=99), noisy)
 
 
 # -- centralised ecc_failures accounting (satellite) --------------------------
 
 
 def test_ecc_failures_bumped_exactly_once_per_uncorrectable_read():
-    chip = _chip()
-    chip.inject_errors(0, 0, 0, 0, nbits=40, seed=2)  # way past SECDED
-    _, status = chip.read_data_checked(0, 0, 0, 0)
+    array = _array()
+    array.overwrite_raw(PPA0, inject_bit_errors(array.read_data(PPA0), 40, seed=2))
+    _, status = array.read_data_checked(PPA0)
     assert status is ECCStatus.UNCORRECTABLE
-    assert chip.ecc_failures == 1
-    chip.read_data_checked(0, 0, 0, 0)
-    assert chip.ecc_failures == 2  # once per read, not per codeword
+    assert array.ecc_failures == 1
+    array.read_data_checked(PPA0)
+    assert array.ecc_failures == 2  # once per read, not per codeword
     # A clean page elsewhere leaves the counter alone.
-    chip.start_program(0, 0, 1, 0, 0.0, data=b"\x11" * 64)
-    _, status = chip.read_data_checked(0, 0, 1, 0)
-    assert status is ECCStatus.CLEAN and chip.ecc_failures == 2
+    other = PPA0._replace(block=1)
+    array.preload(other, b"\x11" * 64)
+    _, status = array.read_data_checked(other)
+    assert status is ECCStatus.CLEAN and array.ecc_failures == 2
 
 
 def test_overwrite_raw_requires_data_and_matching_length():
-    chip = _chip()
+    array = _array()
     with pytest.raises(FlashError):
-        chip.overwrite_raw(0, 0, 1, 0, b"\x00" * 64)  # never programmed
+        array.overwrite_raw(PPA0._replace(block=1), b"\x00" * 64)  # never programmed
     with pytest.raises(FlashError):
-        chip.overwrite_raw(0, 0, 0, 0, b"\x00" * 8)  # wrong length
-    chip.overwrite_raw(0, 0, 0, 0, b"\x00" * 64)
-    assert chip.read_data(0, 0, 0, 0) == b"\x00" * 64
+        array.overwrite_raw(PPA0, b"\x00" * 8)  # wrong length
+    array.overwrite_raw(PPA0, b"\x00" * 64)
+    assert array.read_data(PPA0) == b"\x00" * 64
+    # The spare area still holds the programmed page's ECC: restoring
+    # the programmed bytes makes the page decode clean again.
+    array.overwrite_raw(PPA0, b"\xa5" * 64)
+    assert array.read_data_checked(PPA0) == (b"\xa5" * 64, ECCStatus.CLEAN)
 
 
 # -- allocator block retirement -----------------------------------------------
@@ -180,23 +151,23 @@ def test_hard_fault_zone_scoping():
 
 def test_injected_noise_is_always_correctable():
     payload = bytes((i * 31) & 0xFF for i in range(4096))
-    chip = _chip(payload)
+    array = _array(payload)
     inj = FaultInjector(FaultConfig(page_error_rate=1.0, noisy_bits=3), FlashConfig())
-    fault = inj.on_read(chip, PPA0, 0.0)
+    fault = inj.on_read(array, PPA0, 0.0)
     assert fault.kind == "noise" and fault.touched and fault.scrub == payload
-    data, status = chip.read_data_checked(0, 0, 0, 0)
+    data, status = array.read_data_checked(PPA0)
     assert status is ECCStatus.CORRECTED and data == payload
 
 
 def test_injected_burst_is_uncorrectable_not_miscorrected():
     payload = bytes((i * 13) & 0xFF for i in range(4096))
-    chip = _chip(payload)
+    array = _array(payload)
     inj = FaultInjector(
         FaultConfig(uncorrectable_rate=1.0, transient_fraction=0.0), FlashConfig()
     )
-    fault = inj.on_read(chip, PPA0, 0.0)
+    fault = inj.on_read(array, PPA0, 0.0)
     assert fault.kind == "permanent"
-    _, status = chip.read_data_checked(0, 0, 0, 0)
+    _, status = array.read_data_checked(PPA0)
     assert status is ECCStatus.UNCORRECTABLE  # never silently wrong data
 
 
@@ -204,13 +175,13 @@ def test_injector_same_seed_same_faults():
     payload = bytes(range(256)) * 16
     results = []
     for _ in range(2):
-        chip = _chip(payload)
+        array = _array(payload)
         inj = FaultInjector(
             FaultConfig(seed=9, page_error_rate=0.4, uncorrectable_rate=0.2),
             FlashConfig(),
         )
-        kinds = [inj.on_read(chip, PPA0, float(t)).kind for t in range(6)]
-        results.append((kinds, chip.read_data(0, 0, 0, 0), dict(inj.counters)))
+        kinds = [inj.on_read(array, PPA0, float(t)).kind for t in range(6)]
+        results.append((kinds, array.read_data(PPA0), dict(inj.counters)))
     assert results[0] == results[1]
 
 

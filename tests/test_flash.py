@@ -6,7 +6,6 @@ from repro.config import FlashConfig
 from repro.errors import ConfigError, FlashError
 from repro.sim import SimTimeError
 from repro.flash.array import FlashArray, PhysicalPageAddress
-from repro.flash.chip import FlashChip, PageState
 from repro.flash.onfi import ONFI_PROFILES
 
 CFG = FlashConfig(
@@ -80,40 +79,85 @@ def test_write_requires_erased_page():
     array = FlashArray(CFG)
     target = ppa(block=1, page=0)
     array.service_write(target, 0.0, data=b"abc")
-    with pytest.raises(FlashError):
+    with pytest.raises(FlashError, match="non-erased"):
         array.service_write(target, 0.0, data=b"again")
+    with pytest.raises(FlashError, match="non-erased"):
+        array.preload(target, b"again")
+    # A page programmed without data is programmed all the same.
+    array.service_write(ppa(block=1, page=1), 0.0)
+    with pytest.raises(FlashError, match="non-erased"):
+        array.preload(ppa(block=1, page=1), b"late")
+    assert array.writes_served == 2
 
 
-def test_erase_resets_pages_and_counts_wear():
+def test_erase_resets_pages():
     array = FlashArray(CFG)
     target = ppa(block=2, page=3)
+    neighbour = ppa(block=3, page=3)
     array.service_write(target, 0.0, data=b"x")
-    chip = array.chips[0][0]
-    assert chip.page_state(0, 0, 2, 3) is PageState.PROGRAMMED
-    array.erase(target, 1_000_000.0)
-    assert chip.page_state(0, 0, 2, 3) is PageState.ERASED
-    assert chip.erase_counts[(0, 0, 2)] == 1
-    assert chip.read_data(0, 0, 2, 3) is None
+    array.service_write(ppa(block=2, page=4), 0.0)
+    array.preload(neighbour, b"y")
+    assert array.stored(target)[0] == b"x"
+    array.erase(ppa(block=2, page=7), 1_000_000.0)
+    assert array.stored(target) is None and array.read_data(target) is None
+    assert array.stored(ppa(block=2, page=4)) is None
+    assert array.stored(neighbour)[0] == b"y"  # another block keeps its page
+    # Every page of the block is writable again.
+    array.service_write(target, 2_000_000.0, data=b"z")
+    assert array.read_data(target) == b"z"
+
+
+def test_erase_occupies_the_plane():
+    array = FlashArray(CFG)
+    target = ppa(block=2)
+    read = array.service_read(target, 0)
+    done = array.erase(target, 0)
+    # The erase waits for the plane's in-flight read, then takes tBERS.
+    assert done == read.array_done_ns + CFG.erase_latency_ns
+    assert array.plane_lanes(target).program_free_ns == done
+    with pytest.raises(FlashError, match="outside chip geometry"):
+        array.erase(ppa(block=CFG.blocks_per_plane), 0)
 
 
 def test_functional_data_roundtrip():
     array = FlashArray(CFG)
     payload = bytes(range(64))
     array.service_write(ppa(block=3), 0.0, data=payload)
-    assert array.chips[0][0].read_data(0, 0, 3, 0) == payload
+    assert array.read_data(ppa(block=3)) == payload
+    assert array.read_data(ppa(block=3, page=1)) is None
+    with pytest.raises(FlashError):
+        array.read_data(ppa(chip=CFG.chips_per_channel))
 
 
 def test_page_data_size_checked():
-    chip = FlashChip(CFG, 0, 0)
-    with pytest.raises(FlashError):
-        chip.start_program(0, 0, 0, 0, 0.0, data=b"x" * (CFG.page_bytes + 1))
+    array = FlashArray(CFG)
+    with pytest.raises(FlashError, match="exceeds page size"):
+        array.preload(ppa(), b"x" * (CFG.page_bytes + 1))
+    assert array.stored(ppa()) is None
+    array.preload(ppa(), b"x" * CFG.page_bytes)
+    assert array.read_data(ppa()) == b"x" * CFG.page_bytes
+
+
+def test_preload_books_nothing():
+    """A preloaded page is stored with its spare area, but no lane, bus
+    or tally moves: the array stays in its manufactured state."""
+    array = FlashArray(CFG)
+    target = ppa(channel=1, chip=1, die=1, block=2, page=5)
+    array.preload(target, b"golden" * 10)
+    data, spare = array.stored(target)
+    assert data == b"golden" * 10 and len(spare) == 8
+    assert array.plane_lanes(target) == (0, 0, 0, 0)
+    assert (array.bus_free_at_ns(1), array.bus_busy_ns(1), array.horizon_ns) == (0, 0, 0)
+    assert array.channel_bytes() == [0, 0]
+    assert (array.reads_served, array.writes_served) == (0, 0)
+    with pytest.raises(FlashError, match="outside array"):
+        array.preload(ppa(channel=CFG.channels), b"x")
 
 
 def test_rejected_program_books_nothing():
     """An oversized program is refused before the bus, plane or page change."""
     array = FlashArray(CFG)
     target = ppa(block=1, page=2)
-    chip = array.chips[0][0]
 
     def booked():
         return (
@@ -125,13 +169,15 @@ def test_rejected_program_books_nothing():
     before = booked()
     with pytest.raises(FlashError):
         array.service_write(target, 0, data=b"x" * (CFG.page_bytes + 8))
-    assert chip.page_state(0, 0, 1, 2) is PageState.ERASED
+    with pytest.raises(SimTimeError):
+        array.service_write(target, float("nan"), data=b"x")
+    assert array.stored(target) is None
     assert booked() == before
     assert array.writes_served == 0
     # The page is still writable: a valid retry programs it.
     rec = array.service_write(target, 0, data=b"y" * CFG.page_bytes)
     assert rec.done_ns == CFG.page_transfer_ns + CFG.program_latency_ns
-    assert chip.read_data(0, 0, 1, 2) == b"y" * CFG.page_bytes
+    assert array.read_data(target) == b"y" * CFG.page_bytes
     # Programming it again is refused the same way.
     programmed = booked()
     with pytest.raises(FlashError):
@@ -146,6 +192,19 @@ def test_geometry_bounds_checked():
     with pytest.raises(FlashError):
         array.service_read(ppa(die=CFG.dies_per_chip), 0.0)
     assert array.reads_served == 0
+    outside = [ppa(channel=-1), ppa(chip=CFG.chips_per_channel), ppa(plane=1), ppa(block=-1)]
+    for address in outside:
+        for call in (
+            lambda: array.service_write(address, 0),
+            lambda: array.preload(address, b"x"),
+            lambda: array.read_data(address),
+            lambda: array.read_data_checked(address),
+            lambda: array.overwrite_raw(address, b"x"),
+            lambda: array.stored(address),
+        ):
+            with pytest.raises(FlashError, match="outside"):
+                call()
+    assert array.writes_served == 0 and array.horizon_ns == 0
 
 
 @pytest.mark.parametrize(

@@ -7,14 +7,16 @@
   codeword, in the data and in the spare bytes: same spare bytes, decoded
   bytes, worst status and correction count.
 * **Page path.** :class:`~repro.flash.FlashArray` (flat plane lanes and
-  bus intervals, one function per page read and program, counters read
-  at snapshot) must behave like :class:`LaneFlashArray` (pooled plane
-  lanes, a backfilling FIFO bus, a counter increment per transfer) under
-  random reads, programs with and without data (some refused), erases
-  and rewinds, issued at int, float, non-finite and out-of-order instants
-  to addresses in and out of the geometry: the same service records or
-  errors, lane and bus state, bytes, utilisations, horizon, page state,
-  counter snapshot and trace.
+  bus intervals, one page map keyed by address, counters read at
+  snapshot) must behave like :class:`LaneFlashArray` (a chip object per
+  chip with its own page dicts, pooled plane lanes, a backfilling FIFO
+  bus, a counter increment per transfer) under random reads, programs
+  with and without data (some refused), preloads, erases, raw overwrites
+  and ECC-checked reads, issued at int, float, non-finite and
+  out-of-order instants to addresses in and out of the geometry: the same
+  service records, stored and decoded bytes or errors, lane and bus
+  state, bytes, utilisations, horizon, stored pages and spare areas, ECC
+  tallies, counter snapshot and trace.
 * **Block pick and GC.** A :class:`~repro.ftl.PageMapFTL` on the per-unit
   :class:`~repro.ftl.WearTracker`, collected by
   :class:`~repro.ftl.GarbageCollector` from its per-block state, must
@@ -33,6 +35,7 @@ Examples are bounded so each property stays a few seconds inside tier-1.
 """
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -141,14 +144,14 @@ PLANES = [
     for chip in range(PATH_CFG.chips_per_channel)
     for plane in range(PATH_CFG.planes_per_die)
 ]
+PAGES = [PhysicalPageAddress.from_flat(index, PATH_CFG) for index in range(PATH_CFG.total_pages)]
 
-#: Mostly valid addresses; each field is sometimes one past either end.
+#: Mostly valid addresses: each field is one past either end about one
+#: time in eight, so about a third of the addresses lie inside the array.
 _addresses = st.builds(
     PhysicalPageAddress,
     *(
-        st.one_of(
-            st.integers(0, limit - 1), st.integers(0, limit - 1), st.sampled_from((-1, limit))
-        )
+        st.sampled_from(tuple(range(limit)) * 6 + (-1, limit))
         for limit in (
             PATH_CFG.channels,
             PATH_CFG.chips_per_channel,
@@ -175,8 +178,13 @@ _path_ops = st.lists(
         st.tuples(st.just("read"), _addresses, _instants),
         st.tuples(st.just("read"), _addresses, _instants),
         st.tuples(st.just("write"), _addresses, _instants, _payloads),
+        st.tuples(st.just("preload"), _addresses, _payloads),
         st.tuples(st.just("erase"), _addresses, _instants),
-        st.tuples(st.just("reset")),
+        # Raw overwrite of the stored bytes with these bit flips, one byte
+        # longer when the flag is set (refused: lengths differ).
+        st.tuples(st.just("raw"), _addresses, st.lists(st.integers(0, 319), max_size=3),
+                  st.booleans()),
+        st.tuples(st.just("checked"), _addresses),
     ),
     max_size=60,
 )
@@ -188,9 +196,15 @@ def _path_apply(array, op):
             return array.service_read(op[1], op[2])
         if op[0] == "write":
             return array.service_write(op[1], op[2], data=op[3])
+        if op[0] == "preload":
+            return array.preload(op[1], op[2])
         if op[0] == "erase":
             return array.erase(op[1], op[2])
-        return array.reset_timelines()
+        if op[0] == "raw":
+            raw = array.read_data(op[1]) or b""
+            flips = [bit for bit in op[2] if bit < len(raw) * 8]
+            return array.overwrite_raw(op[1], _flip(raw, flips) + b"\x00" * op[3])
+        return array.read_data_checked(op[1])
     except Exception as exc:  # noqa: BLE001 - the error is the outcome compared
         return type(exc), str(exc)
 
@@ -204,11 +218,8 @@ def _path_state(array, telemetry):
         [array.channel_utilisations(until) for until in (horizon, horizon // 3 + 0.4, 0)],
         horizon,
         (array.reads_served, array.writes_served),
-        [
-            (chip._state, chip._data, chip._spare, chip.erase_counts)
-            for row in array.chips
-            for chip in row
-        ],
+        [array.stored(ppa) for ppa in PAGES],
+        (array.ecc_corrections, array.ecc_failures),
         telemetry.counters.snapshot(),
     )
 
@@ -251,7 +262,7 @@ def test_long_page_path_backfills_like_the_oracle():
         elif roll < 0.99:
             ops.append(("erase", ppa, issue))
         else:
-            ops.append(("reset",))
+            ops.append(("checked", ppa))
     outcomes = run_page_paths(ops, traced=False)
     records = [out for out in outcomes if isinstance(out, tuple) and len(out) == 4]
     assert len(records) > 1500
@@ -264,6 +275,35 @@ def test_long_page_path_backfills_like_the_oracle():
         if rec.done_ns < prev.array_done_ns and rec.ppa.channel == prev.ppa.channel
     )
     assert backfilled > 50
+
+
+def test_page_rules_match_the_oracle():
+    """Programs, preloads, raw overwrites, ECC-checked reads and erases
+    over a few blocks: refusals, stored pages and spare areas, decoded
+    bytes and the ECC tallies are the oracle's."""
+    rng = random.Random(25)
+    pages = PAGES[: 3 * PATH_CFG.pages_per_block]
+    ops = []
+    for step in range(4000):
+        ppa = rng.choice(pages)
+        roll = rng.random()
+        if roll < 0.25:
+            ops.append(("write", ppa, step * 1_000, rng.choice((None, rng.randbytes(40)))))
+        elif roll < 0.35:
+            ops.append(("preload", ppa, rng.choice((rng.randbytes(64), b"\xee" * 520))))
+        elif roll < 0.6:
+            flips = rng.sample(range(64), rng.choice((1, 1, 2)))
+            ops.append(("raw", ppa, flips, rng.random() < 0.1))
+        elif roll < 0.95:
+            ops.append(("checked", ppa))
+        else:
+            ops.append(("erase", ppa, step * 1_000))
+    outcomes = run_page_paths(ops, traced=False)
+    pairs = [out for out in outcomes if isinstance(out, tuple) and len(out) == 2]
+    statuses = Counter(status for _, status in pairs)
+    assert min(statuses[status] for status in ecc.ECCStatus) > 50
+    refusals = {message.split(" ")[0] for error, message in pairs if error is FlashError}
+    assert refusals == {"program", "page", "cannot", "overwrite"}
 
 
 # -- wear map and block pick ---------------------------------------------------

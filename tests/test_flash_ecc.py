@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.config import FlashConfig
 from repro.errors import FlashError
+from repro.flash.array import FlashArray, PhysicalPageAddress
 from repro.flash.ecc import (
     ECCStatus,
     decode_page,
@@ -15,6 +17,7 @@ from repro.flash.ecc import (
 )
 
 word64 = st.integers(min_value=0, max_value=(1 << 64) - 1)
+PPA0 = PhysicalPageAddress(0, 0, 0, 0, 0, 0)
 
 
 def test_clean_word_roundtrip():
@@ -127,46 +130,69 @@ def test_raw_bit_error_rate_recovery():
     assert decoded == page and n == 4
 
 
-def test_chip_integrated_ecc_corrects_raw_errors():
-    """The chip's checked read path repairs sparse raw-NAND upsets."""
-    from repro.config import FlashConfig
-    from repro.flash.chip import FlashChip
+def _programmed_array(payload, ppa=PPA0):
+    array = FlashArray(FlashConfig())
+    array.service_write(ppa, 0, data=payload)
+    return array
 
-    chip = FlashChip(FlashConfig(), 0, 0)
+
+def _corrupt(array, ppa, nbits, seed):
+    """Flip ``nbits`` raw bits of a stored page, leaving its spare area."""
+    array.overwrite_raw(ppa, inject_bit_errors(array.read_data(ppa), nbits, seed))
+
+
+def test_chip_integrated_ecc_corrects_raw_errors():
+    """The array's checked read path repairs sparse raw-NAND upsets."""
     payload = bytes((i * 13) & 0xFF for i in range(4096))
-    chip.start_program(0, 0, 0, 0, 0.0, data=payload)
+    array = _programmed_array(payload)
     # Clean read.
-    data, status = chip.read_data_checked(0, 0, 0, 0)
+    data, status = array.read_data_checked(PPA0)
     assert data == payload and status is ECCStatus.CLEAN
     # Sparse upsets: correctable.
-    chip.corrupt_page(0, 0, 0, 0, nbits=3, seed=5)
-    data, status = chip.read_data_checked(0, 0, 0, 0)
+    _corrupt(array, PPA0, nbits=3, seed=5)
+    assert array.read_data(PPA0) != payload
+    data, status = array.read_data_checked(PPA0)
     assert status in (ECCStatus.CORRECTED, ECCStatus.UNCORRECTABLE)
     if status is ECCStatus.CORRECTED:
         assert data == payload
-        assert chip.ecc_corrections >= 1
+        assert array.ecc_corrections >= 1
+    # One flip is always repaired, one correction per read.
+    array.overwrite_raw(PPA0, payload)
+    array.overwrite_raw(PPA0, inject_bit_errors(payload, 1, seed=3))
+    before = array.ecc_corrections
+    assert array.read_data_checked(PPA0) == (payload, ECCStatus.CORRECTED)
+    assert array.ecc_corrections == before + 1
 
 
 def test_chip_ecc_flags_heavy_corruption():
-    from repro.config import FlashConfig
-    from repro.flash.chip import FlashChip
-
-    chip = FlashChip(FlashConfig(), 0, 0)
     payload = b"\x5a" * 64
-    chip.start_program(0, 0, 1, 0, 0.0, data=payload)
-    chip.corrupt_page(0, 0, 1, 0, nbits=40, seed=2)  # way past SECDED
-    _, status = chip.read_data_checked(0, 0, 1, 0)
+    target = PPA0._replace(block=1)
+    array = _programmed_array(payload, target)
+    _corrupt(array, target, nbits=40, seed=2)  # way past SECDED
+    _, status = array.read_data_checked(target)
     assert status is ECCStatus.UNCORRECTABLE
-    assert chip.ecc_failures == 1
+    assert array.ecc_failures == 1
 
 
 def test_chip_corrupt_requires_data():
-    from repro.config import FlashConfig
-    from repro.flash.chip import FlashChip
+    """Raw corruption needs a page programmed with data to land in."""
+    array = FlashArray(FlashConfig())
+    with pytest.raises(FlashError, match="never programmed"):
+        array.overwrite_raw(PPA0, b"x")
+    array.service_write(PPA0, 0)  # programmed, but with no contents kept
+    with pytest.raises(FlashError, match="never programmed"):
+        array.overwrite_raw(PPA0, b"x")
+    assert array.read_data_checked(PPA0) == (None, ECCStatus.CLEAN)
 
-    chip = FlashChip(FlashConfig(), 0, 0)
-    with pytest.raises(FlashError):
-        chip.corrupt_page(0, 0, 0, 0, nbits=1)
+
+def test_checked_read_of_a_short_page_decodes_its_aligned_prefix():
+    """A page stored with fewer bytes than a codeword multiple is checked
+    over its zero-padded prefix and read back at its own length."""
+    payload = bytes(range(1, 13))  # 12 bytes: two codewords, the last padded
+    array = _programmed_array(payload)
+    assert array.stored(PPA0) == (payload, encode_page(payload + bytes(4)))
+    array.overwrite_raw(PPA0, inject_bit_errors(payload, 1, seed=9))
+    assert array.read_data_checked(PPA0) == (payload, ECCStatus.CORRECTED)
 
 
 def test_page_double_error_detected_in_every_codeword():

@@ -163,6 +163,50 @@ def test_campaign_exposes_wiring():
     assert report.num_devices == 3
 
 
+def test_burst_tenant_sends_nothing_in_its_off_phase(monkeypatch):
+    """Fleet arrivals follow the burst process, as the serving layer's do:
+    a draw that lands in an OFF window is carried to the next ON window."""
+    on_ns, off_ns = 50_000.0, 150_000.0
+    spec = TenantSpec(
+        name="bursty", kind="read", pages_per_command=4, interarrival_ns=5_000.0,
+        region_pages=64, arrival="burst", burst_on_ns=on_ns, burst_off_ns=off_ns,
+    )
+    arrivals = []
+    make_command = ShardedWorkloadGenerator.make_command
+
+    def recording(gen, host, now_ns):
+        arrivals.append(now_ns)
+        return make_command(gen, host, now_ns)
+
+    monkeypatch.setattr(ShardedWorkloadGenerator, "make_command", recording)
+    FleetCampaign(
+        CONFIG, FleetConfig(num_devices=4, shard_pages=8, hedging=False),
+        tenants=[spec], duration_ns=400_000.0, seed=3,
+    ).run()
+    assert len(arrivals) > 10
+    assert [at for at in arrivals if at % (on_ns + off_ns) >= on_ns] == []
+    assert any(at >= on_ns + off_ns for at in arrivals)  # the second ON window
+
+
+@pytest.mark.parametrize(
+    "tenant",
+    [
+        TenantSpec(name="rewriter", kind="write", pages_per_command=4, region_pages=64,
+                   overwrite=True),
+        TenantSpec(name="analyst", kind="sql", pages_per_command=4, region_pages=64),
+    ],
+    ids=["overwrite", "sql"],
+)
+def test_fleet_rejects_tenants_it_cannot_serve_at_construction(tenant):
+    """Overwrite writes would remap other tenants' device-local pages, and
+    no SQL session drives a sql tenant: both fail before any device is built."""
+    tenants = [tenant] + small_tenants()
+    with pytest.raises(FleetError, match=repr(tenant.name)):
+        FleetCampaign(CONFIG, FleetConfig(num_devices=4), tenants=tenants)
+    with pytest.raises(FleetError, match=repr(tenant.name)):
+        ShardedWorkloadGenerator(tenant, index=0, seed=0, lpa_base=0, shard_pages=64)
+
+
 # -- sharded workload ----------------------------------------------------------
 
 

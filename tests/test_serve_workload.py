@@ -37,8 +37,8 @@ def test_same_seed_same_arrivals_and_lpas():
     spec = TenantSpec(name="t", pages_per_command=4, region_pages=64)
     a = WorkloadGenerator(spec, index=0, seed=11, lpa_base=0)
     b = WorkloadGenerator(spec, index=0, seed=11, lpa_base=0)
-    assert [a.next_interarrival_ns() for _ in range(20)] == [
-        b.next_interarrival_ns() for _ in range(20)
+    assert [a.next_arrival_ns(0.0) for _ in range(20)] == [
+        b.next_arrival_ns(0.0) for _ in range(20)
     ]
     lpas_a = [a.make_command(_host(), 0.0).command.lpa_lists for _ in range(5)]
     lpas_b = [b.make_command(_host(), 0.0).command.lpa_lists for _ in range(5)]
@@ -50,7 +50,7 @@ def test_different_seed_or_index_decorrelates():
     a = WorkloadGenerator(spec, index=0, seed=1, lpa_base=0)
     b = WorkloadGenerator(spec, index=0, seed=2, lpa_base=0)
     c = WorkloadGenerator(spec, index=1, seed=1, lpa_base=0)
-    draws = lambda g: [g.next_interarrival_ns() for _ in range(8)]
+    draws = lambda g: [g.next_arrival_ns(0.0) for _ in range(8)]
     da, db, dc = draws(a), draws(b), draws(c)
     assert da != db and da != dc
 
@@ -58,7 +58,8 @@ def test_different_seed_or_index_decorrelates():
 def test_fixed_arrival_process_is_constant():
     spec = TenantSpec(name="t", arrival="fixed", interarrival_ns=500.0)
     gen = WorkloadGenerator(spec, index=0, seed=0, lpa_base=0)
-    assert {gen.next_interarrival_ns() for _ in range(10)} == {500.0}
+    assert {gen.next_arrival_ns(0.0) for _ in range(10)} == {500.0}
+    assert gen.next_arrival_ns(1_000.0) == 1_500.0
 
 
 def test_commands_stay_inside_tenant_region():

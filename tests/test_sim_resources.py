@@ -31,8 +31,6 @@ hypothesis = pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from repro.config import FlashConfig  # noqa: E402
-from repro.flash.array import FlashArray, PhysicalPageAddress  # noqa: E402
 from repro.sim import FifoResource, PooledResource, SimTimeError  # noqa: E402
 
 from tests.sim_oracle import OracleFifoResource, OraclePooledResource  # noqa: E402
@@ -269,24 +267,6 @@ def test_reset_forgets_busy_and_grant_totals():
     pool.occupy(1, 0, 300, busy_ns=40)
     pool.reset()
     assert (pool.free_at(1), pool.busy_ns(1), pool._lanes[1].grants) == (0, 0, 0)
-
-
-def test_flash_reset_timelines_forgets_preload_totals():
-    """Campaign preloads rewind the array; no busy time may survive it."""
-    cfg = FlashConfig()
-    array = FlashArray(cfg)
-    ppa = PhysicalPageAddress(0, 0, 0, 0, 0, 0)
-    array.service_write(ppa, 0, data=b"\x5a" * 64)
-    array.service_read(ppa, 200_000)
-    array.reset_timelines()
-    lanes = array.plane_lanes(ppa)
-    assert array.bus_busy_ns(0) == 0
-    assert (lanes.read_busy_ns, lanes.program_busy_ns) == (0, 0)
-    assert array.horizon_ns == 0
-    # The preload's page survives the rewind; only the timelines forgot.
-    record = array.service_read(ppa, 0)
-    assert record.done_ns == cfg.read_latency_ns + cfg.page_transfer_ns
-    assert array.bus_busy_ns(0) == cfg.page_bytes
 
 
 def test_grants_are_int_and_stamped_with_their_unit():
