@@ -211,12 +211,12 @@ def _page_path(ppas, side):
     array = FlashArray(CFG) if side == "fast" else oracle.LaneFlashArray(CFG)
     crossbar = Crossbar(CFG.channels, CFG.channels)
     read, write, route = array.service_read, array.service_write, crossbar.route
-    cores, page_bytes = CFG.channels, CFG.page_bytes
+    cores = CFG.channels
     arrivals = 0
     start = time.perf_counter()
     for i in range(PATH_READS):
         ppa = ppas[i]
-        arrivals += read(ppa, i * PATH_ISSUE_NS).done_ns + route(i % cores, ppa.channel, page_bytes)
+        arrivals += read(ppa, i * PATH_ISSUE_NS).done_ns + route(i % cores, ppa.channel)
     issue = PATH_READS * PATH_ISSUE_NS
     for i in range(PATH_WRITES):
         record = write(ppas[i], issue + i * PATH_ISSUE_NS)

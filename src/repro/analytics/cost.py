@@ -154,10 +154,10 @@ class StaticCostSource(CostSource):
 
         page = device.config.flash.page_bytes
         period_ns = device.config.core.clock_period_ns
-        rates = {}
-        for name in kernels:
-            sample = device.sample_kernel(get_kernel(name))
-            rates[name] = sample.cycles_per_byte * page * period_ns
+        rates = {
+            name: device.sample_kernel(get_kernel(name)).page_ns(page, period_ns)
+            for name in kernels
+        }
         return cls(
             host=host,
             device_ns_per_page=rates,

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, Optional, Tuple
 
 from repro.errors import ConfigError
-from repro.utils.units import GIB, KIB
+from repro.utils.units import KIB
 
 
 def check_count(
@@ -263,13 +263,12 @@ class DRAMConfig:
     III-A anchor: a single baseline core running Filter lands at ~0.63 GB/s.
     """
 
-    capacity_bytes: int = 2 * GIB
     bandwidth_bytes_per_ns: float = 8.0  # 8 GB/s effective LPDDR5
     latency_ns: float = 60.0
 
     def __post_init__(self) -> None:
-        if self.capacity_bytes <= 0 or self.bandwidth_bytes_per_ns <= 0:
-            raise ConfigError("DRAM capacity and bandwidth must be positive")
+        if self.bandwidth_bytes_per_ns <= 0:
+            raise ConfigError("DRAM bandwidth must be positive")
 
 
 @dataclass(frozen=True)
@@ -448,14 +447,14 @@ class SSDConfig:
     def __post_init__(self) -> None:
         if self.num_cores <= 0:
             raise ConfigError("SSD needs at least one compute engine")
-        if self.core.bypasses_dram and not self.crossbar:
+        if not self.crossbar and self.num_cores != self.flash.channels:
             # Channel-local compute (Figure 7 alternative): legal, used by the
-            # skew study, but each core then binds to one channel.
-            if self.num_cores != self.flash.channels:
-                raise ConfigError(
-                    "channel-local compute requires one core per channel "
-                    f"(cores={self.num_cores}, channels={self.flash.channels})"
-                )
+            # skew study, but each core then binds to one channel, whatever
+            # its data path (the firmware splits work by channel).
+            raise ConfigError(
+                "channel-local compute requires one core per channel "
+                f"(cores={self.num_cores}, channels={self.flash.channels})"
+            )
 
     def with_cores(self, num_cores: int) -> "SSDConfig":
         """A copy with a different engine count (used by the scaling study)."""

@@ -103,6 +103,16 @@ class CoreRunResult:
     def cycles_per_byte(self) -> float:
         return self.cycles / self.bytes_in if self.bytes_in else float("inf")
 
+    @property
+    def out_ratio(self) -> float:
+        """Output bytes per input byte (0 for a run that read nothing)."""
+        return self.bytes_out / self.bytes_in if self.bytes_in else 0.0
+
+    def page_ns(self, page_bytes: int, period_ns: float) -> float:
+        """Compute time to stream one ``page_bytes`` page at ``period_ns``
+        per cycle: the one price of a sampled page."""
+        return self.cycles_per_byte * page_bytes * period_ns
+
     def throughput_bytes_per_ns(self, clock_ghz: float = 1.0) -> float:
         """Core-limited throughput (flash retiming may reduce it further)."""
         if self.cycles <= 0:

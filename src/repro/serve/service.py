@@ -77,10 +77,8 @@ class DeviceService:
             return
         sample = self.device.sample_kernel(get_kernel(kernel_name))
         period_ns = self.device.config.core.clock_period_ns
-        self._cpp_page_ns[kernel_name] = sample.cycles_per_byte * self.page_bytes * period_ns
-        self._out_ratio[kernel_name] = (
-            sample.bytes_out / sample.bytes_in if sample.bytes_in else 0.0
-        )
+        self._cpp_page_ns[kernel_name] = sample.page_ns(self.page_bytes, period_ns)
+        self._out_ratio[kernel_name] = sample.out_ratio
 
     def compute_ns_per_page(self, kernel_name: str) -> float:
         """Sampled core time to stream one flash page through ``kernel_name``."""
@@ -173,11 +171,7 @@ class DeviceService:
                     page_done = self.fetch_page(cmd, lpa, now)
                 else:
                     page_done = device.array.service_read(ppa, now).done_ns
-                hop = (
-                    device.crossbar.route(core, ppa.channel, self.page_bytes)
-                    if device.crossbar.enabled
-                    else 0
-                )
+                hop = device.crossbar.route(core, ppa.channel) if device.crossbar.enabled else 0
                 arrival = page_done + hop
                 flash_done = max(flash_done, arrival)
                 if first_page_ns is None or arrival < first_page_ns:

@@ -28,6 +28,7 @@ from repro.errors import DeviceError
 from repro.flash.array import FlashArray
 from repro.ftl.mapping import PageMapFTL
 from repro.kernels.pricing import PRICING_CACHE
+from repro.mem.dram import DRAMModel
 from repro.ssd.crossbar import Crossbar
 from repro.ssd.dram_buffer import DRAMBuffer
 from repro.ssd.firmware import Firmware, OffloadResult
@@ -79,10 +80,12 @@ class ComputationalSSD:
         self.dram = DRAMBuffer(config.dram)
         self.host = HostInterface(config.host, telemetry=self.telemetry)
         self.firmware = Firmware(self.config, self.array, self.ftl, self.crossbar, self.dram)
+        # The core phase prices DRAM accesses at this device's DRAM latency.
+        engine_dram = DRAMModel(config.dram)
         if config.core.engine is EngineKind.UDP:
-            self.engine = UDPLaneModel(config.core)
+            self.engine = UDPLaneModel(config.core, dram=engine_dram)
         else:
-            self.engine = CoreModel(config.core)
+            self.engine = CoreModel(config.core, dram=engine_dram)
 
     # -- plain storage path ------------------------------------------------------
 
@@ -169,26 +172,10 @@ class ComputationalSSD:
         if data_bytes <= 0:
             raise DeviceError("offload needs a positive data size")
         lpas = self.mount_dataset(data_bytes)
-        command = ScompCommand(
-            command_id=self.host.next_id(),
-            kernel=kernel.name,
-            lpa_lists=[lpas],
-        )
-        self.host.submit(command)
         core_sample = sample or self.sample_kernel(kernel, sample_bytes)
-        result = self.firmware.run_offload(kernel, core_sample, lpas, background=background)
-        # Results (or final state) return to the host over the link.
-        done = self.host.transfer(max(result.bytes_out, 1), result.completion_ns, to_host=True)
-        self.host.complete(command, 0.0, done, result.bytes_out)
-        return result
+        return self._scomp(kernel, core_sample, lpas, background=background)
 
-    def offload_write_path(
-        self,
-        kernel,
-        data_bytes: int,
-        sample_bytes: Optional[int] = None,
-        sample: Optional[CoreRunResult] = None,
-    ) -> OffloadResult:
+    def offload_write_path(self, kernel, data_bytes: int) -> OffloadResult:
         """Write-path scomp: ingest host data through the compute engines.
 
         The classic write-path offloads are exactly the paper's standalone
@@ -205,13 +192,12 @@ class ComputationalSSD:
             write_path=True,
         )
         self.host.submit(command)
-        core_sample = sample or self.sample_kernel(kernel, sample_bytes)
-        result = self.firmware.run_write_offload(kernel, core_sample, pages)
+        result = self.firmware.run_write_offload(kernel, self.sample_kernel(kernel), pages)
         self.host.transfer(result.bytes_in, 0.0, to_host=False)
         self.host.complete(command, 0.0, result.completion_ns, result.bytes_in)
         return result
 
-    def offload_concurrent(self, kernel_sizes, sample_bytes: Optional[int] = None):
+    def offload_concurrent(self, kernel_sizes):
         """Run several kernels concurrently over disjoint datasets.
 
         ``kernel_sizes`` is a sequence of ``(kernel, data_bytes)``; cores
@@ -226,8 +212,7 @@ class ComputationalSSD:
             lpas = list(range(next_lpa, next_lpa + pages))
             next_lpa += pages
             self.ftl.populate(lpas)
-            sample = self.sample_kernel(kernel, sample_bytes)
-            requests.append((kernel, sample, lpas))
+            requests.append((kernel, self.sample_kernel(kernel), lpas))
             self.host.submit(
                 ScompCommand(
                     command_id=self.host.next_id(), kernel=kernel.name, lpa_lists=[lpas]
@@ -256,14 +241,21 @@ class ComputationalSSD:
         lpas = self.write_dataset(padded + b"\x00" * (-len(padded) % page))
         stored = self.read_dataset(lpas)[: len(padded)]
         sample = self.engine.run(kernel, [stored])
+        return self._scomp(kernel, sample, lpas), sample.outputs, sample.final_state
+
+    def _scomp(
+        self, kernel, sample: CoreRunResult, lpas: List[int], background=None
+    ) -> OffloadResult:
+        """Submit a read-path scomp over ``lpas``, retime it, and return its
+        results (or final state) to the host over the link."""
         command = ScompCommand(
             command_id=self.host.next_id(), kernel=kernel.name, lpa_lists=[lpas]
         )
         self.host.submit(command)
-        result = self.firmware.run_offload(kernel, sample, lpas)
+        result = self.firmware.run_offload(kernel, sample, lpas, background=background)
         done = self.host.transfer(max(result.bytes_out, 1), result.completion_ns, to_host=True)
         self.host.complete(command, 0.0, done, result.bytes_out)
-        return result, sample.outputs, sample.final_state
+        return result
 
 
 def simulate_offload(

@@ -1,4 +1,4 @@
-"""SSD DRAM buffer: staging occupancy + the shared-bandwidth memory wall.
+"""SSD DRAM buffer: the shared-bandwidth memory wall.
 
 Wraps :class:`~repro.mem.dram.DRAMModel` with device-level concerns: how
 many bytes of DRAM traffic each input byte generates on a given data path,
@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.config import CoreConfig, DRAMConfig, DataSource, EngineKind
-from repro.errors import DeviceError
 from repro.mem.dram import DRAMModel
 
 
@@ -29,27 +28,10 @@ class TrafficBreakdown:
 
 
 class DRAMBuffer:
-    """Occupancy + bandwidth accounting for the SSD-internal DRAM."""
+    """The SSD-internal DRAM's shared bandwidth pool: the memory wall."""
 
     def __init__(self, config: DRAMConfig) -> None:
         self.model = DRAMModel(config)
-        self.staged_bytes = 0
-        self.peak_staged_bytes = 0
-
-    def stage(self, nbytes: int) -> None:
-        if nbytes < 0:
-            raise DeviceError("cannot stage a negative byte count")
-        self.staged_bytes += nbytes
-        if self.staged_bytes > self.model.config.capacity_bytes:
-            raise DeviceError("SSD DRAM staging overflow")
-        self.peak_staged_bytes = max(self.peak_staged_bytes, self.staged_bytes)
-
-    def release(self, nbytes: int) -> None:
-        if nbytes > self.staged_bytes:
-            raise DeviceError("releasing more than staged")
-        self.staged_bytes -= nbytes
-
-    # -- the memory wall ---------------------------------------------------------
 
     @staticmethod
     def traffic_per_input_byte(

@@ -30,10 +30,10 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence
 
-from repro.config import FaultConfig, SSDConfig
+from repro.config import DataSource, FaultConfig, SSDConfig
 from repro.core.core import CoreRunResult
 from repro.errors import DeviceError
 from repro.flash.array import FlashArray
@@ -120,6 +120,33 @@ class _CoreTask:
 
 
 @dataclass
+class _Request:
+    """One scomp request's engines, input bytes and SSD-DRAM traffic.
+
+    ``flash_ratio`` is the result pages its engines program into flash per
+    input page; a request with none returns its results over the host link.
+    """
+
+    kernel: object
+    sample: CoreRunResult
+    tasks: List[_CoreTask]
+    bytes_in: int
+    flash_ratio: float
+    traffic: TrafficBreakdown
+
+    @property
+    def completion_ns(self) -> float:
+        return max((t.completion_ns for t in self.tasks), default=0.0)
+
+
+def _read_path_flash_ratio(kernel, sample: CoreRunResult) -> float:
+    """Write-path kernels (erasure coding, encryption) put results back on
+    flash, sharing channel bandwidth with the reads; read-path kernels
+    return results to the host over PCIe (never binding at 8 GB/s)."""
+    return sample.out_ratio if getattr(kernel, "output_to_flash", False) else 0.0
+
+
+@dataclass
 class OffloadResult:
     """Device-level outcome of one offloaded function (paper Figures 13-19)."""
 
@@ -129,7 +156,7 @@ class OffloadResult:
     bytes_in: int
     bytes_out: int
     completion_ns: float
-    limiter: str  # 'core' | 'flash' | 'dram'
+    limiter: str  # 'core' | 'flash' | 'dram' | 'host-link'
     per_core_utilisation: List[float]
     per_core_completion_ns: List[float]
     channel_bytes: List[int]
@@ -153,7 +180,17 @@ class OffloadResult:
 
 
 class Firmware:
-    """Schedules scomp work across engines and retimes against the flash."""
+    """Schedules scomp work across engines and retimes against the flash.
+
+    Every scomp goes through the same steps: :meth:`_request` builds one
+    :class:`_CoreTask` per engine at the sample's page price
+    (:meth:`CoreRunResult.page_ns`), :meth:`_run_tasks` retimes them against
+    their input source, the SSD-DRAM wall caps the result (:meth:`_capped`
+    for a request alone on the device, a shared pool for concurrent ones),
+    and :meth:`_result` reports it. The entry points differ only in the
+    engine split, the input source, the write path's staging-out and the
+    concurrent path's shared DRAM pool.
+    """
 
     def __init__(
         self,
@@ -193,7 +230,30 @@ class Firmware:
             groups[self.ftl.lookup(lpa).channel].append(lpa)
         return groups
 
-    # -- the retiming loop ------------------------------------------------------
+    def _request(
+        self,
+        kernel,
+        sample: CoreRunResult,
+        slices: List[List[int]],
+        flash_ratio: float,
+        first_core: int = 0,
+    ) -> _Request:
+        """Engine ``first_core + i`` takes ``slices[i]`` at the sample's
+        page price; the DRAM traffic follows the engine's data path."""
+        page = self.config.flash.page_bytes
+        cpp_ns = sample.page_ns(page, self.config.core.clock_period_ns)
+        tasks = [
+            _CoreTask(core_id=first_core + i, lpas=lpas, cpp_ns=cpp_ns, out_ratio=flash_ratio)
+            for i, lpas in enumerate(slices)
+        ]
+        core_traffic = sample.dram_traffic.total / sample.bytes_in if sample.bytes_in else 0.0
+        traffic = DRAMBuffer.traffic_per_input_byte(
+            self.config.core, core_traffic, sample.out_ratio
+        )
+        bytes_in = sum(len(lpas) for lpas in slices) * page
+        return _Request(kernel, sample, tasks, bytes_in, flash_ratio, traffic)
+
+    # -- the retiming entry points -----------------------------------------------
 
     def run_offload(
         self,
@@ -212,74 +272,13 @@ class Firmware:
         processes (e.g. a garbage-collection pass) so they contend on the
         same flash timelines.
         """
-        core_cfg = self.config.core
-        page = self.config.flash.page_bytes
-        period_ns = core_cfg.clock_period_ns
-        cpp_ns = sample.cycles_per_byte * page * period_ns
-        out_ratio = sample.bytes_out / sample.bytes_in if sample.bytes_in else 0.0
-
-        # Write-path kernels (erasure coding, encryption) put results back on
-        # flash, sharing channel bandwidth with the reads; read-path kernels
-        # return results to the host over PCIe (never binding at 8 GB/s).
-        output_to_flash = getattr(kernel, "output_to_flash", False)
-
-        assignments = self.assign_lpas(list(lpas))
-        tasks = [
-            _CoreTask(
-                core_id=i,
-                lpas=assignment,
-                cpp_ns=cpp_ns,
-                out_ratio=out_ratio if output_to_flash else 0.0,
-            )
-            for i, assignment in enumerate(assignments)
-        ]
-        total_stall = self._run_tasks(tasks, background=background, sim=sim)
-        completion = max((t.completion_ns for t in tasks), default=0.0)
-        bytes_in = sum(len(t.lpas) for t in tasks) * page
-        if output_to_flash:
-            bytes_out = sum(t.out_pages_written for t in tasks) * page
-        else:
-            bytes_out = int(bytes_in * out_ratio)
-
-        # The SSD-DRAM memory wall: cap the aggregate input rate.
-        core_traffic_per_byte = (
-            sample.dram_traffic.total / sample.bytes_in if sample.bytes_in else 0.0
+        request = self._request(
+            kernel, sample, self.assign_lpas(list(lpas)), _read_path_flash_ratio(kernel, sample)
         )
-        traffic = DRAMBuffer.traffic_per_input_byte(core_cfg, core_traffic_per_byte, out_ratio)
-        cap = self.dram.bandwidth_cap_bytes_per_ns(traffic)
-        limiter = "core"
-        dram_slowdown = 1.0
-        if completion > 0 and bytes_in / completion > cap:
-            dram_slowdown = (bytes_in / cap) / completion
-            completion = bytes_in / cap
-            limiter = "dram"
-        elif total_stall > 0.02 * completion:
-            limiter = "flash"
+        stall = self._run_tasks(request.tasks, background=background, sim=sim)
+        return self._capped(request, stall, stall_limiter="flash")
 
-        return OffloadResult(
-            kernel_name=kernel.name,
-            config_name=self.config.name,
-            num_cores=self.config.num_cores,
-            bytes_in=bytes_in,
-            bytes_out=bytes_out,
-            completion_ns=completion,
-            limiter=limiter,
-            per_core_utilisation=[t.utilisation / dram_slowdown for t in tasks if t.lpas],
-            per_core_completion_ns=[t.completion_ns * dram_slowdown for t in tasks],
-            channel_bytes=self.array.channel_bytes(),
-            dram_traffic=traffic,
-            dram_cap_bytes_per_ns=cap,
-            core_sample=sample,
-            flash_stall_ns=total_stall,
-        )
-
-    def run_write_offload(
-        self,
-        kernel,
-        sample: CoreRunResult,
-        total_pages: int,
-        sim: Optional[Simulator] = None,
-    ) -> OffloadResult:
+    def run_write_offload(self, kernel, sample: CoreRunResult, total_pages: int) -> OffloadResult:
         """Write-path scomp (Section V-D): compute on data being ingested.
 
         Input pages stream from the host over the PCIe link (a shared FIFO
@@ -292,29 +291,22 @@ class Firmware:
         """
         if total_pages <= 0:
             raise DeviceError("write-path offload needs data")
-        core_cfg = self.config.core
-        page = self.config.flash.page_bytes
-        period_ns = core_cfg.clock_period_ns
-        cpp_ns = sample.cycles_per_byte * page * period_ns
-        out_ratio = sample.bytes_out / sample.bytes_in if sample.bytes_in else 0.0
-        passthrough = 1.0 if getattr(kernel, "writes_input_through", False) else 0.0
-        flash_out_ratio = out_ratio + passthrough
-
         n = self.config.num_cores
+        passthrough = 1.0 if getattr(kernel, "writes_input_through", False) else 0.0
+        flash_ratio = sample.out_ratio + passthrough
         pseudo_lpas = list(range(total_pages))
-        tasks = [
-            _CoreTask(
-                core_id=i,
-                lpas=pseudo_lpas[i::n],
-                cpp_ns=cpp_ns,
-                out_ratio=flash_out_ratio,
-            )
-            for i in range(n)
-        ]
+        request = self._request(
+            kernel, sample, [pseudo_lpas[i::n] for i in range(n)], flash_ratio
+        )
+        if self.config.core.data_source is DataSource.DRAM:
+            # DRAM-staged engines stage host data in, read it back, write
+            # results, and stage everything flash-bound out again.
+            request.traffic = replace(request.traffic, staging_out=flash_ratio)
 
         # The PCIe ingress is its own FIFO timeline for this command's
         # stream (DMA bursts for one scomp are scheduled back-to-back);
         # the fixed link latency rides on top of the occupancy.
+        page = self.config.flash.page_bytes
         link_bw = self.config.host.bandwidth_bytes_per_ns
         link_latency = self.config.host.latency_ns
         ingress = FifoResource("host-ingress")
@@ -323,60 +315,18 @@ class Firmware:
             grant = ingress.acquire(when, page / link_bw)
             return grant.done_ns + link_latency
 
-        total_stall = self._run_tasks(tasks, serve_input=serve_host_page, sim=sim)
-        completion = max((t.completion_ns for t in tasks), default=0.0)
-        bytes_in = total_pages * page
-        bytes_out = sum(t.out_pages_written for t in tasks) * page
+        stall = self._run_tasks(request.tasks, serve_input=serve_host_page)
+        return self._capped(request, stall, stall_limiter="host-link")
 
-        # DRAM wall: DRAM-staged engines stage host data in, read it back,
-        # write results, and stage everything flash-bound out again.
-        core_traffic = sample.dram_traffic.total / sample.bytes_in if sample.bytes_in else 0.0
-        traffic = DRAMBuffer.traffic_per_input_byte(core_cfg, core_traffic, out_ratio)
-        if core_cfg.data_source.value == "dram":
-            traffic = TrafficBreakdown(
-                staging_in=traffic.staging_in,
-                core_reads=traffic.core_reads,
-                core_writes=traffic.core_writes,
-                staging_out=flash_out_ratio,  # results + passthrough to flash
-            )
-        cap = self.dram.bandwidth_cap_bytes_per_ns(traffic)
-        limiter = "core"
-        dram_slowdown = 1.0
-        if completion > 0 and bytes_in / completion > cap:
-            dram_slowdown = (bytes_in / cap) / completion
-            completion = bytes_in / cap
-            limiter = "dram"
-        elif total_stall > 0.02 * completion:
-            limiter = "host-link"
-
-        return OffloadResult(
-            kernel_name=kernel.name,
-            config_name=self.config.name,
-            num_cores=n,
-            bytes_in=bytes_in,
-            bytes_out=bytes_out,
-            completion_ns=completion,
-            limiter=limiter,
-            per_core_utilisation=[t.utilisation / dram_slowdown for t in tasks if t.lpas],
-            per_core_completion_ns=[t.completion_ns * dram_slowdown for t in tasks],
-            channel_bytes=self.array.channel_bytes(),
-            dram_traffic=traffic,
-            dram_cap_bytes_per_ns=cap,
-            core_sample=sample,
-            flash_stall_ns=total_stall,
-        )
-
-    def simulate_concurrent(
-        self, requests: Sequence[tuple], sim: Optional[Simulator] = None
-    ) -> List[OffloadResult]:
+    def simulate_concurrent(self, requests: Sequence[tuple]) -> List[OffloadResult]:
         """Run several scomp requests concurrently on partitioned engines.
 
         ``requests`` is a sequence of ``(kernel, sample, lpas)``. Cores are
         partitioned across requests proportionally to their data sizes
         (at least one core each) — the task-level parallelism the paper's
         Section V-D decomposition enables. All requests' engine processes
-        run on one :class:`~repro.sim.Simulator` (``sim``, or a fresh one),
-        sharing the flash array, crossbar, and the SSD-DRAM pool.
+        run on one :class:`~repro.sim.Simulator`, sharing the flash array,
+        crossbar, and the SSD-DRAM pool.
         """
         if not requests:
             raise DeviceError("simulate_concurrent needs at least one request")
@@ -385,8 +335,6 @@ class Firmware:
         n = self.config.num_cores
         if len(requests) > n:
             raise DeviceError(f"{len(requests)} requests exceed {n} engines")
-        page = self.config.flash.page_bytes
-        period_ns = self.config.core.clock_period_ns
 
         sizes = [max(1, len(lpas)) for _, _, lpas in requests]
         total_size = sum(sizes)
@@ -396,73 +344,81 @@ class Firmware:
         while sum(core_counts) < n:
             core_counts[core_counts.index(min(core_counts))] += 1
 
-        all_tasks: List[_CoreTask] = []
-        request_tasks: List[List[_CoreTask]] = []
+        planned: List[_Request] = []
         next_core = 0
         for (kernel, sample, lpas), cores in zip(requests, core_counts):
-            cpp_ns = sample.cycles_per_byte * page * period_ns
-            out_ratio = sample.bytes_out / sample.bytes_in if sample.bytes_in else 0.0
-            if not getattr(kernel, "output_to_flash", False):
-                out_ratio = 0.0
             lpas = list(lpas)
-            tasks = [
-                _CoreTask(
-                    core_id=next_core + i,
-                    lpas=lpas[i::cores],
-                    cpp_ns=cpp_ns,
-                    out_ratio=out_ratio,
+            planned.append(
+                self._request(
+                    kernel,
+                    sample,
+                    [lpas[i::cores] for i in range(cores)],
+                    _read_path_flash_ratio(kernel, sample),
+                    first_core=next_core,
                 )
-                for i in range(cores)
-            ]
+            )
             next_core += cores
-            all_tasks.extend(tasks)
-            request_tasks.append(tasks)
 
-        total_stall = self._run_tasks(all_tasks, sim=sim)
+        stall = self._run_tasks([t for request in planned for t in request.tasks])
 
         # The shared SSD-DRAM pool: aggregate demand across requests.
         demand = 0.0
-        traffics = []
-        for (kernel, sample, lpas), tasks in zip(requests, request_tasks):
-            completion = max((t.completion_ns for t in tasks), default=0.0)
-            bytes_in = sum(len(t.lpas) for t in tasks) * page
-            per_byte = sample.dram_traffic.total / sample.bytes_in if sample.bytes_in else 0.0
-            out_ratio = sample.bytes_out / sample.bytes_in if sample.bytes_in else 0.0
-            traffic = DRAMBuffer.traffic_per_input_byte(self.config.core, per_byte, out_ratio)
-            traffics.append(traffic)
+        for request in planned:
+            completion = request.completion_ns
             if completion > 0:
-                demand += (bytes_in / completion) * traffic.total
+                demand += (request.bytes_in / completion) * request.traffic.total
         bw = self.dram.model.config.bandwidth_bytes_per_ns
-        dram_slowdown = max(1.0, demand / bw) if demand else 1.0
+        slowdown = max(1.0, demand / bw) if demand else 1.0
+        limiter = "dram" if slowdown > 1.0 else "flash"
+        return [
+            self._result(request, request.completion_ns * slowdown, limiter, slowdown, stall)
+            for request in planned
+        ]
 
-        results = []
-        for (kernel, sample, lpas), tasks, traffic in zip(requests, request_tasks, traffics):
-            completion = max((t.completion_ns for t in tasks), default=0.0) * dram_slowdown
-            bytes_in = sum(len(t.lpas) for t in tasks) * page
-            bytes_out = sum(t.out_pages_written for t in tasks) * page
-            results.append(
-                OffloadResult(
-                    kernel_name=kernel.name,
-                    config_name=self.config.name,
-                    num_cores=len(tasks),
-                    bytes_in=bytes_in,
-                    bytes_out=bytes_out,
-                    completion_ns=completion,
-                    limiter="dram" if dram_slowdown > 1.0 else "flash",
-                    per_core_utilisation=[
-                        t.utilisation / dram_slowdown for t in tasks if t.lpas
-                    ],
-                    per_core_completion_ns=[
-                        t.completion_ns * dram_slowdown for t in tasks
-                    ],
-                    channel_bytes=self.array.channel_bytes(),
-                    dram_traffic=traffic,
-                    dram_cap_bytes_per_ns=self.dram.bandwidth_cap_bytes_per_ns(traffic),
-                    core_sample=sample,
-                    flash_stall_ns=total_stall,
-                )
-            )
-        return results
+    # -- the SSD-DRAM wall and the report ----------------------------------------
+
+    def _capped(self, request: _Request, stall: float, stall_limiter: str) -> OffloadResult:
+        """Cap a request that has the device to itself at the SSD-DRAM
+        memory wall's input rate, then name what bound it."""
+        completion = request.completion_ns
+        bytes_in = request.bytes_in
+        cap = self.dram.bandwidth_cap_bytes_per_ns(request.traffic)
+        limiter = "core"
+        slowdown = 1.0
+        if completion > 0 and bytes_in / completion > cap:
+            slowdown = (bytes_in / cap) / completion
+            completion = bytes_in / cap
+            limiter = "dram"
+        elif stall > 0.02 * completion:
+            limiter = stall_limiter
+        return self._result(request, completion, limiter, slowdown, stall)
+
+    def _result(
+        self, request: _Request, completion: float, limiter: str, slowdown: float, stall: float
+    ) -> OffloadResult:
+        """Report a retimed request; ``slowdown`` is the DRAM wall's stretch
+        of every engine's timeline."""
+        tasks = request.tasks
+        if request.flash_ratio:
+            bytes_out = sum(t.out_pages_written for t in tasks) * self.config.flash.page_bytes
+        else:
+            bytes_out = int(request.bytes_in * request.sample.out_ratio)
+        return OffloadResult(
+            kernel_name=request.kernel.name,
+            config_name=self.config.name,
+            num_cores=len(tasks),
+            bytes_in=request.bytes_in,
+            bytes_out=bytes_out,
+            completion_ns=completion,
+            limiter=limiter,
+            per_core_utilisation=[t.utilisation / slowdown for t in tasks if t.lpas],
+            per_core_completion_ns=[t.completion_ns * slowdown for t in tasks],
+            channel_bytes=self.array.channel_bytes(),
+            dram_traffic=request.traffic,
+            dram_cap_bytes_per_ns=self.dram.bandwidth_cap_bytes_per_ns(request.traffic),
+            core_sample=request.sample,
+            flash_stall_ns=stall,
+        )
 
     # -- process-based command flows ------------------------------------------
 
@@ -560,10 +516,9 @@ class Firmware:
 
     def _serve_flash_read(self, task: _CoreTask, k: int, when) -> int:
         """Default input source: the flash array through FTL + crossbar."""
-        page = self.config.flash.page_bytes
         ppa = self.ftl.lookup(task.lpas[k])
         record = self.array.service_read(ppa, when)
-        return record.done_ns + self.crossbar.route(task.core_id, ppa.channel, page)
+        return record.done_ns + self.crossbar.route(task.core_id, ppa.channel)
 
 
 # ---------------------------------------------------------------------------
@@ -648,24 +603,16 @@ class RecoveryController:
 
     def read_lpa(self, lpa: int, now_ns: float) -> PageReadOutcome:
         """Read one logical page with the full recovery ladder."""
-        issue = now_ns
-        for attempt in range(self.cfg.max_read_retries + 1):
-            data, ok, done, corrected = self._attempt_read(lpa, issue)
-            if ok:
-                if attempt == 0:
-                    status = "corrected" if corrected else "clean"
-                else:
-                    self.counters["retry_recovered_pages"] += 1
-                    status = "retried"
-                self._verify(lpa, data)
-                return PageReadOutcome(lpa, data, done, status, retries=attempt)
-            if attempt < self.cfg.max_read_retries:
-                self.counters["read_retries"] += 1
-                self._tracer.instant("recovery", "retry", done)
-                issue = done + self.cfg.retry_backoff_ns * (2 ** attempt)
-            else:
-                issue = done
-        return self._reconstruct(lpa, issue, retries=self.cfg.max_read_retries)
+        data, ok, done, attempt, corrected = self._read_with_retries(lpa, now_ns)
+        if not ok:
+            return self._reconstruct(lpa, done, retries=attempt)
+        if attempt == 0:
+            status = "corrected" if corrected else "clean"
+        else:
+            self.counters["retry_recovered_pages"] += 1
+            status = "retried"
+        self._verify(lpa, data)
+        return PageReadOutcome(lpa, data, done, status, retries=attempt)
 
     # -- single attempt -------------------------------------------------------
 
@@ -714,7 +661,7 @@ class RecoveryController:
             # surviving stripe member must not doom the rebuild), but not
             # recursive RAID: two simultaneous permanent faults in one
             # stripe are genuinely unrecoverable under single parity.
-            data, ok, mate_done = self._read_with_retries(mate, issue_ns)
+            data, ok, mate_done, _, _ = self._read_with_retries(mate, issue_ns)
             done = max(done, mate_done)
             if not ok or data is None:
                 self.counters["reconstruction_failures"] += 1
@@ -733,17 +680,18 @@ class RecoveryController:
         return PageReadOutcome(lpa, rebuilt, done, "reconstructed", retries=retries)
 
     def _read_with_retries(self, lpa: int, issue_ns: float):
-        """The retry ladder without RAID escalation; (data, ok, done_ns)."""
+        """The ECC-checked read → retry → exponential-backoff ladder, without
+        RAID escalation; returns the last attempt's
+        ``(data, ok, done_ns, attempt, corrected)``."""
         issue = issue_ns
-        done = issue_ns
-        for attempt in range(self.cfg.max_read_retries + 1):
-            data, ok, done, _ = self._attempt_read(lpa, issue)
-            if ok:
-                return data, True, done
-            if attempt < self.cfg.max_read_retries:
-                self.counters["read_retries"] += 1
-                issue = done + self.cfg.retry_backoff_ns * (2 ** attempt)
-        return None, False, done
+        last = self.cfg.max_read_retries
+        for attempt in range(last + 1):
+            data, ok, done, corrected = self._attempt_read(lpa, issue)
+            if ok or attempt == last:
+                return data, ok, done, attempt, corrected
+            self.counters["read_retries"] += 1
+            self._tracer.instant("recovery", "retry", done)
+            issue = done + self.cfg.retry_backoff_ns * (2 ** attempt)
 
     @staticmethod
     def _parity_rebuild(pages: List[bytes]) -> bytes:

@@ -92,3 +92,18 @@ def test_background_io_coexists_with_offload():
     assert background.latencies_ns, "background reads were serviced"
     assert background.mean_latency_ns < 1e6  # stays sub-millisecond
     assert result.throughput_gbps > 5.0  # offload barely perturbed at 0.5 GB/s
+
+
+def test_concurrent_read_path_requests_report_their_output():
+    """A read-path request returns its results over the link, so it reports
+    ``int(bytes_in * out_ratio)`` bytes out beside another request just as
+    it does alone; scan emits nothing."""
+    psf = get_kernel("psf")
+    alone = ComputationalSSD(assasin_sb_config()).offload(psf, 3 << 20)
+    shared, scan = ComputationalSSD(assasin_sb_config()).offload_concurrent(
+        [(psf, 3 << 20), (get_kernel("scan"), 1 << 20)]
+    )
+    assert alone.bytes_out > 0
+    assert shared.bytes_out == alone.bytes_out
+    assert shared.bytes_out == int(shared.bytes_in * shared.core_sample.out_ratio)
+    assert scan.bytes_out == 0

@@ -138,6 +138,22 @@ def test_channel_local_requires_core_per_channel():
     assert cfg.num_cores == cfg.flash.channels
 
 
+def test_channel_local_needs_matching_ports():
+    """The rule holds for every core, DRAM-staged ones too: the firmware
+    splits channel-local work by channel, so a mismatch fails at
+    construction with a ConfigError, not later in the device."""
+    from repro.config import SSDConfig, assasin_sb_core, baseline_core
+    from repro.kernels import get_kernel
+    from repro.ssd.device import ComputationalSSD
+
+    for core in (assasin_sb_core(), baseline_core()):
+        with pytest.raises(ConfigError, match="one core per channel"):
+            SSDConfig(name="x", core=core, num_cores=4, crossbar=False)
+    local = SSDConfig(name="x", core=baseline_core(), num_cores=8, crossbar=False)
+    result = ComputationalSSD(local).offload(get_kernel("stat"), 1 << 20)
+    assert result.num_cores == 8 and result.bytes_in == 1 << 20
+
+
 def test_with_cores_copies():
     cfg = assasin_sb_config()
     scaled = cfg.with_cores(4)

@@ -13,49 +13,23 @@ from repro.ssd.host_interface import HostInterface, ReadCommand, ScompCommand
 class TestCrossbar:
     def test_enabled_routes_anywhere(self):
         xbar = Crossbar(8, 4, enabled=True)
-        assert xbar.allowed(3, 7)
-        latency = xbar.route(3, 7, 4096)
-        assert latency == CROSSBAR_LATENCY_NS
-        assert xbar.core_bytes[3] == 4096
-        assert xbar.channel_bytes[7] == 4096
+        assert xbar.route(3, 7) == CROSSBAR_LATENCY_NS
 
     def test_channel_local_restricts(self):
         xbar = Crossbar(8, 8, enabled=False)
-        assert xbar.allowed(2, 2)
-        assert not xbar.allowed(2, 3)
-        assert xbar.route(2, 2, 100) == 0.0
+        assert xbar.route(2, 2) == 0
         with pytest.raises(DeviceError):
-            xbar.route(2, 3, 100)
-
-    def test_channel_local_needs_matching_ports(self):
-        with pytest.raises(DeviceError):
-            Crossbar(8, 4, enabled=False)
+            xbar.route(2, 3)
 
     def test_port_bounds(self):
         xbar = Crossbar(2, 2)
         with pytest.raises(DeviceError):
-            xbar.route(2, 0, 1)
+            xbar.route(2, 0)
         with pytest.raises(DeviceError):
-            xbar.route(0, 2, 1)
+            xbar.route(0, 2)
 
 
 class TestDRAMBuffer:
-    def test_staging_occupancy(self):
-        buf = DRAMBuffer(DRAMConfig())
-        buf.stage(1000)
-        buf.stage(500)
-        assert buf.staged_bytes == 1500
-        buf.release(700)
-        assert buf.staged_bytes == 800
-        assert buf.peak_staged_bytes == 1500
-        with pytest.raises(DeviceError):
-            buf.release(10_000)
-
-    def test_staging_overflow(self):
-        buf = DRAMBuffer(DRAMConfig(capacity_bytes=1024))
-        with pytest.raises(DeviceError):
-            buf.stage(2048)
-
     def test_traffic_baseline_doubles(self):
         # Figure 4's blue arrows: staged in, read back; results go both ways.
         t = DRAMBuffer.traffic_per_input_byte(baseline_core(), 1.0, 0.0)

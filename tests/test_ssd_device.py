@@ -149,3 +149,23 @@ def test_udp_dram_traffic_at_least_doubles_input():
     assert result.dram_traffic.total >= 2.0
     assert base.dram_traffic.total >= 2.0
     assert result.limiter == "dram"
+
+
+def test_core_phase_prices_with_the_device_dram():
+    """A slower SSD DRAM slows the sampled core phase: the engine prices
+    its DRAM accesses at the device's own latency, not a default one."""
+    from dataclasses import replace
+
+    from repro.config import DRAMConfig
+    from repro.core.core import CoreModel
+    from repro.mem.dram import DRAMModel
+
+    kernel = get_kernel("stat")
+    slow = replace(baseline_config(), dram=DRAMConfig(latency_ns=240.0))
+    default_sample = ComputationalSSD(baseline_config()).sample_kernel(kernel)
+    slow_sample = ComputationalSSD(slow).sample_kernel(kernel)
+    assert slow_sample.cycles > default_sample.cycles
+    direct = CoreModel(slow.core, DRAMModel(slow.dram)).run(
+        kernel, kernel.make_inputs(slow_sample.bytes_in)
+    )
+    assert slow_sample.cycles == direct.cycles
