@@ -12,7 +12,7 @@ maximise parallelism (what lets Figure 18 show balanced channels). The
 from __future__ import annotations
 
 from operator import add
-from typing import List, Optional, Set
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.config import FlashConfig
 from repro.errors import FTLError
@@ -51,8 +51,70 @@ def measured_skew(channel_bytes: List[float]) -> float:
 
 
 #: Channel picks worked out at a time; the first batch also looks for
-#: the picks' cycle (:meth:`PageAllocator._more_picks`).
+#: the picks' cycle (:class:`PickTable`).
 PICK_CHUNK = 256
+
+
+class PickTable:
+    """The channel picks of one share vector, shared by every allocator.
+
+    Every allocator starts at zero deficits and only its picks move them,
+    so its pick sequence is a function of its shares alone: one table per
+    share vector (:func:`pick_table`) holds the picks worked out so far,
+    the deficits after them, and whether the picks are a cycle. A mount
+    at shares an earlier allocator in the process used reads the picks
+    that allocator worked out, up to the longest earlier mount.
+
+    Each pick adds every channel's share to its deficit; the largest
+    deficit wins (the lowest channel among equals) and gives up 1.0. The
+    picks follow from the deficits alone, so once the deficits are all
+    back at zero the picks so far repeat for ever. With shares that are
+    short binary fractions, such as the even split over a power-of-two
+    channel count, that happens within a few rounds: the first batch
+    stops there, and the table keeps its picks, repeated to a batch's
+    length, as the cycle. Otherwise each :meth:`extend` appends
+    :data:`PICK_CHUNK` picks. The list of picks is only ever appended to,
+    so an index into it stays valid.
+    """
+
+    __slots__ = ("shares", "picks", "deficit", "cycle")
+
+    def __init__(self, shares: Tuple[float, ...]) -> None:
+        self.shares = shares
+        self.deficit = [0.0] * len(shares)
+        self.picks: List[int] = []
+        self.cycle = False
+
+    def extend(self) -> None:
+        """Append the next batch of picks; the first batch looks for the
+        cycle."""
+        deficit, shares, picks = self.deficit, self.shares, self.picks
+        find_cycle = not picks
+        for _ in range(PICK_CHUNK):
+            deficit[:] = map(add, deficit, shares)
+            best = deficit.index(max(deficit))
+            deficit[best] -= 1.0
+            picks.append(best)
+            if find_cycle and not any(deficit):
+                # Repeated to a batch's length, the cycle is still one.
+                picks *= -(-PICK_CHUNK // len(picks))
+                self.cycle = True
+                return
+
+
+#: One table per share vector, for every allocator in the process. Like
+#: the pricing memo, it is keyed by the whole input of a pure function
+#: and keeps every entry for the life of the process.
+_PICK_TABLES: Dict[Tuple[float, ...], PickTable] = {}
+
+
+def pick_table(shares: List[float]) -> PickTable:
+    """The shared :class:`PickTable` of ``shares``."""
+    key = tuple(shares)
+    table = _PICK_TABLES.get(key)
+    if table is None:
+        table = _PICK_TABLES[key] = PickTable(key)
+    return table
 
 
 class PageAllocator:
@@ -84,12 +146,11 @@ class PageAllocator:
         #: ``(page,)`` for every page number: a page address is its block's
         #: key plus one of these.
         self._page_suffix = [(page,) for page in range(config.pages_per_block)]
-        #: The channel deficits, the picks worked out from them and the
-        #: index of the next one, and whether those picks are a cycle.
-        self._deficit: List[float] = [0.0] * config.channels
-        self._picks: List[int] = []
+        #: The shared picks of these shares, their list, and the index of
+        #: this allocator's next pick there.
+        self._table = pick_table(self.shares)
+        self._picks: List[int] = self._table.picks
         self._pick = 0
-        self._cycle = False
         span = config.chips_per_channel * config.dies_per_chip * config.planes_per_die
         self._span = span
         self._units: List[UnitKey] = [
@@ -119,7 +180,7 @@ class PageAllocator:
         """Allocate the next physical page according to the share policy.
 
         The channel is a weighted round-robin by share (see
-        :meth:`_more_picks`). A channel with no free page costs a pick, and
+        :class:`PickTable`). A channel with no free page costs a pick, and
         the next pick is tried, up to one per channel.
         """
         picks, pick = self._picks, self._pick
@@ -128,9 +189,8 @@ class PageAllocator:
             try:
                 channel = picks[pick]
             except IndexError:
-                self._more_picks()
-                picks, pick = self._picks, 0
-                channel = picks[0]
+                pick = self._more_picks(pick)
+                channel = picks[pick]
             pick += 1
             unit = cursors[channel]
             page = next_page[unit]
@@ -151,35 +211,14 @@ class PageAllocator:
         self._pick = pick
         raise FTLError(f"channel {channel} has no free pages")
 
-    def _more_picks(self) -> None:
-        """Work out the next channel picks into ``_picks`` and restart at 0.
-
-        Each pick adds every channel's share to its deficit; the largest
-        deficit wins (the lowest channel among equals) and gives up 1.0.
-        The picks follow from the deficits alone, so once the deficits are
-        all back at zero the picks so far repeat for ever. With shares that
-        are short binary fractions, such as the even split over a
-        power-of-two channel count, that happens within a few rounds: the
-        first batch, which starts from zero deficits, stops there and keeps
-        its picks as the cycle. Otherwise each call works out the next
-        :data:`PICK_CHUNK` picks.
-        """
-        self._pick = 0
-        if self._cycle:
-            return
-        deficit, shares = self._deficit, self.shares
-        first = not self._picks
-        picks = self._picks = []
-        for _ in range(PICK_CHUNK):
-            deficit[:] = map(add, deficit, shares)
-            best = deficit.index(max(deficit))
-            deficit[best] -= 1.0
-            picks.append(best)
-            if first and not any(deficit):
-                # Repeated to a batch's length, the cycle is still one.
-                picks *= -(-PICK_CHUNK // len(picks))
-                self._cycle = True
-                return
+    def _more_picks(self, pick: int) -> int:
+        """The index of the pick after the last one of the table: a cycle
+        starts over; otherwise the table grows by a batch."""
+        table = self._table
+        if table.cycle:
+            return 0
+        table.extend()
+        return pick
 
     def _open_next(self, channel: int) -> int:
         """Advance the channel's cursor to the first unit with a page left,
@@ -246,18 +285,15 @@ class PageAllocator:
             ) from None
 
     def _save(self):
-        # A batch of picks is never changed, only replaced: keep the list.
+        # The shared picks are only appended to: the index is the place.
         return (
-            self._deficit[:], self._picks, self._pick, self._cycle,
-            self._cursor[:], self._next[:], self._block_key[:],
+            self._pick, self._cursor[:], self._next[:], self._block_key[:],
             [free[:] for free in self._free], set(self._open), self.allocated,
         )
 
     def _restore(self, saved) -> None:
-        (deficit, picks, pick, cycle,
-         cursor, next_page, block_key, free, open_blocks, allocated) = saved
-        self._deficit[:] = deficit
-        self._picks, self._pick, self._cycle = picks, pick, cycle
+        pick, cursor, next_page, block_key, free, open_blocks, allocated = saved
+        self._pick = pick
         self._cursor[:] = cursor
         self._next[:] = next_page
         self._block_key[:] = block_key

@@ -18,6 +18,11 @@ The service models are exactly the ones documented on the serving layer:
 * **scomp**: pages stream through FTL + array + crossbar to the
   least-loaded stream core, which consumes them in order at the kernel's
   sampled cycles/byte; only the result crosses the link.
+
+A scomp command's pages span channels and the scomp model runs each
+command on one core, so a channel-local device (no crossbar) cannot serve
+scomp: :meth:`DeviceService.ensure_sample` refuses a scomp kernel on one.
+Reads and writes touch no core and are served on any device.
 """
 
 from __future__ import annotations
@@ -72,9 +77,19 @@ class DeviceService:
     # -- sampling --------------------------------------------------------------
 
     def ensure_sample(self, kernel_name: str) -> None:
-        """Sample ``kernel_name``'s core phase if not already cached."""
+        """Sample ``kernel_name``'s core phase if not already cached.
+
+        Every scomp kernel is admitted here, and a device with no crossbar
+        admits none (see the module docstring).
+        """
         if kernel_name in self._cpp_page_ns:
             return
+        if not self.device.crossbar.enabled:
+            raise ServeError(
+                f"cannot serve scomp {kernel_name!r} on {self.device.config.name!r}: it has "
+                "no crossbar, so each core reaches only its own channel, and a scomp "
+                "command's pages span channels (the serving model has no per-channel split)"
+            )
         sample = self.device.sample_kernel(get_kernel(kernel_name))
         period_ns = self.device.config.core.clock_period_ns
         self._cpp_page_ns[kernel_name] = sample.page_ns(self.page_bytes, period_ns)
@@ -171,8 +186,7 @@ class DeviceService:
                     page_done = self.fetch_page(cmd, lpa, now)
                 else:
                     page_done = device.array.service_read(ppa, now).done_ns
-                hop = device.crossbar.route(core, ppa.channel) if device.crossbar.enabled else 0
-                arrival = page_done + hop
+                arrival = page_done + device.crossbar.route(core, ppa.channel)
                 flash_done = max(flash_done, arrival)
                 if first_page_ns is None or arrival < first_page_ns:
                     first_page_ns = arrival

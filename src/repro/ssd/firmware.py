@@ -8,14 +8,18 @@ per page); here each page is pushed through the flash array + FTL +
 crossbar, and whenever a page arrives later than the compute engine first
 needs it, the engine's timeline shifts by the difference.
 
-Each engine's command flow runs as a generator *process* on the unified
-:class:`repro.sim.Simulator` kernel: the process wakes at each page's
-issue instant, reserves the flash/FTL/crossbar resources for that page,
-shifts its compute timeline by any flash-induced stall, and emits result
-pages back onto the shared buses as compute progresses.  Background host
-reads, result writes, and (optionally) garbage-collection passes are
-sibling processes on the same kernel, so their interference is part of the
-one coherent timeline rather than a post-hoc merge.
+Every engine of a run is retimed in one loop (:class:`_Retiming`) over a
+heap of ``(instant, push order, kind, state)`` entries: each engine's next
+page issue, each pending result-page program and a background reader's
+next read. An issue reserves the flash/FTL/crossbar resources for its
+page and shifts its engine's compute timeline by any flash-induced stall;
+result pages go back onto the shared buses as compute emits them. Entries
+run in instant order and, at one instant, in push order, so every
+consumer's reservations land on the flash timelines in global time order.
+A request alone on the device builds no simulator; a caller that shares
+its :class:`repro.sim.Simulator` (with a garbage-collection pass, say) gets
+the loop as one process there, which wakes at each new instant of its
+entries and runs all of them due then.
 
 The result captures, mechanically:
 
@@ -28,6 +32,7 @@ The result captures, mechanically:
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field, replace
@@ -39,7 +44,7 @@ from repro.errors import DeviceError
 from repro.flash.array import FlashArray
 from repro.flash.ecc import ECCStatus
 from repro.ftl.mapping import PageMapFTL
-from repro.sim import FifoResource, Simulator
+from repro.sim import FifoResource, Simulator, as_ns
 from repro.ssd.crossbar import Crossbar
 from repro.ssd.dram_buffer import DRAMBuffer, TrafficBreakdown
 from repro.telemetry.counters import Histogram
@@ -81,27 +86,16 @@ class BackgroundIO:
 
 @dataclass
 class _CoreTask:
-    """Retiming state for one engine's slice of the request."""
+    """Retiming state for one engine's slice of a request."""
 
     core_id: int
     lpas: List[int]
     cpp_ns: float  # compute time per input page
-    out_ratio: float
     next_k: int = 0
     shift_ns: float = 0.0  # accumulated flash-induced stall
     pending_out_bytes: float = 0.0
     out_pages_written: int = 0
     last_write_done_ns: float = 0.0
-
-    def issue_ns(self) -> int:
-        """When the next page's read is issued, rounded to the nearest
-        nanosecond as the kernel would round it (an int wait needs no
-        decoding)."""
-        k = self.next_k
-        return round(max(0.0, (k - EAGER_WINDOW_PAGES) * self.cpp_ns) + self.shift_ns)
-
-    def needed_ns(self, k: int) -> float:
-        return k * self.cpp_ns + self.shift_ns
 
     @property
     def compute_ns(self) -> float:
@@ -125,6 +119,8 @@ class _Request:
 
     ``flash_ratio`` is the result pages its engines program into flash per
     input page; a request with none returns its results over the host link.
+    ``stall_ns`` is its engines' input-induced stall, summed in the order
+    the retiming loop ran their pages.
     """
 
     kernel: object
@@ -133,6 +129,7 @@ class _Request:
     bytes_in: int
     flash_ratio: float
     traffic: TrafficBreakdown
+    stall_ns: float = 0.0
 
     @property
     def completion_ns(self) -> float:
@@ -144,6 +141,17 @@ def _read_path_flash_ratio(kernel, sample: CoreRunResult) -> float:
     flash, sharing channel bandwidth with the reads; read-path kernels
     return results to the host over PCIe (never binding at 8 GB/s)."""
     return sample.out_ratio if getattr(kernel, "output_to_flash", False) else 0.0
+
+
+def _limiter(request: _Request, completion: float, stretched: bool, stall_limiter: str) -> str:
+    """What bound a request: ``dram`` if the SSD-DRAM wall stretched it,
+    else ``stall_limiter`` if its input stalls exceed 2% of its
+    completion, else ``core``."""
+    if stretched:
+        return "dram"
+    if request.stall_ns > 0.02 * completion:
+        return stall_limiter
+    return "core"
 
 
 @dataclass
@@ -242,15 +250,12 @@ class Firmware:
         page price; the DRAM traffic follows the engine's data path."""
         page = self.config.flash.page_bytes
         cpp_ns = sample.page_ns(page, self.config.core.clock_period_ns)
-        tasks = [
-            _CoreTask(core_id=first_core + i, lpas=lpas, cpp_ns=cpp_ns, out_ratio=flash_ratio)
-            for i, lpas in enumerate(slices)
-        ]
         core_traffic = sample.dram_traffic.total / sample.bytes_in if sample.bytes_in else 0.0
         traffic = DRAMBuffer.traffic_per_input_byte(
             self.config.core, core_traffic, sample.out_ratio
         )
         bytes_in = sum(len(lpas) for lpas in slices) * page
+        tasks = [_CoreTask(first_core + i, lpas, cpp_ns) for i, lpas in enumerate(slices)]
         return _Request(kernel, sample, tasks, bytes_in, flash_ratio, traffic)
 
     # -- the retiming entry points -----------------------------------------------
@@ -275,8 +280,8 @@ class Firmware:
         request = self._request(
             kernel, sample, self.assign_lpas(list(lpas)), _read_path_flash_ratio(kernel, sample)
         )
-        stall = self._run_tasks(request.tasks, background=background, sim=sim)
-        return self._capped(request, stall, stall_limiter="flash")
+        self._run_tasks([request], background=background, sim=sim)
+        return self._capped(request, stall_limiter="flash")
 
     def run_write_offload(self, kernel, sample: CoreRunResult, total_pages: int) -> OffloadResult:
         """Write-path scomp (Section V-D): compute on data being ingested.
@@ -315,8 +320,8 @@ class Firmware:
             grant = ingress.acquire(when, page / link_bw)
             return grant.done_ns + link_latency
 
-        stall = self._run_tasks(request.tasks, serve_input=serve_host_page)
-        return self._capped(request, stall, stall_limiter="host-link")
+        self._run_tasks([request], serve_input=serve_host_page)
+        return self._capped(request, stall_limiter="host-link")
 
     def simulate_concurrent(self, requests: Sequence[tuple]) -> List[OffloadResult]:
         """Run several scomp requests concurrently on partitioned engines.
@@ -324,9 +329,9 @@ class Firmware:
         ``requests`` is a sequence of ``(kernel, sample, lpas)``. Cores are
         partitioned across requests proportionally to their data sizes
         (at least one core each) — the task-level parallelism the paper's
-        Section V-D decomposition enables. All requests' engine processes
-        run on one :class:`~repro.sim.Simulator`, sharing the flash array,
-        crossbar, and the SSD-DRAM pool.
+        Section V-D decomposition enables. All requests' engines run in one
+        retiming loop, sharing the flash array, crossbar, and the SSD-DRAM
+        pool; each result reports its own request's stall.
         """
         if not requests:
             raise DeviceError("simulate_concurrent needs at least one request")
@@ -359,7 +364,7 @@ class Firmware:
             )
             next_core += cores
 
-        stall = self._run_tasks([t for request in planned for t in request.tasks])
+        self._run_tasks(planned)
 
         # The shared SSD-DRAM pool: aggregate demand across requests.
         demand = 0.0
@@ -369,32 +374,34 @@ class Firmware:
                 demand += (request.bytes_in / completion) * request.traffic.total
         bw = self.dram.model.config.bandwidth_bytes_per_ns
         slowdown = max(1.0, demand / bw) if demand else 1.0
-        limiter = "dram" if slowdown > 1.0 else "flash"
         return [
-            self._result(request, request.completion_ns * slowdown, limiter, slowdown, stall)
+            self._result(
+                request,
+                request.completion_ns * slowdown,
+                _limiter(request, request.completion_ns, slowdown > 1.0, "flash"),
+                slowdown,
+            )
             for request in planned
         ]
 
     # -- the SSD-DRAM wall and the report ----------------------------------------
 
-    def _capped(self, request: _Request, stall: float, stall_limiter: str) -> OffloadResult:
+    def _capped(self, request: _Request, stall_limiter: str) -> OffloadResult:
         """Cap a request that has the device to itself at the SSD-DRAM
         memory wall's input rate, then name what bound it."""
         completion = request.completion_ns
         bytes_in = request.bytes_in
         cap = self.dram.bandwidth_cap_bytes_per_ns(request.traffic)
-        limiter = "core"
+        stretched = completion > 0 and bytes_in / completion > cap
+        limiter = _limiter(request, completion, stretched, stall_limiter)
         slowdown = 1.0
-        if completion > 0 and bytes_in / completion > cap:
+        if stretched:
             slowdown = (bytes_in / cap) / completion
             completion = bytes_in / cap
-            limiter = "dram"
-        elif stall > 0.02 * completion:
-            limiter = stall_limiter
-        return self._result(request, completion, limiter, slowdown, stall)
+        return self._result(request, completion, limiter, slowdown)
 
     def _result(
-        self, request: _Request, completion: float, limiter: str, slowdown: float, stall: float
+        self, request: _Request, completion: float, limiter: str, slowdown: float
     ) -> OffloadResult:
         """Report a retimed request; ``slowdown`` is the DRAM wall's stretch
         of every engine's timeline."""
@@ -417,108 +424,161 @@ class Firmware:
             dram_traffic=request.traffic,
             dram_cap_bytes_per_ns=self.dram.bandwidth_cap_bytes_per_ns(request.traffic),
             core_sample=request.sample,
-            flash_stall_ns=stall,
+            flash_stall_ns=request.stall_ns,
         )
 
-    # -- process-based command flows ------------------------------------------
+    # -- the retiming loop ----------------------------------------------------
 
     def _run_tasks(
         self,
-        tasks: List[_CoreTask],
+        requests: Sequence[_Request],
         background: Optional[BackgroundIO] = None,
         serve_input=None,
         sim: Optional[Simulator] = None,
-    ) -> float:
-        """Run every engine's command flow as a process on the kernel.
+    ) -> None:
+        """Retime every engine of ``requests`` in one loop.
 
-        ``serve_input(task, k, when) -> arrival_ns`` supplies input page
+        ``serve_input(task, k, now) -> arrival_ns`` supplies input page
         ``k`` of a task; the default reads it from the flash array through
         the FTL and crossbar (read-path scomp). Write-path scomp passes a
         host-link source instead.
 
-        Each :class:`_CoreTask` becomes a generator process: it sleeps
-        until the next page's issue instant, pulls the page through
-        ``serve_input``, shifts its compute timeline by any input-induced
-        stall, and schedules result-page programs as compute progresses.
-        Background host reads are a sibling process on the same kernel, so
-        the greedy FIFO bus timelines see every reservation in global time
-        order without any caller-side merging. Returns the total
-        input-induced stall across tasks.
+        The loop (:class:`_Retiming`) keeps each engine's next page issue,
+        each pending result-page program and the background reader's next
+        read as entries of one heap. Each engine shifts its compute
+        timeline by any input-induced stall, and each request sums its
+        engines' stalls into ``stall_ns``.
+
+        Alone, the loop runs to its end with no simulator. With ``sim`` it
+        runs as one process on that simulator, waking at each new instant
+        of its entries and running all of them due then, so other
+        processes there (a garbage-collection pass) contend on the same
+        flash timelines. An error an entry raises (an unmapped LPA from
+        the FTL) propagates as it is; on a caller's simulator it arrives
+        as the loop process's :class:`~repro.sim.SimProcessError`.
         """
-        if serve_input is None:
-            serve_input = self._serve_flash_read
         if sim is None:
-            sim = Simulator()
-        stall = [0.0]
-        for task in tasks:
-            if task.lpas:
-                sim.spawn(
-                    self._engine_flow(sim, task, serve_input, stall),
-                    label=f"engine{task.core_id}",
-                )
+            _Retiming(self, requests, background, serve_input, 0).run()
+            return
+        retiming = _Retiming(self, requests, background, serve_input, sim.now)
+        sim.spawn(_retiming_process(retiming, sim), label="retiming")
+        sim.run()
+
+
+#: What a retiming-loop entry does. Entries never compare by kind: their
+#: push order is unique.
+_ISSUE, _RESULT, _BACKGROUND = 0, 1, 2
+
+
+class _Retiming:
+    """One run of the retiming loop over the engines of some requests.
+
+    Every entry is ``(instant, push order, kind, state)``: an engine's next
+    page issue (its state the engine's task and request), a pending
+    result-page program (the engine's task), or the background reader's
+    next read. They run in instant order and, at one instant, in push
+    order. An instant already past when its entry is pushed becomes the
+    current one. An engine issues page ``k`` at
+    ``round(max(0, (k - EAGER_WINDOW_PAGES) * cpp) + shift)``; a result
+    page is programmed, and a background read issued, at its instant
+    rounded by :func:`~repro.sim.as_ns`.
+    """
+
+    def __init__(self, firmware: Firmware, requests, background, serve_input, now: int) -> None:
+        self.firmware = firmware
+        self.serve_input = serve_input
+        heap = self.heap = []
+        for request in requests:
+            for task in request.tasks:
+                if task.lpas:
+                    heap.append((now, len(heap), _ISSUE, (task, request)))
         if background is not None and background.lpas:
             # Bound for scheduling background reads: a bit past the compute span.
-            nominal_span = max((t.compute_ns for t in tasks), default=0.0) * 1.25
-            sim.spawn(self._background_flow(sim, background, nominal_span), label="bg-io")
-        sim.run()
-        return stall[0]
+            spans = (task.compute_ns for request in requests for task in request.tasks)
+            self.background_span_ns = max(spans, default=0.0) * 1.25
+            self.background_index = 0
+            self.background_ns = 0.0
+            heap.append((now, len(heap), _BACKGROUND, background))
+        self.pushed = len(heap)
 
-    def _engine_flow(self, sim: Simulator, task: _CoreTask, serve_input, stall):
-        """One engine's command flow: issue, stall-shift, emit results."""
-        page = self.config.flash.page_bytes
-        write_label = f"engine{task.core_id}.write"
-        while task.next_k < len(task.lpas):
-            # Always yield, even when the issue instant is the current one:
-            # the kernel's insertion-order tie-break then round-robins
-            # same-instant issues across engines, keeping the greedy FIFO
-            # buses fair exactly as a global merge would.
-            yield sim.wait_until(task.issue_ns())
-            k = task.next_k
-            arrival = serve_input(task, k, sim.now)
-            needed = task.needed_ns(k)
-            if arrival > needed:
-                task.shift_ns += arrival - needed
-                stall[0] += arrival - needed
-            # Result pages emerge as compute progresses and share the buses.
-            task.pending_out_bytes += page * task.out_ratio
-            while task.pending_out_bytes >= page:
-                task.pending_out_bytes -= page
-                ready = (k + 1) * task.cpp_ns + task.shift_ns
-                sim.schedule_at(
-                    ready,
-                    lambda sim=sim, task=task: self._flush_result_page(sim, task),
-                    label=write_label,
-                )
-            task.next_k += 1
+    def run(self, until: Optional[int] = None) -> None:
+        """Run every entry due at or before ``until`` (all of them when
+        None), including those the entries push."""
+        heap = self.heap
+        pop, push = heapq.heappop, heapq.heappush
+        firmware = self.firmware
+        page = firmware.config.flash.page_bytes
+        lookup, write = firmware.ftl.lookup, firmware.ftl.write
+        read, program = firmware.array.service_read, firmware.array.service_write
+        route = firmware.crossbar.route
+        out_lpa = firmware._out_lpa
+        serve_input = self.serve_input
+        window = EAGER_WINDOW_PAGES
+        seq = self.pushed
+        while heap:
+            if until is not None and heap[0][0] > until:
+                break
+            now, _, kind, state = pop(heap)
+            if kind == _ISSUE:
+                task, request = state
+                k = task.next_k
+                if serve_input is None:
+                    ppa = lookup(task.lpas[k])
+                    arrival = read(ppa, now).done_ns + route(task.core_id, ppa.channel)
+                else:
+                    arrival = serve_input(task, k, now)
+                cpp, shift = task.cpp_ns, task.shift_ns
+                needed = k * cpp + shift
+                if arrival > needed:
+                    late = arrival - needed
+                    task.shift_ns = shift = shift + late
+                    request.stall_ns += late
+                # Result pages emerge as compute progresses and share the buses.
+                pending = task.pending_out_bytes + page * request.flash_ratio
+                while pending >= page:
+                    pending -= page
+                    at = as_ns((k + 1) * cpp + shift)
+                    push(heap, (at if at > now else now, seq, _RESULT, task))
+                    seq += 1
+                task.pending_out_bytes = pending
+                k += 1
+                task.next_k = k
+                if k < len(task.lpas):
+                    ahead = (k - window) * cpp
+                    at = round((ahead if ahead > 0.0 else 0.0) + shift)
+                    push(heap, (at if at > now else now, seq, _ISSUE, state))
+                    seq += 1
+            elif kind == _RESULT:
+                task = state
+                # Program latency is absorbed by plane parallelism and the
+                # write cache; the engine only waits for the bus transfer.
+                done = program(write(next(out_lpa)), now).array_done_ns
+                if done > task.last_write_done_ns:
+                    task.last_write_done_ns = done
+                task.out_pages_written += 1
+            else:
+                # Conventional host page reads every ``interval_ns`` until
+                # a bit past the compute span.
+                background = state
+                lpa = background.lpas[self.background_index % len(background.lpas)]
+                background.latency.observe(read(lookup(lpa), now).done_ns - now)
+                self.background_ns += background.interval_ns
+                if self.background_ns > self.background_span_ns:
+                    continue
+                self.background_index += 1
+                at = as_ns(self.background_ns)
+                push(heap, (at if at > now else now, seq, _BACKGROUND, background))
+                seq += 1
+        self.pushed = seq
 
-    def _flush_result_page(self, sim: Simulator, task: _CoreTask) -> None:
-        """Program one result page at the current instant."""
-        out_ppa = self.ftl.write(next(self._out_lpa))
-        record = self.array.service_write(out_ppa, sim.now)
-        # Program latency is absorbed by plane parallelism and the write
-        # cache; the engine only waits for the bus transfer.
-        task.last_write_done_ns = max(task.last_write_done_ns, record.array_done_ns)
-        task.out_pages_written += 1
 
-    def _background_flow(self, sim: Simulator, background: BackgroundIO, span_ns: float):
-        """Conventional host page reads every ``interval_ns`` until ``span_ns``."""
-        index = 0
-        when = 0.0
-        while True:
-            yield sim.wait_until(when)
-            lpa = background.lpas[index % len(background.lpas)]
-            record = self.array.service_read(self.ftl.lookup(lpa), sim.now)
-            background.latency.observe(record.done_ns - sim.now)
-            when += background.interval_ns
-            if when > span_ns:
-                return
-            index += 1
-
-    def _serve_flash_read(self, task: _CoreTask, k: int, when) -> int:
-        """Default input source: the flash array through FTL + crossbar."""
-        ppa = self.ftl.lookup(task.lpas[k])
-        record = self.array.service_read(ppa, when)
-        return record.done_ns + self.crossbar.route(task.core_id, ppa.channel)
+def _retiming_process(retiming: _Retiming, sim: Simulator):
+    """The retiming loop as one process on ``sim``: before the first entry
+    of each new instant it waits until then, and then runs every entry due."""
+    heap = retiming.heap
+    while heap:
+        yield sim.wait_until(heap[0][0])
+        retiming.run(until=sim.now)
 
 
 # ---------------------------------------------------------------------------

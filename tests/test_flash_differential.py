@@ -506,7 +506,38 @@ def test_allocator_picks_match_the_chain_over_many_batches(channels, skew, cycle
     )
     count = 3 * PICK_CHUNK + 7
     assert [fast.allocate() for _ in range(count)] == [chain.allocate() for _ in range(count)]
-    assert fast._cycle is cycle
+    assert fast._table.cycle is cycle
+
+
+def _chain(config, skew):
+    return oracle.ChainAllocator(
+        config, skew=skew, pick_channel=oracle.deficit_pick_channel,
+        pick_block=oracle.unit_pick_block,
+    )
+
+
+def test_allocators_at_one_skew_share_one_pick_table():
+    """Allocators at one skew read one table of picks, each at its own
+    index: interleaved in bursts, one extending the table while the other
+    is behind, each hands out its own chain allocator's pages."""
+    config = FlashConfig(
+        channels=8, chips_per_channel=2, dies_per_chip=1, planes_per_die=2,
+        blocks_per_plane=8, pages_per_block=64,
+    )
+    skew = 0.37  # no cycle: the table grows a batch at a time
+    pairs = [(PageAllocator(config, skew=skew), _chain(config, skew)) for _ in range(2)]
+    assert pairs[0][0]._table is pairs[1][0]._table
+    assert not pairs[0][0]._table.cycle
+    rng = random.Random(5)
+    handed = [0, 0]
+    for _ in range(24):
+        side = rng.randrange(2)
+        burst = rng.randrange(1, 2 * PICK_CHUNK)
+        fast, chain = pairs[side]
+        assert [fast.allocate() for _ in range(burst)] == [chain.allocate() for _ in range(burst)]
+        handed[side] += burst
+    assert min(handed) > 3 * PICK_CHUNK
+    assert len(pairs[0][0]._table.picks) >= max(handed)
 
 
 @pytest.mark.parametrize("skew", [0.0, 0.3])

@@ -286,7 +286,8 @@ def test_mount_that_does_not_fit_changes_nothing(skew, mounted, asked, match):
 def test_mount_refused_after_a_batch_of_picks_changes_nothing():
     """At skew 0.3 the channel deficits never come back to zero, so the
     picks come in batches; a mount refused after more than one batch
-    puts the deficits and the picks back too."""
+    puts the allocator's place in the shared picks back too, also when
+    another allocator has extended them meanwhile."""
     tiny = _geometry(2, 4, 64)
     ftl, twin = PageMapFTL(tiny, skew=0.3), PageMapFTL(tiny, skew=0.3)
     # 512 pages are free; channel 0 takes 0.65 of the picks and fills
@@ -296,6 +297,19 @@ def test_mount_refused_after_a_batch_of_picks_changes_nothing():
         ftl.populate(range(480))
     assert _mount_state(ftl) == _mount_state(twin)
     assert ftl.populate(range(300)) == twin.populate(range(300))
+    # Another allocator at these shares takes the table far past both.
+    other = PageMapFTL(_geometry(2, 16, 64), skew=0.3)
+    other.populate(range(1500))
+    table = ftl.allocator._table
+    assert other.allocator._table is table and len(table.picks) >= 1500
+    late, late_twin = PageMapFTL(tiny, skew=0.3), PageMapFTL(tiny, skew=0.3)
+    late.populate(range(100))
+    late_twin.populate(range(100))
+    with pytest.raises(FTLError, match="does not fit the placement"):
+        late.populate(range(100, 500))
+    assert _mount_state(late) == _mount_state(late_twin)
+    assert late.allocator._pick == late_twin.allocator._pick == 100
+    assert late.populate(range(100, 390)) == late_twin.populate(range(100, 390))
     assert ftl.populate(range(300, 390)) == [twin.write(lpa) for lpa in range(300, 390)]
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.config import ServeConfig, assasin_sb_config
+from repro.config import SSDConfig, ServeConfig, assasin_sb_config, assasin_sb_core
 from repro.errors import ConfigError, ServeError
 from repro.serve import ServingLayer, TenantSpec, simulate_serve
 from repro.ssd.device import ComputationalSSD
@@ -42,6 +42,28 @@ def test_serve_requires_tenants():
     device = ComputationalSSD(assasin_sb_config())
     with pytest.raises(ServeError):
         ServingLayer(device, [])
+
+
+def test_serve_refuses_a_channel_local_device():
+    """Serving runs each scomp command on one core, and a command's pages
+    span channels: a device whose cores reach only their own channel
+    cannot serve them."""
+    local = SSDConfig(name="local", core=assasin_sb_core(), num_cores=8, crossbar=False)
+    with pytest.raises(ServeError, match="no crossbar"):
+        simulate_serve(local, _trio(), duration_ns=200_000.0, seed=1)
+
+
+def test_channel_local_device_serves_reads_and_writes():
+    """Reads and writes touch no core: a channel-local device serves them."""
+    local = SSDConfig(name="local", core=assasin_sb_core(), num_cores=8, crossbar=False)
+    tenants = [
+        TenantSpec(name="reader", kind="read", pages_per_command=4, interarrival_ns=9_000.0),
+        TenantSpec(name="writer", kind="write", pages_per_command=2, interarrival_ns=9_000.0),
+    ]
+    report = simulate_serve(local, tenants, duration_ns=200_000.0, seed=1)
+    assert report.tenants["reader"].completed > 0
+    assert report.tenants["writer"].completed > 0
+    assert report.total_failed == 0
 
 
 def test_same_seed_identical_metrics():
